@@ -1,9 +1,9 @@
 """Polarization scoring for weighted networks with multi-opinion node labels.
 
-The score splits edge weight into within-community and between-community
-frequency matrices over opinion pairs, after rescaling each edge by the
-population share of its endpoint opinions, and combines the two views into
-a single value in [0, 1]. Community structure comes from seeded modularity
+The score splits edge weight, after rescaling each edge by the population
+share of its endpoint opinions, into four masses: within or between
+communities, on same-opinion or cross-opinion pairs. It blends the within
+and between views into a single value in [0, 1]. Community structure comes from seeded modularity
 optimization, and scores are averaged over a seed schedule because the
 optimizer is greedy.
 """
@@ -26,12 +26,10 @@ from .io import (
     write_sweep_csv,
 )
 from .metric import (
-    FrequencyMatrices,
     PolarizationReport,
     ScaledWeights,
     accumulate,
     analyze,
-    combine,
     polarization_component,
     scale_weights,
     score_partition,
@@ -58,7 +56,6 @@ from .synthetic import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "FrequencyMatrices",
     "InputError",
     "LabeledGraph",
     "LouvainConfig",
@@ -77,7 +74,6 @@ __all__ = [
     "analyze",
     "build_retweet_network",
     "census",
-    "combine",
     "generate_sbm",
     "load_graph",
     "load_karate",

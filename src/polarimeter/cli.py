@@ -13,7 +13,6 @@ import sys
 from .community import LouvainConfig
 from .errors import InputError
 from .io import (
-    EDGE_FORMATS,
     _json_dumps,
     load_graph,
     load_karate,
@@ -77,12 +76,6 @@ def _build_parser() -> _Parser:
     )
     p_analyze.add_argument("--graph", required=True, help="edge list file")
     p_analyze.add_argument("--labels", required=True, help="node opinion file")
-    p_analyze.add_argument(
-        "--format",
-        choices=EDGE_FORMATS,
-        default=EDGE_FORMATS[0],
-        help="input format (default: %(default)s)",
-    )
     common_run_flags(p_analyze)
     p_analyze.add_argument(
         "--out",
@@ -107,12 +100,6 @@ def _build_parser() -> _Parser:
         "--labels",
         default=None,
         help="opinion file for --graph; labels are replaced per grid cell",
-    )
-    p_sweep.add_argument(
-        "--format",
-        choices=EDGE_FORMATS,
-        default=EDGE_FORMATS[0],
-        help="input format (default: %(default)s)",
     )
     p_sweep.add_argument(
         "--dom-ratios",
@@ -223,37 +210,26 @@ def _parse_grid(flag: str, text: str, cast):
 
 
 def _cmd_analyze(args) -> int:
-    graph = load_graph(args.graph, args.labels, format=args.format)
-    config = LouvainConfig(seed=args.seed)
-    report = analyze(
-        graph,
-        config,
-        runs=_positive_int("--runs", args.runs),
-        threads=_resolve_threads(args.threads),
-    )
-    _emit_report(report, args.out)
-    return 0
+    return _analyze_and_emit(load_graph(args.graph, args.labels), args)
 
 
 def _cmd_demo_karate(args) -> int:
-    graph = load_karate()
-    config = LouvainConfig(seed=args.seed)
+    return _analyze_and_emit(load_karate(), args)
+
+
+def _analyze_and_emit(graph, args) -> int:
     report = analyze(
         graph,
-        config,
+        LouvainConfig(seed=args.seed),
         runs=_positive_int("--runs", args.runs),
         threads=_resolve_threads(args.threads),
     )
-    _emit_report(report, args.out)
-    return 0
-
-
-def _emit_report(report, out: str | None) -> None:
-    if out is None:
+    if args.out is None:
         sys.stdout.write(report_json(report))
-        return
-    fmt = "csv" if out.endswith(".csv") else "json"
-    save_report(report, out, format=fmt)
+    else:
+        fmt = "csv" if args.out.endswith(".csv") else "json"
+        save_report(report, args.out, format=fmt)
+    return 0
 
 
 def _cmd_sweep(args) -> int:
@@ -263,13 +239,19 @@ def _cmd_sweep(args) -> int:
     threads = _resolve_threads(args.threads)
     ratios = _parse_grid("--dom-ratios", args.dom_ratios, float)
     opinion_counts = _parse_grid("--num-opinions", args.num_opinions, int)
+    for ratio in ratios:
+        if not 0.0 < ratio <= 1.0:
+            raise InputError(f"--dom-ratios values must be in (0, 1], got {ratio}")
+    for count in opinion_counts:
+        if count < 2:
+            raise InputError(f"--num-opinions values must be >= 2, got {count}")
 
     if args.sbm is not None:
         graph, partition = generate_sbm(_parse_sbm(args.sbm, seed=args.seed))
     else:
         if args.labels is None:
             raise InputError("sweep --graph also needs --labels")
-        graph = load_graph(args.graph, args.labels, format=args.format)
+        graph = load_graph(args.graph, args.labels)
         partition = None
 
     cells = sweep(

@@ -9,6 +9,8 @@ in-memory layout regardless of input row order.
 
 from __future__ import annotations
 
+import copy
+import math
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping
 
@@ -31,10 +33,10 @@ class LabeledGraph:
     """Undirected weighted graph with one discrete opinion label per node.
 
     Construction merges duplicate and reversed edge entries by summing their
-    weights. Self-loops and non-positive weights are rejected; callers that
-    need drop-with-warning semantics (file loaders, retweet ingestion) filter
-    before constructing. Nodes are the union of edge endpoints and label keys,
-    so label-only nodes survive as isolated nodes.
+    weights. Self-loops and non-positive or non-finite weights are rejected;
+    callers that need drop-with-warning semantics (file loaders, retweet
+    ingestion) filter before constructing. Nodes are the union of edge
+    endpoints and label keys, so label-only nodes survive as isolated nodes.
     """
 
     def __init__(
@@ -43,20 +45,16 @@ class LabeledGraph:
         opinions: Mapping[NodeId, int],
         num_opinions: int | None = None,
     ):
-        if num_opinions is None:
-            top = max((int(o) for o in opinions.values()), default=0)
-            num_opinions = max(2, top + 1)
-        if num_opinions < 2:
-            raise ValueError(f"num_opinions must be >= 2, got {num_opinions}")
-
         merged: dict[tuple[NodeId, NodeId], float] = {}
         node_set = set(opinions)
         for u, v, w in edges:
             if u == v:
                 raise ValueError(f"self-loop on node {u!r}")
             w = float(w)
-            if w <= 0.0:
-                raise ValueError(f"non-positive weight {w} on edge ({u!r}, {v!r})")
+            if not math.isfinite(w) or w <= 0.0:
+                raise ValueError(
+                    f"non-positive or non-finite weight {w} on edge ({u!r}, {v!r})"
+                )
             key = (u, v) if _node_key(u) <= _node_key(v) else (v, u)
             merged[key] = merged.get(key, 0.0) + w
             node_set.add(u)
@@ -66,6 +64,30 @@ class LabeledGraph:
 
         self.nodes: tuple[NodeId, ...] = tuple(sorted(node_set, key=_node_key))
         self._index: dict[NodeId, int] = {u: i for i, u in enumerate(self.nodes)}
+        self._set_labels(opinions, num_opinions)
+
+        self.edges: tuple[tuple[NodeId, NodeId, float], ...] = tuple(
+            sorted(
+                ((u, v, w) for (u, v), w in merged.items()),
+                key=lambda e: (self._index[e[0]], self._index[e[1]]),
+            )
+        )
+
+        self._adjacency: list[list[tuple[int, float]]] | None = None
+        self._edge_arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    def _set_labels(
+        self, opinions: Mapping[NodeId, int], num_opinions: int | None
+    ) -> None:
+        """Validate one label per node and store them in node order."""
+        if num_opinions is None:
+            top = max((int(o) for o in opinions.values()), default=0)
+            num_opinions = max(2, top + 1)
+        if num_opinions < 2:
+            raise ValueError(f"num_opinions must be >= 2, got {num_opinions}")
+        for u in opinions:
+            if u not in self._index:
+                raise ValueError(f"label for node {u!r}, which is not in the graph")
 
         self.opinions: dict[NodeId, int] = {}
         for u in self.nodes:
@@ -78,16 +100,6 @@ class LabeledGraph:
                 )
             self.opinions[u] = o
         self.num_opinions = int(num_opinions)
-
-        self.edges: tuple[tuple[NodeId, NodeId, float], ...] = tuple(
-            sorted(
-                ((u, v, w) for (u, v), w in merged.items()),
-                key=lambda e: (self._index[e[0]], self._index[e[1]]),
-            )
-        )
-
-        self._adjacency: list[list[tuple[int, float]]] | None = None
-        self._edge_arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
         self._opinion_array: np.ndarray | None = None
 
     # -- basic accessors ---------------------------------------------------
@@ -110,8 +122,16 @@ class LabeledGraph:
     def replace_labels(
         self, opinions: Mapping[NodeId, int], num_opinions: int | None = None
     ) -> "LabeledGraph":
-        """New graph with identical structure and fresh opinion labels."""
-        return LabeledGraph(self.edges, opinions, num_opinions)
+        """Copy with fresh opinion labels that shares this graph's structure.
+
+        Nodes, edges and the derived adjacency and edge arrays are built once
+        here and shared, not copied; only the labels are new.
+        """
+        self.adjacency()
+        self.edge_arrays()
+        relabeled = copy.copy(self)
+        relabeled._set_labels(opinions, num_opinions)
+        return relabeled
 
     # -- derived structures (built once, cached; the graph is immutable) ----
 

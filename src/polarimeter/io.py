@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -22,9 +23,6 @@ if TYPE_CHECKING:
     from .metric import PolarizationReport
 
 logger = logging.getLogger(__name__)
-
-EDGE_FORMATS = ("tsv-edgelist",)
-
 
 def _data_rows(path) -> list[tuple[int, str]]:
     """(line_number, stripped_text) for non-comment, non-blank lines."""
@@ -52,19 +50,16 @@ def _detect_separator(path, rows: list[tuple[int, str]]) -> str:
     )
 
 
-def load_graph(edge_file, label_file, format: str = "tsv-edgelist") -> LabeledGraph:
+def load_graph(edge_file, label_file) -> LabeledGraph:
     """Load a labeled graph from an edge-list file and an opinion-label file.
 
     Edge rows are ``u <sep> v [<sep> weight]`` with weight defaulting to 1.0;
     duplicate and reversed rows are merged by summing, self-loop rows are
     dropped with a counted warning. Label rows are ``u <sep> opinion_index``.
     Nodes appearing only in the label file become isolated nodes. A node in
-    the edge file without a label, a non-positive weight, or an empty edge
-    set is a hard error.
+    the edge file without a label, a non-positive or non-finite weight, or an
+    empty edge set is a hard error.
     """
-    if format not in EDGE_FORMATS:
-        raise InputError(f"unknown graph format {format!r}")
-
     edge_rows = _data_rows(edge_file)
     if not edge_rows:
         raise InputError("edge file contains no edges", path=edge_file)
@@ -92,8 +87,12 @@ def load_graph(edge_file, label_file, format: str = "tsv-edgelist") -> LabeledGr
                 ) from None
         else:
             w = 1.0
-        if w <= 0.0:
-            raise InputError(f"non-positive weight {w}", path=edge_file, line=lineno)
+        if not math.isfinite(w) or w <= 0.0:
+            raise InputError(
+                f"non-positive or non-finite weight {fields[2]!r}",
+                path=edge_file,
+                line=lineno,
+            )
         if u == v:
             self_loops += 1
             continue

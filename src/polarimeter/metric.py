@@ -1,11 +1,11 @@
 """Multi-opinion polarization scoring.
 
 Pipeline per run: scale edge weights by the average population share of the
-two endpoint opinions, split the scaled weight mass into within-community and
-between-community opinion-pair matrices, score each matrix by how little of
-its mass sits on cross-opinion pairs, and combine the two scores weighted by
-their mass. The multi-run entry point repeats community detection across a
-seed schedule and reports summary statistics.
+two endpoint opinions, split the scaled weight mass into four masses (within
+or between communities, same or cross opinion), score each view by how
+little of its mass sits on cross-opinion pairs, and blend the two scores
+weighted by their mass. The multi-run entry point repeats community
+detection across a seed schedule and reports summary statistics.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 import numpy as np
 
@@ -31,33 +32,6 @@ class ScaledWeights:
         return float(self.values.sum())
 
 
-@dataclass(frozen=True)
-class FrequencyMatrices:
-    """Symmetric opinion-by-opinion tallies of scaled edge weight.
-
-    ``within`` collects edges whose endpoints share a community, ``between``
-    collects edges that span two communities. Together they conserve the
-    total scaled weight: each edge lands in exactly one matrix, once.
-    """
-
-    within: np.ndarray
-    between: np.ndarray
-
-    @property
-    def within_sum(self) -> float:
-        return _upper_sum(self.within)
-
-    @property
-    def between_sum(self) -> float:
-        return _upper_sum(self.between)
-
-
-def _upper_sum(matrix: np.ndarray) -> float:
-    """Sum over the upper triangle including the diagonal."""
-    k = matrix.shape[0]
-    return float(matrix[np.triu_indices(k)].sum())
-
-
 def scale_weights(graph: LabeledGraph, counts: OpinionCensus) -> ScaledWeights:
     """Scale each edge weight by the mean population fraction of its endpoint
     opinions, so edges of minority opinions contribute proportionally less."""
@@ -70,8 +44,10 @@ def scale_weights(graph: LabeledGraph, counts: OpinionCensus) -> ScaledWeights:
 
 def accumulate(
     graph: LabeledGraph, scaled: ScaledWeights, partition: Partition
-) -> FrequencyMatrices:
-    """Split scaled edge mass into the within/between opinion-pair matrices."""
+) -> np.ndarray:
+    """Scaled edge mass in four bins, indexed 2 * same_community + cross_opinion:
+    [between/same-opinion, between/cross-opinion, within/same-opinion,
+    within/cross-opinion]. Each edge lands in exactly one bin."""
     assignment = partition.assignment
     try:
         comm = np.fromiter(
@@ -82,30 +58,18 @@ def accumulate(
 
     eu, ev, _ = graph.edge_arrays()
     opinion = graph.opinion_array()
-    lo = np.minimum(opinion[eu], opinion[ev])
-    hi = np.maximum(opinion[eu], opinion[ev])
-    same = comm[eu] == comm[ev]
-
-    k = graph.num_opinions
-    within = np.zeros((k, k), dtype=np.float64)
-    between = np.zeros((k, k), dtype=np.float64)
-    np.add.at(within, (lo[same], hi[same]), scaled.values[same])
-    np.add.at(between, (lo[~same], hi[~same]), scaled.values[~same])
-    # mirror the strict upper triangle so F(m, n) == F(n, m)
-    within = within + np.triu(within, 1).T
-    between = between + np.triu(between, 1).T
-    return FrequencyMatrices(within=within, between=between)
+    bins = 2 * (comm[eu] == comm[ev]) + (opinion[eu] != opinion[ev])
+    return np.bincount(bins, weights=scaled.values, minlength=4)
 
 
-def polarization_component(matrix: np.ndarray) -> float:
-    """Score one frequency matrix: 1 when no mass crosses opinions, reaching 0
-    once cross-opinion mass is at least half of the total. Empty matrix
-    scores 0 (its weight in the combined score is simultaneously 0)."""
-    if (matrix < 0).any():
-        raise ValueError("frequency matrix has negative entries")
-    k = matrix.shape[0]
-    cross = float(matrix[np.triu_indices(k, 1)].sum())
-    total = cross + float(np.trace(matrix))
+def polarization_component(same: float, cross: float) -> float:
+    """Score one view from its same-opinion and cross-opinion mass: 1 when no
+    mass crosses opinions, reaching 0 once cross-opinion mass is at least half
+    of the total. An empty view scores 0 (its weight in the blend is then 0
+    too)."""
+    if same < 0 or cross < 0:
+        raise ValueError(f"negative mass: same={same}, cross={cross}")
+    total = same + cross
     if total == 0.0:
         return 0.0
     ratio = cross / total
@@ -113,23 +77,19 @@ def polarization_component(matrix: np.ndarray) -> float:
     return 1.0 - 2.0 * capped
 
 
-def combine(matrices: FrequencyMatrices, p_within: float, p_between: float) -> float:
-    """Mass-weighted average of the two component scores."""
-    s_w = matrices.within_sum
-    s_b = matrices.between_sum
-    if s_w + s_b == 0.0:
-        raise ValueError("both frequency matrices are empty")
-    return (s_w * p_within + s_b * p_between) / (s_w + s_b)
-
-
 def score_partition(
     graph: LabeledGraph, scaled: ScaledWeights, partition: Partition
 ) -> tuple[float, float, float]:
-    """(p_within, p_between, polarization) for one fixed partition."""
-    matrices = accumulate(graph, scaled, partition)
-    p_w = polarization_component(matrices.within)
-    p_b = polarization_component(matrices.between)
-    return p_w, p_b, combine(matrices, p_w, p_b)
+    """(p_within, p_between, polarization) for one fixed partition; the
+    polarization is the mass-weighted average of the two components."""
+    b_same, b_cross, w_same, w_cross = accumulate(graph, scaled, partition).tolist()
+    p_w = polarization_component(w_same, w_cross)
+    p_b = polarization_component(b_same, b_cross)
+    s_w = w_same + w_cross
+    s_b = b_same + b_cross
+    if s_w + s_b == 0.0:
+        raise ValueError("no scaled edge mass to score")
+    return p_w, p_b, (s_w * p_w + s_b * p_b) / (s_w + s_b)
 
 
 @dataclass(frozen=True)
@@ -212,25 +172,43 @@ def _std(values) -> float:
     return math.sqrt(math.fsum((v - mean) ** 2 for v in values) / len(values))
 
 
-_WORKER: tuple[LabeledGraph, np.ndarray, LouvainConfig] | None = None
+_WORKER: tuple[LabeledGraph, LouvainConfig] | None = None
 
 
-def _init_worker(graph: LabeledGraph, values: np.ndarray, config: LouvainConfig):
+def _init_worker(graph: LabeledGraph, config: LouvainConfig):
     global _WORKER
-    _WORKER = (graph, values, config)
+    _WORKER = (graph, config)
 
 
-def _run_index(run: int) -> tuple[float, float, float, int]:
-    graph, values, config = _WORKER
-    return _single_run(graph, ScaledWeights(values), config, run)
+def _louvain_run(run: int) -> Partition:
+    graph, config = _WORKER
+    return louvain(graph, replace(config, seed=config.seed + run))
 
 
-def _single_run(
-    graph: LabeledGraph, scaled: ScaledWeights, config: LouvainConfig, run: int
-) -> tuple[float, float, float, int]:
-    partition = louvain(graph, replace(config, seed=config.seed + run))
-    p_w, p_b, p = score_partition(graph, scaled, partition)
-    return p_w, p_b, p, partition.k
+def louvain_runs(
+    graph: LabeledGraph, config: LouvainConfig, runs: int, threads: int = 1
+) -> Iterator[Partition]:
+    """Yield the partitions of ``runs`` Louvain runs at seeds config.seed + run
+    index, in run order.
+
+    Louvain reads only the graph's structure, never its labels, so these
+    partitions serve every labeling of that structure. The sequence is
+    identical for any ``threads`` value; workers only parallelize
+    independent runs.
+    """
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
+    if threads > 1 and runs > 1:
+        graph.adjacency()  # build the cache once, before shipping to workers
+        with ProcessPoolExecutor(
+            max_workers=min(threads, runs),
+            initializer=_init_worker,
+            initargs=(graph, config),
+        ) as pool:
+            yield from pool.map(_louvain_run, range(runs))
+    else:
+        for run in range(runs):
+            yield louvain(graph, replace(config, seed=config.seed + run))
 
 
 def analyze(
@@ -243,32 +221,18 @@ def analyze(
 
     Community detection is greedy and seed-dependent, so scores are averaged
     over the seed schedule. Results are identical for any ``threads`` value;
-    workers only parallelize independent runs.
+    workers only parallelize the Louvain runs, and scoring happens here.
     """
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
-    counts = census(graph)
-    scaled = scale_weights(graph, counts)
-
-    if threads > 1 and runs > 1:
-        graph.adjacency()  # build caches once, before shipping to workers
-        graph.edge_arrays()
-        graph.opinion_array()
-        workers = min(threads, runs)
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(graph, scaled.values, config),
-        ) as pool:
-            results = list(pool.map(_run_index, range(runs), chunksize=8))
-    else:
-        results = [_single_run(graph, scaled, config, r) for r in range(runs)]
-
+    scaled = scale_weights(graph, census(graph))
+    scores, communities = [], []
+    for partition in louvain_runs(graph, config, runs, threads):
+        scores.append(score_partition(graph, scaled, partition))
+        communities.append(partition.k)
     return PolarizationReport(
-        p_within_runs=tuple(r[0] for r in results),
-        p_between_runs=tuple(r[1] for r in results),
-        polarization_runs=tuple(r[2] for r in results),
-        communities_per_run=tuple(r[3] for r in results),
+        p_within_runs=tuple(s[0] for s in scores),
+        p_between_runs=tuple(s[1] for s in scores),
+        polarization_runs=tuple(s[2] for s in scores),
+        communities_per_run=tuple(communities),
         seed=config.seed,
         runs=runs,
         graph_nodes=graph.node_count,

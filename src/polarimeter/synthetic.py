@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .community import LouvainConfig, Partition, louvain
-from .graph import LabeledGraph
-from .metric import analyze
+from .community import LouvainConfig, Partition
+from .graph import LabeledGraph, census
+from .metric import _mean, _std, louvain_runs, scale_weights, score_partition
 
 
 @dataclass(frozen=True)
@@ -132,41 +131,6 @@ class SweepCell:
     runs: int
 
 
-_SWEEP_WORKER: tuple[LabeledGraph, Partition] | None = None
-
-
-def _init_sweep_worker(graph: LabeledGraph, partition: Partition):
-    global _SWEEP_WORKER
-    _SWEEP_WORKER = (graph, partition)
-
-
-def _sweep_cell(args) -> SweepCell:
-    graph, partition = _SWEEP_WORKER
-    return _run_cell(graph, partition, *args)
-
-
-def _run_cell(
-    graph: LabeledGraph,
-    partition: Partition,
-    num_opinions: int,
-    dom_ratio: float,
-    cell_seed: int,
-    runs: int,
-) -> SweepCell:
-    label_config = SyntheticLabelConfig(
-        dom_ratio=dom_ratio, num_opinions=num_opinions, seed=cell_seed
-    )
-    labeled = relabel(graph, partition, label_config)
-    report = analyze(labeled, LouvainConfig(seed=cell_seed), runs=runs)
-    return SweepCell(
-        num_opinions=num_opinions,
-        dom_ratio=dom_ratio,
-        mean_p=report.polarization_mean,
-        std_p=report.polarization_std,
-        runs=runs,
-    )
-
-
 def sweep(
     graph: LabeledGraph,
     dom_ratios: list[float],
@@ -178,31 +142,41 @@ def sweep(
 ) -> list[SweepCell]:
     """Mean polarization per (num_opinions, dom_ratio) grid cell.
 
-    Cells are ordered row-major: num_opinions outer, dom_ratio inner. Each
-    cell relabels the graph over ``partition`` (one Louvain run at ``seed``
-    when not given, e.g. the planted partition of an SBM) and averages the
-    metric over ``runs`` seeded runs. Per-cell seeds are drawn up front from
-    the master seed, so results do not depend on worker scheduling.
+    Cells are ordered row-major: num_opinions outer, dom_ratio inner. The
+    ``runs`` Louvain partitions at seeds seed + run index are computed once,
+    since relabeling keeps the structure Louvain reads. Each cell relabels
+    the graph over ``partition`` (the seed's run when not given; e.g. the
+    planted partition of an SBM) with a per-cell seed drawn from the master
+    seed, then scores that labeling against every one of the partitions. A
+    cell therefore equals ``analyze`` at ``seed`` on its relabeled graph,
+    and ``threads`` only parallelizes the Louvain runs.
     """
     if not dom_ratios or not num_opinions_list:
         raise ValueError("sweep grid is empty")
-    if partition is None:
-        partition = louvain(graph, LouvainConfig(seed=seed))
-
     master = random.Random(seed)
-    cells = [
-        (num_op, ratio, master.randrange(2**62), runs)
+    label_configs = [
+        SyntheticLabelConfig(
+            dom_ratio=ratio, num_opinions=num_op, seed=master.randrange(2**62)
+        )
         for num_op in num_opinions_list
         for ratio in dom_ratios
     ]
+    partitions = list(louvain_runs(graph, LouvainConfig(seed=seed), runs, threads))
+    if partition is None:
+        partition = partitions[0]
 
-    if threads > 1 and len(cells) > 1:
-        graph.adjacency()
-        graph.edge_arrays()
-        with ProcessPoolExecutor(
-            max_workers=min(threads, len(cells)),
-            initializer=_init_sweep_worker,
-            initargs=(graph, partition),
-        ) as pool:
-            return list(pool.map(_sweep_cell, cells))
-    return [_run_cell(graph, partition, *cell) for cell in cells]
+    cells = []
+    for label_config in label_configs:
+        labeled = relabel(graph, partition, label_config)
+        scaled = scale_weights(labeled, census(labeled))
+        scores = [score_partition(labeled, scaled, p)[2] for p in partitions]
+        cells.append(
+            SweepCell(
+                num_opinions=label_config.num_opinions,
+                dom_ratio=label_config.dom_ratio,
+                mean_p=_mean(scores),
+                std_p=_std(scores),
+                runs=runs,
+            )
+        )
+    return cells

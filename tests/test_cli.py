@@ -135,6 +135,19 @@ def test_malformed_row_exits_one_with_line_number(capsys, tmp_path):
     assert "e.tsv:2" in err
 
 
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+def test_non_finite_weight_exits_one_with_line_number(capsys, tmp_path, weight):
+    epath = tmp_path / "e.tsv"
+    epath.write_text(f"a\tb\t1\nb\tc\t{weight}\n")
+    lpath = tmp_path / "l.tsv"
+    lpath.write_text("a\t0\nb\t0\nc\t1\n")
+    code, out, err = run(capsys, "analyze", "--graph", str(epath),
+                         "--labels", str(lpath), "--runs", "1")
+    assert code == 1
+    assert out == ""
+    assert "e.tsv:2" in err
+
+
 def test_internal_failures_exit_two(capsys, karate_files, monkeypatch):
     edges, labels = karate_files
     import polarimeter.cli as cli_mod
@@ -204,6 +217,16 @@ def test_sweep_bad_grid_syntax_exits_one(capsys):
                        "--dom-ratios", "0.3::0.1", "--runs", "1")
     assert code == 1
     assert "--dom-ratios" in err
+
+
+def test_sweep_grid_values_out_of_range_exit_one(capsys):
+    for flag, grid in (("--dom-ratios", "0,1.5"), ("--dom-ratios", "1.5"),
+                       ("--num-opinions", "1"), ("--num-opinions", "0:3")):
+        code, _, err = run(capsys, "sweep", "--sbm", "2x10", flag, grid,
+                           "--runs", "1")
+        assert code == 1, (flag, grid)
+        assert flag in err
+        assert "internal error" not in err
 
 
 def test_sweep_bad_sbm_syntax_exits_one(capsys):

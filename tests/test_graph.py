@@ -22,10 +22,9 @@ def test_rejects_self_loops():
 
 
 def test_rejects_nonpositive_weights():
-    with pytest.raises(ValueError, match="weight"):
-        LabeledGraph([("a", "b", 0.0)], {"a": 0, "b": 1})
-    with pytest.raises(ValueError, match="weight"):
-        LabeledGraph([("a", "b", -1.0)], {"a": 0, "b": 1})
+    for weight in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="weight"):
+            LabeledGraph([("a", "b", weight)], {"a": 0, "b": 1})
 
 
 def test_rejects_empty_edge_set():
@@ -103,6 +102,28 @@ def test_replace_labels_keeps_structure():
     assert g2.opinions == {"a": 2, "b": 2}
     assert g2.num_opinions == 3
     assert g.opinions == {"a": 0, "b": 1}
+
+
+def test_replace_labels_shares_the_structure():
+    g = LabeledGraph([("a", "b", 1.0), ("b", "c", 2.0)], {"a": 0, "b": 1, "c": 1})
+    g2 = g.replace_labels({"a": 1, "b": 1, "c": 0})
+    assert g2.edge_arrays() is g.edge_arrays()
+    assert g2.adjacency() is g.adjacency()
+    assert g2.nodes is g.nodes
+    assert g2.opinion_array().tolist() == [1, 1, 0]
+    assert g.opinion_array().tolist() == [0, 1, 1]
+
+
+def test_replace_labels_validates_like_the_constructor():
+    g = LabeledGraph([("a", "b", 1.0)], {"a": 0, "b": 1})
+    with pytest.raises(ValueError, match="'z'"):
+        g.replace_labels({"a": 0, "b": 1, "z": 0})
+    with pytest.raises(ValueError, match="'b'"):
+        g.replace_labels({"a": 0})
+    with pytest.raises(ValueError):
+        g.replace_labels({"a": 0, "b": 2}, num_opinions=2)
+    with pytest.raises(ValueError):
+        g.replace_labels({"a": 0, "b": 0}, num_opinions=1)
 
 
 def test_census_counts_include_isolated_nodes():

@@ -116,11 +116,6 @@ def test_empty_edge_file_rejected(tmp_path):
         load_graph(edges, labels)
 
 
-def test_unknown_format_rejected(tiny):
-    with pytest.raises(InputError, match="format"):
-        load_graph(*tiny, format="gml")
-
-
 def test_label_only_nodes_are_isolated(tmp_path):
     edges = write(tmp_path / "e.tsv", "a\tb\t1\n")
     labels = write(tmp_path / "l.tsv", "a\t0\nb\t1\nzz\t1\n")

@@ -9,14 +9,13 @@ import numpy as np
 import pytest
 
 from polarimeter import (
-    FrequencyMatrices,
     LabeledGraph,
     LouvainConfig,
     Partition,
+    ScaledWeights,
     accumulate,
     analyze,
     census,
-    combine,
     polarization_component,
     scale_weights,
     score_partition,
@@ -69,21 +68,25 @@ def test_scaled_weights_never_exceed_raw():
 
 
 # -- accumulation ------------------------------------------------------------
+#
+# The paper's within and between frequency matrices (F_W, F_B) enter the score
+# only through their same-opinion and cross-opinion mass, so ``accumulate``
+# keeps just those four numbers: [between/same, between/cross, within/same,
+# within/cross].
+
+BETWEEN_SAME, BETWEEN_CROSS, WITHIN_SAME, WITHIN_CROSS = range(4)
 
 
 def test_same_community_edge_lands_in_within_matrix():
     g = make_graph([(0, 1, 1.0)], {0: 0, 1: 0})
-    fm = accumulate(g, scale_weights(g, census(g)), partition_of({0: 0, 1: 0}))
-    assert fm.within[0, 0] == pytest.approx(1.0)
-    assert fm.between.sum() == 0.0
+    masses = accumulate(g, scale_weights(g, census(g)), partition_of({0: 0, 1: 0}))
+    assert masses.tolist() == pytest.approx([0.0, 0.0, 1.0, 0.0])
 
 
-def test_cross_community_cross_opinion_edge_is_mirrored():
+def test_cross_community_cross_opinion_edge_is_counted_once():
     g = make_graph([(0, 1, 1.0)], {0: 0, 1: 1})
-    fm = accumulate(g, scale_weights(g, census(g)), partition_of({0: 0, 1: 1}))
-    assert fm.within.sum() == 0.0
-    assert fm.between[0, 1] == pytest.approx(0.5)
-    assert fm.between[1, 0] == pytest.approx(0.5)
+    masses = accumulate(g, scale_weights(g, census(g)), partition_of({0: 0, 1: 1}))
+    assert masses.tolist() == pytest.approx([0.0, 0.5, 0.0, 0.0])
 
 
 def test_four_path_hand_accumulation():
@@ -92,30 +95,13 @@ def test_four_path_hand_accumulation():
         [("a", "b", 1.0), ("b", "c", 1.0), ("c", "d", 1.0)],
         {"a": 0, "b": 0, "c": 1, "d": 1},
     )
-    ones = scale_weights(
-        g.replace_labels({"a": 0, "b": 0, "c": 0, "d": 0}),
-        census(g.replace_labels({"a": 0, "b": 0, "c": 0, "d": 0})),
-    )
-    fm = accumulate(g, ones, partition_of({"a": 0, "b": 0, "c": 1, "d": 1}))
-    assert fm.within[0, 0] == pytest.approx(1.0)
-    assert fm.within[1, 1] == pytest.approx(1.0)
-    assert fm.between[0, 1] == pytest.approx(1.0)
-    assert fm.between[1, 0] == pytest.approx(1.0)
-
-
-def test_matrices_are_symmetric_and_conserve_scaled_weight():
-    rng = random.Random(13)
-    for _ in range(40):
-        nodes, edges, opinions, k = random_graph_spec(rng, max_nodes=12)
-        g = make_graph(edges, opinions, k)
-        scaled = scale_weights(g, census(g))
-        part = partition_of({u: rng.randrange(3) for u in nodes})
-        fm = accumulate(g, scaled, part)
-        assert np.allclose(fm.within, fm.within.T)
-        assert np.allclose(fm.between, fm.between.T)
-        assert fm.within_sum + fm.between_sum == pytest.approx(
-            scaled.total, abs=1e-9
-        )
+    uniform = g.replace_labels({"a": 0, "b": 0, "c": 0, "d": 0})
+    ones = scale_weights(uniform, census(uniform))
+    masses = accumulate(g, ones, partition_of({"a": 0, "b": 0, "c": 1, "d": 1}))
+    assert masses[WITHIN_SAME] == pytest.approx(2.0)
+    assert masses[WITHIN_CROSS] == 0.0
+    assert masses[BETWEEN_SAME] == 0.0
+    assert masses[BETWEEN_CROSS] == pytest.approx(1.0)
 
 
 def test_accumulate_requires_partition_coverage():
@@ -128,68 +114,83 @@ def test_accumulate_requires_partition_coverage():
 
 
 def test_component_fully_segregated_is_one():
-    m = np.diag([0.4, 0.6])
-    assert polarization_component(m) == 1.0
+    assert polarization_component(1.0, 0.0) == 1.0
 
 
 def test_component_hits_zero_at_half_cross_mass():
-    # Upper-triangle tally: cross 0.5 of total 1.0 caps the score at zero.
-    m = np.array([[0.25, 0.5], [0.5, 0.25]])
-    assert polarization_component(m) == pytest.approx(0.0, abs=1e-12)
+    assert polarization_component(0.5, 0.5) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_component_beyond_half_stays_zero():
-    m = np.array([[0.1, 0.8], [0.8, 0.1]])
-    assert polarization_component(m) == 0.0
+    assert polarization_component(0.2, 0.8) == 0.0
 
 
 def test_component_linear_below_the_cap():
-    m = np.array([[0.7, 0.1], [0.1, 0.2]])
-    assert polarization_component(m) == pytest.approx(1 - 2 * 0.1, abs=1e-12)
+    assert polarization_component(0.9, 0.1) == pytest.approx(1 - 2 * 0.1, abs=1e-12)
 
 
 def test_component_empty_matrix_is_zero():
-    assert polarization_component(np.zeros((3, 3))) == 0.0
+    assert polarization_component(0.0, 0.0) == 0.0
 
 
 def test_component_rejects_negative_entries():
     with pytest.raises(ValueError):
-        polarization_component(np.array([[0.5, -0.1], [-0.1, 0.5]]))
+        polarization_component(0.5, -0.1)
+    with pytest.raises(ValueError):
+        polarization_component(-0.5, 0.1)
+
+
+def two_edge_graph():
+    # edge (0, 1) same-opinion inside community 0, edge (1, 2) cross-opinion
+    # between communities 0 and 1
+    return make_graph([(0, 1, 1.0), (1, 2, 1.0)], {0: 0, 1: 0, 2: 1})
 
 
 def test_combine_weights_components_by_matrix_mass():
-    fm = FrequencyMatrices(
-        within=np.diag([1.0]), between=np.array([[0.5]])
+    # within mass 1.0 scores 1, between mass 0.5 scores 0: P = 2/3
+    scaled = ScaledWeights(np.array([1.0, 0.5]))
+    p_w, p_b, p = score_partition(
+        two_edge_graph(), scaled, partition_of({0: 0, 1: 0, 2: 1})
     )
-    assert combine(fm, 1.0, 0.0) == pytest.approx(2 / 3, abs=1e-12)
+    assert (p_w, p_b) == (1.0, 0.0)
+    assert p == pytest.approx(2 / 3, abs=1e-12)
 
 
 def test_combine_single_community_equals_within_score():
-    fm = FrequencyMatrices(within=np.diag([2.0, 1.0]), between=np.zeros((2, 2)))
-    assert combine(fm, 0.8, 0.0) == pytest.approx(0.8, abs=1e-12)
+    g = make_graph([(0, 1, 1.0), (1, 2, 1.0)], {0: 0, 1: 0, 2: 1})
+    scaled = ScaledWeights(np.array([0.9, 0.1]))
+    p_w, p_b, p = score_partition(g, scaled, partition_of({0: 0, 1: 0, 2: 0}))
+    assert p_b == 0.0
+    assert p_w == pytest.approx(0.8, abs=1e-12)
+    assert p == p_w
 
 
 def test_combine_rejects_empty_matrices():
-    fm = FrequencyMatrices(within=np.zeros((2, 2)), between=np.zeros((2, 2)))
+    g = two_edge_graph()
     with pytest.raises(ValueError):
-        combine(fm, 1.0, 1.0)
+        score_partition(g, ScaledWeights(np.zeros(2)), partition_of({0: 0, 1: 0, 2: 1}))
 
 
 def test_three_community_walkthrough_scores():
-    # Matrix masses in ratio 30:7 with cross shares 0.16 and 0.345 give the
-    # component pair (0.68, 0.31) and a combined score of 0.61.
-    within = np.array([[25.2, 2.4, 0.0],
-                       [2.4, 0.0, 2.4],
-                       [0.0, 2.4, 0.0]])
-    between = np.array([[4.585, 1.2075, 0.0],
-                        [1.2075, 0.0, 1.2075],
-                        [0.0, 1.2075, 0.0]])
-    fm = FrequencyMatrices(within=within, between=between)
-    p_w = polarization_component(within)
-    p_b = polarization_component(between)
+    # View masses in ratio 30:7 with cross shares 0.16 and 0.345 give the
+    # component pair (0.68, 0.31) and a combined score of 0.61. Same-opinion
+    # mass is the diagonal 25.2 and 4.585; cross-opinion mass is the strict
+    # upper triangle 2.4 + 2.4 and 1.2075 + 1.2075.
+    p_w = polarization_component(25.2, 4.8)
+    p_b = polarization_component(4.585, 2.415)
     assert p_w == pytest.approx(0.68, abs=1e-12)
     assert p_b == pytest.approx(0.31, abs=1e-12)
-    assert combine(fm, p_w, p_b) == pytest.approx(0.61, abs=1e-12)
+    # one edge per mass: a0-b0 and a0-c1 inside community 0, a0-d0 and
+    # a0-e1 between communities
+    g = make_graph(
+        [("a", "b", 1.0), ("a", "c", 1.0), ("a", "d", 1.0), ("a", "e", 1.0)],
+        {"a": 0, "b": 0, "c": 1, "d": 0, "e": 1},
+    )
+    scaled = ScaledWeights(np.array([25.2, 4.8, 4.585, 2.415]))
+    part = partition_of({"a": 0, "b": 0, "c": 0, "d": 1, "e": 2})
+    assert score_partition(g, scaled, part) == pytest.approx(
+        (0.68, 0.31, 0.61), abs=1e-12
+    )
 
 
 # -- full scoring against the naive oracle ------------------------------------

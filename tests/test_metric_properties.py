@@ -1,0 +1,86 @@
+"""Property-based invariants of the four-mass score."""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from polarimeter import (
+    LabeledGraph,
+    Partition,
+    accumulate,
+    census,
+    scale_weights,
+    score_partition,
+)
+
+
+@st.composite
+def scored_inputs(draw):
+    """(edge rows, opinions, num_opinions, partition) on up to 10 nodes."""
+    n = draw(st.integers(2, 10))
+    k = draw(st.integers(2, 4))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1]
+    )
+    weights = st.floats(0.01, 100.0, allow_nan=False, allow_infinity=False)
+    # one row per node pair, so merging never adds weights in a new order
+    edges = draw(
+        st.lists(
+            st.tuples(pairs, weights),
+            min_size=1,
+            max_size=25,
+            unique_by=lambda e: frozenset(e[0]),
+        )
+    )
+    rows = [(u, v, w) for (u, v), w in edges]
+    opinions = {u: draw(st.integers(0, k - 1)) for u in range(n)}
+    assignment = {u: draw(st.integers(0, 3)) for u in range(n)}
+    used = sorted(set(assignment.values()))
+    dense = {u: used.index(c) for u, c in assignment.items()}
+    return rows, opinions, k, Partition(assignment=dense, k=len(used))
+
+
+def score(rows, opinions, k, partition):
+    g = LabeledGraph(rows, opinions, num_opinions=k)
+    return score_partition(g, scale_weights(g, census(g)), partition)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scored_inputs())
+def test_four_masses_sum_to_scaled_total(inputs):
+    rows, opinions, k, partition = inputs
+    g = LabeledGraph(rows, opinions, num_opinions=k)
+    scaled = scale_weights(g, census(g))
+    masses = accumulate(g, scaled, partition)
+    assert masses.shape == (4,)
+    assert (masses >= 0).all()
+    assert masses.sum() == pytest.approx(scaled.total, rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scored_inputs())
+def test_scores_stay_in_the_unit_interval(inputs):
+    p_w, p_b, p = score(*inputs)
+    for value in (p_w, p_b, p):
+        assert 0.0 <= value <= 1.0
+    assert min(p_w, p_b) - 1e-12 <= p <= max(p_w, p_b) + 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(scored_inputs(), st.randoms(use_true_random=False))
+def test_scores_ignore_edge_row_order(inputs, rng):
+    rows, opinions, k, partition = inputs
+    shuffled = list(rows)
+    rng.shuffle(shuffled)
+    assert score(shuffled, opinions, k, partition) == score(rows, opinions, k, partition)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scored_inputs())
+def test_scores_ignore_duplicate_row_splitting(inputs):
+    # halving is exact in binary floating point, so the merged graph is the same
+    rows, opinions, k, partition = inputs
+    split = [(u, v, w / 2) for u, v, w in rows] + [(v, u, w / 2) for u, v, w in rows]
+    assert score(split, opinions, k, partition) == score(rows, opinions, k, partition)

@@ -13,6 +13,7 @@ from polarimeter import (
     Partition,
     SbmConfig,
     SyntheticLabelConfig,
+    analyze,
     generate_sbm,
     louvain,
     relabel,
@@ -191,6 +192,25 @@ def test_sweep_without_partition_detects_communities():
     cells = sweep(g, dom_ratios=[1.0], num_opinions_list=[2], runs=2, seed=0)
     assert len(cells) == 1
     assert cells[0].mean_p > 0.5  # fully dominated labels on real communities
+
+
+def test_sweep_cell_equals_analyze_on_its_relabeled_graph():
+    # Louvain never reads labels, so a cell scored against the sweep's shared
+    # partitions equals a full analyze of the relabeled graph at the seed.
+    g, planted = sweep_fixture()
+    seed, runs = 9, 3
+    for given in (planted, None):
+        cells = sweep(g, dom_ratios=[0.5, 1.0], num_opinions_list=[2, 3],
+                      runs=runs, seed=seed, partition=given, threads=2)
+        partition = given or louvain(g, LouvainConfig(seed=seed))
+        master = random.Random(seed)
+        for cell in cells:
+            config = SyntheticLabelConfig(cell.dom_ratio, cell.num_opinions,
+                                          seed=master.randrange(2**62))
+            report = analyze(relabel(g, partition, config),
+                             LouvainConfig(seed=seed), runs=runs)
+            assert cell.mean_p == report.polarization_mean
+            assert cell.std_p == report.polarization_std
 
 
 def test_sweep_rejects_empty_grid():
