@@ -27,7 +27,6 @@ from .io import (
 )
 from .metric import (
     PolarizationReport,
-    ScaledWeights,
     accumulate,
     analyze,
     polarization_component,
@@ -65,7 +64,6 @@ __all__ = [
     "PolarizationReport",
     "STANCES",
     "SbmConfig",
-    "ScaledWeights",
     "StanceRecord",
     "SweepCell",
     "SyntheticLabelConfig",

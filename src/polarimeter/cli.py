@@ -172,13 +172,7 @@ def _parse_sbm(text: str, seed: int) -> SbmConfig:
         raise InputError(f"--sbm expects BLOCKSxNODES (e.g. 20x250), got {text!r}")
     if blocks < 1 or per_block < 1:
         raise InputError(f"--sbm sizes must be >= 1, got {text!r}")
-    return SbmConfig(
-        blocks=blocks,
-        nodes_per_block=per_block,
-        p_in=SBM_P_IN,
-        p_out=SBM_P_OUT,
-        seed=seed,
-    )
+    return SbmConfig(blocks, per_block, SBM_P_IN, SBM_P_OUT, seed=seed)
 
 
 def _parse_grid(flag: str, text: str, cast):

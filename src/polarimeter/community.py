@@ -65,17 +65,15 @@ def modularity(
 ) -> float:
     """Newman-Girvan weighted modularity with a resolution parameter."""
     m = graph.total_weight
-    if m <= 0.0:
-        raise ValueError("total edge weight is zero")
-    assignment = partition.assignment
-    for u in graph.nodes:
-        if u not in assignment:
-            raise ValueError(f"node {u!r} missing from partition")
+    try:
+        comm = [partition.assignment[u] for u in graph.nodes]
+    except KeyError as exc:
+        raise ValueError(f"node {exc.args[0]!r} missing from partition") from None
 
     intra = [0.0] * partition.k
     tot = [0.0] * partition.k
-    for u, v, w in graph.edges:
-        cu, cv = assignment[u], assignment[v]
+    for iu, iv, w in zip(*(a.tolist() for a in graph.edge_arrays())):
+        cu, cv = comm[iu], comm[iv]
         tot[cu] += w
         tot[cv] += w
         if cu == cv:
@@ -97,19 +95,20 @@ def louvain(
     with the modularity reached, for instrumentation in tests. Isolated nodes
     end up as singleton communities.
     """
-    if graph.edge_count == 0:
-        raise ValueError("graph has no edges")
     rng = random.Random(config.seed)
     m = graph.total_weight
     resolution = config.resolution
     min_gain = config.min_modularity_gain
 
-    adj: list[list[tuple[int, float]]] = graph.adjacency()
+    # the CSR triple as Python lists: indptr, indices, weights
+    adj = tuple(a.tolist() for a in graph.adjacency())
     loops = [0.0] * graph.node_count
     # assignment[i]: community of original node i at the current level
     assignment = list(range(graph.node_count))
 
-    prev_q = _singleton_modularity(adj, loops, m, resolution)
+    prev_q = 0.0  # modularity of the singleton partition
+    for deg in _degrees(adj, loops):
+        prev_q -= resolution * (deg / (2.0 * m)) ** 2
     level = 0
     while True:
         node2com, q = _one_level(
@@ -117,7 +116,7 @@ def louvain(
         )
         node2com, n_comms = _renumber(node2com)
         assignment = [node2com[c] for c in assignment]
-        if q - prev_q <= min_gain or n_comms == len(adj):
+        if q - prev_q <= min_gain or n_comms == len(loops):
             break
         prev_q = q
         adj, loops = _aggregate(adj, loops, node2com, n_comms)
@@ -127,28 +126,25 @@ def louvain(
     return Partition(assignment=dict(zip(graph.nodes, dense)), k=k)
 
 
-def _singleton_modularity(adj, loops, m, resolution) -> float:
-    two_m = 2.0 * m
-    q = 0.0
-    for u, nbrs in enumerate(adj):
-        deg = 2.0 * loops[u]
-        for _, w in nbrs:
-            deg += w
-        q += 2.0 * loops[u] / two_m - resolution * (deg / two_m) ** 2
-    return q
+def _degrees(adj, loops) -> list[float]:
+    """Weighted degree per node, self-loops counted twice."""
+    indptr, _, weights = adj
+    degree = []
+    for u, loop in enumerate(loops):
+        d = 2.0 * loop
+        for w in weights[indptr[u] : indptr[u + 1]]:
+            d += w
+        degree.append(d)
+    return degree
 
 
 def _one_level(adj, loops, m, resolution, min_gain, rng, pass_hook, level):
     """Local moves until a pass yields no improvement above tolerance."""
-    n = len(adj)
+    indptr, indices, weights = adj
+    n = len(loops)
     two_m = 2.0 * m
     node2com = list(range(n))
-    degree = [0.0] * n
-    for u, nbrs in enumerate(adj):
-        d = 2.0 * loops[u]
-        for _, w in nbrs:
-            d += w
-        degree[u] = d
+    degree = _degrees(adj, loops)
     tot = degree[:]  # community total degree, indexed by community slot
     internal = [2.0 * loops[u] for u in range(n)]  # sum of A_ij inside community
 
@@ -168,7 +164,8 @@ def _one_level(adj, loops, m, resolution, min_gain, rng, pass_hook, level):
             cu = node2com[u]
             ku = degree[u]
             nbw: dict[int, float] = {}
-            for v, w in adj[u]:
+            a, b = indptr[u], indptr[u + 1]
+            for v, w in zip(indices[a:b], weights[a:b]):
                 cv = node2com[v]
                 nbw[cv] = nbw.get(cv, 0.0) + w
             wu_own = nbw.get(cu, 0.0)
@@ -215,18 +212,25 @@ def _renumber(labels: list[int]) -> tuple[list[int], int]:
 
 
 def _aggregate(adj, loops, node2com, n_comms):
-    """Collapse communities into super-nodes with summed weights."""
+    """Collapse communities into super-nodes; returns their CSR lists and loops."""
+    indptr, indices, weights = adj
     new_loops = [0.0] * n_comms
-    weights: list[dict[int, float]] = [{} for _ in range(n_comms)]
-    for u, nbrs in enumerate(adj):
+    rows: list[dict[int, float]] = [{} for _ in range(n_comms)]
+    for u, loop in enumerate(loops):
         cu = node2com[u]
-        new_loops[cu] += loops[u]
-        for v, w in nbrs:
+        new_loops[cu] += loop
+        a, b = indptr[u], indptr[u + 1]
+        for v, w in zip(indices[a:b], weights[a:b]):
             cv = node2com[v]
             if cv == cu:
                 if u < v:
                     new_loops[cu] += w
             else:
-                weights[cu][cv] = weights[cu].get(cv, 0.0) + w
-    new_adj = [sorted(d.items()) for d in weights]
-    return new_adj, new_loops
+                rows[cu][cv] = rows[cu].get(cv, 0.0) + w
+    new_indptr, new_indices, new_weights = [0], [], []
+    for row in rows:
+        for v, w in sorted(row.items()):
+            new_indices.append(v)
+            new_weights.append(w)
+        new_indptr.append(len(new_indices))
+    return (new_indptr, new_indices, new_weights), new_loops

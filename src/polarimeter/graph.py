@@ -2,21 +2,31 @@
 
 The graph is immutable after construction and safe to share across analysis
 workers. Node identifiers are kept as read from input (strings for file
-loads, ints for generated graphs); internally every structure is ordered by a
-canonical node sort so that the same logical graph always produces the same
-in-memory layout regardless of input row order.
+loads, ints for generated graphs); internally nodes are numbered by a
+canonical sort, so the same logical graph always produces the same in-memory
+layout regardless of input row order.
+
+Edges are stored once, as a symmetric CSR triple over those node indices:
+``indptr`` (int64, one offset per node plus one), ``indices`` (int64) and
+``weights`` (float64), each row's neighbours in ascending index order. The
+edge list view and the node-id edge triples are derived from it on request.
 """
 
 from __future__ import annotations
 
 import copy
-import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Hashable, Iterable, Mapping
 
 import numpy as np
 
 NodeId = Hashable
+
+# Every weight, and the total, stays in this range, so degree products in
+# Louvain and the score stay normal floats (no overflow, no underflow).
+MIN_WEIGHT = 1e-150
+MAX_WEIGHT = 1e150
 
 
 def _node_key(node: NodeId):
@@ -33,7 +43,8 @@ class LabeledGraph:
     """Undirected weighted graph with one discrete opinion label per node.
 
     Construction merges duplicate and reversed edge entries by summing their
-    weights. Self-loops and non-positive or non-finite weights are rejected;
+    weights. Self-loops, weights outside [MIN_WEIGHT, MAX_WEIGHT] (NaN and
+    infinities included) and a total weight above MAX_WEIGHT are rejected;
     callers that need drop-with-warning semantics (file loaders, retweet
     ingestion) filter before constructing. Nodes are the union of edge
     endpoints and label keys, so label-only nodes survive as isolated nodes.
@@ -51,9 +62,11 @@ class LabeledGraph:
             if u == v:
                 raise ValueError(f"self-loop on node {u!r}")
             w = float(w)
-            if not math.isfinite(w) or w <= 0.0:
+            if not MIN_WEIGHT <= w <= MAX_WEIGHT:
                 raise ValueError(
-                    f"non-positive or non-finite weight {w} on edge ({u!r}, {v!r})"
+                    f"non-positive, non-finite or out-of-range weight {w} on "
+                    f"edge ({u!r}, {v!r}); weights must lie in "
+                    f"[{MIN_WEIGHT}, {MAX_WEIGHT}]"
                 )
             key = (u, v) if _node_key(u) <= _node_key(v) else (v, u)
             merged[key] = merged.get(key, 0.0) + w
@@ -66,15 +79,20 @@ class LabeledGraph:
         self._index: dict[NodeId, int] = {u: i for i, u in enumerate(self.nodes)}
         self._set_labels(opinions, num_opinions)
 
-        self.edges: tuple[tuple[NodeId, NodeId, float], ...] = tuple(
-            sorted(
-                ((u, v, w) for (u, v), w in merged.items()),
-                key=lambda e: (self._index[e[0]], self._index[e[1]]),
-            )
-        )
-
-        self._adjacency: list[list[tuple[int, float]]] | None = None
-        self._edge_arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        w = np.fromiter(merged.values(), np.float64, len(merged))
+        if not w.sum() <= MAX_WEIGHT:
+            raise ValueError(f"total edge weight {w.sum()} exceeds {MAX_WEIGHT}")
+        # entry j is edge j as (u, v), entry j + len(w) its mirror (v, u);
+        # sorting the row-major keys u * n + v lays out the CSR rows
+        n = len(self.nodes)
+        ends = map(self._index.__getitem__, chain.from_iterable(merged))
+        iu, iv = np.fromiter(ends, np.int64, 2 * len(w)).reshape(-1, 2).T
+        key = np.concatenate([iu * n + iv, iv * n + iu])
+        order = np.argsort(key)
+        key = key[order]
+        indptr = np.searchsorted(key, np.arange(n + 1) * n)
+        key %= n
+        self._csr = (indptr, key, w.take(order, mode="wrap"))
 
     def _set_labels(
         self, opinions: Mapping[NodeId, int], num_opinions: int | None
@@ -100,7 +118,7 @@ class LabeledGraph:
                 )
             self.opinions[u] = o
         self.num_opinions = int(num_opinions)
-        self._opinion_array: np.ndarray | None = None
+        self._labels = np.fromiter(self.opinions.values(), np.int64, len(self.nodes))
 
     # -- basic accessors ---------------------------------------------------
 
@@ -110,7 +128,7 @@ class LabeledGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self._csr[1]) // 2
 
     @property
     def total_weight(self) -> float:
@@ -124,48 +142,41 @@ class LabeledGraph:
     ) -> "LabeledGraph":
         """Copy with fresh opinion labels that shares this graph's structure.
 
-        Nodes, edges and the derived adjacency and edge arrays are built once
-        here and shared, not copied; only the labels are new.
+        Nodes and the CSR edge arrays are shared, not copied; only the labels
+        are new.
         """
-        self.adjacency()
-        self.edge_arrays()
         relabeled = copy.copy(self)
         relabeled._set_labels(opinions, num_opinions)
         return relabeled
 
-    # -- derived structures (built once, cached; the graph is immutable) ----
+    # -- edge views (the CSR triple is the only edge store) ----------------
 
-    def adjacency(self) -> list[list[tuple[int, float]]]:
-        """Neighbor lists as (node index, weight) pairs, in edge order."""
-        if self._adjacency is None:
-            adj: list[list[tuple[int, float]]] = [[] for _ in self.nodes]
-            for u, v, w in self.edges:
-                iu, iv = self._index[u], self._index[v]
-                adj[iu].append((iv, w))
-                adj[iv].append((iu, w))
-            self._adjacency = adj
-        return self._adjacency
+    def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The stored CSR triple ``(indptr, indices, weights)``: the
+        neighbours of node index i are ``indices[indptr[i]:indptr[i + 1]]``
+        in ascending order, with their weights alongside. Every edge appears
+        in both endpoint rows."""
+        return self._csr
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Edge endpoints as node-index arrays plus the weight array."""
-        if self._edge_arrays is None:
-            eu = np.fromiter(
-                (self._index[u] for u, _, _ in self.edges), dtype=np.int64
-            )
-            ev = np.fromiter(
-                (self._index[v] for _, v, _ in self.edges), dtype=np.int64
-            )
-            ew = np.fromiter((w for _, _, w in self.edges), dtype=np.float64)
-            self._edge_arrays = (eu, ev, ew)
-        return self._edge_arrays
+        """One entry per edge: ``(iu, iv, weight)`` with node indices
+        ``iu < iv``, ordered by ``(iu, iv)``. Built from the CSR triple on
+        each call."""
+        indptr, indices, weights = self._csr
+        rows = np.repeat(np.arange(len(self.nodes), dtype=np.int64), np.diff(indptr))
+        upper = indices > rows
+        return rows[upper], indices[upper], weights[upper]
+
+    @property
+    def edges(self) -> tuple[tuple[NodeId, NodeId, float], ...]:
+        """Edges as ``(u, v, weight)`` node-id triples, in ``edge_arrays``
+        order. Built on each access."""
+        iu, iv, w = (a.tolist() for a in self.edge_arrays())
+        return tuple((self.nodes[a], self.nodes[b], x) for a, b, x in zip(iu, iv, w))
 
     def opinion_array(self) -> np.ndarray:
         """Opinion index per node, aligned with ``nodes`` order."""
-        if self._opinion_array is None:
-            self._opinion_array = np.fromiter(
-                (self.opinions[u] for u in self.nodes), dtype=np.int64
-            )
-        return self._opinion_array
+        return self._labels
 
     def __repr__(self) -> str:
         return (
@@ -191,7 +202,5 @@ class OpinionCensus:
 
 def census(graph: LabeledGraph) -> OpinionCensus:
     """Count nodes per opinion, isolated nodes included."""
-    counts = [0] * graph.num_opinions
-    for opinion in graph.opinions.values():
-        counts[opinion] += 1
-    return OpinionCensus(counts=tuple(counts), total=graph.node_count)
+    counts = np.bincount(graph.opinion_array(), minlength=graph.num_opinions)
+    return OpinionCensus(counts=tuple(counts.tolist()), total=graph.node_count)

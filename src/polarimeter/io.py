@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import InputError
-from .graph import LabeledGraph
+from .graph import MAX_WEIGHT, MIN_WEIGHT, LabeledGraph
 
 if TYPE_CHECKING:
     from .community import Partition
@@ -57,8 +56,9 @@ def load_graph(edge_file, label_file) -> LabeledGraph:
     duplicate and reversed rows are merged by summing, self-loop rows are
     dropped with a counted warning. Label rows are ``u <sep> opinion_index``.
     Nodes appearing only in the label file become isolated nodes. A node in
-    the edge file without a label, a non-positive or non-finite weight, or an
-    empty edge set is a hard error.
+    the edge file without a label, a weight outside [MIN_WEIGHT, MAX_WEIGHT],
+    a merged total weight above MAX_WEIGHT, or an empty edge set is a hard
+    error.
     """
     edge_rows = _data_rows(edge_file)
     if not edge_rows:
@@ -87,9 +87,10 @@ def load_graph(edge_file, label_file) -> LabeledGraph:
                 ) from None
         else:
             w = 1.0
-        if not math.isfinite(w) or w <= 0.0:
+        if not MIN_WEIGHT <= w <= MAX_WEIGHT:
             raise InputError(
-                f"non-positive or non-finite weight {fields[2]!r}",
+                f"non-positive, non-finite or out-of-range weight {fields[2]!r}; "
+                f"weights must lie in [{MIN_WEIGHT}, {MAX_WEIGHT}]",
                 path=edge_file,
                 line=lineno,
             )
@@ -111,7 +112,11 @@ def load_graph(edge_file, label_file) -> LabeledGraph:
                     f"node {node!r} from edge file has no label", path=label_file
                 )
 
-    return LabeledGraph(edges, opinions)
+    try:
+        return LabeledGraph(edges, opinions)
+    except ValueError as exc:
+        # rows and labels are checked above; what is left is the total weight
+        raise InputError(str(exc), path=edge_file) from None
 
 
 def _load_labels(label_file) -> dict[str, int]:
@@ -162,10 +167,11 @@ def load_karate() -> LabeledGraph:
 
 
 def write_edge_list(graph: LabeledGraph, path) -> None:
-    """Tab-separated ``u v w`` rows; weights keep full float precision."""
+    """Tab-separated ``u v w`` rows in ``graph.edges`` order, full precision."""
+    iu, iv, weights = (a.tolist() for a in graph.edge_arrays())
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for u, v, w in graph.edges:
-            fh.write(f"{u}\t{v}\t{w!r}\n")
+        for a, b, w in zip(iu, iv, weights):
+            fh.write(f"{graph.nodes[a]}\t{graph.nodes[b]}\t{w!r}\n")
 
 
 def write_labels(graph: LabeledGraph, path) -> None:

@@ -11,6 +11,7 @@ detection across a seed schedule and reports summary statistics.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterator
@@ -21,29 +22,18 @@ from .community import LouvainConfig, Partition, louvain
 from .graph import LabeledGraph, OpinionCensus, census
 
 
-@dataclass(frozen=True)
-class ScaledWeights:
-    """Per-edge scaled weights, aligned with ``LabeledGraph.edges`` order."""
-
-    values: np.ndarray
-
-    @property
-    def total(self) -> float:
-        return float(self.values.sum())
-
-
-def scale_weights(graph: LabeledGraph, counts: OpinionCensus) -> ScaledWeights:
+def scale_weights(graph: LabeledGraph, counts: OpinionCensus) -> np.ndarray:
     """Scale each edge weight by the mean population fraction of its endpoint
-    opinions, so edges of minority opinions contribute proportionally less."""
+    opinions, so edges of minority opinions contribute proportionally less.
+    The result is aligned with ``graph.edge_arrays()``."""
     fractions = np.asarray(counts.fractions, dtype=np.float64)
     eu, ev, ew = graph.edge_arrays()
     opinion = graph.opinion_array()
-    values = 0.5 * (fractions[opinion[eu]] + fractions[opinion[ev]]) * ew
-    return ScaledWeights(values=values)
+    return 0.5 * (fractions[opinion[eu]] + fractions[opinion[ev]]) * ew
 
 
 def accumulate(
-    graph: LabeledGraph, scaled: ScaledWeights, partition: Partition
+    graph: LabeledGraph, scaled: np.ndarray, partition: Partition
 ) -> np.ndarray:
     """Scaled edge mass in four bins, indexed 2 * same_community + cross_opinion:
     [between/same-opinion, between/cross-opinion, within/same-opinion,
@@ -59,7 +49,7 @@ def accumulate(
     eu, ev, _ = graph.edge_arrays()
     opinion = graph.opinion_array()
     bins = 2 * (comm[eu] == comm[ev]) + (opinion[eu] != opinion[ev])
-    return np.bincount(bins, weights=scaled.values, minlength=4)
+    return np.bincount(bins, weights=scaled, minlength=4)
 
 
 def polarization_component(same: float, cross: float) -> float:
@@ -78,7 +68,7 @@ def polarization_component(same: float, cross: float) -> float:
 
 
 def score_partition(
-    graph: LabeledGraph, scaled: ScaledWeights, partition: Partition
+    graph: LabeledGraph, scaled: np.ndarray, partition: Partition
 ) -> tuple[float, float, float]:
     """(p_within, p_between, polarization) for one fixed partition; the
     polarization is the mass-weighted average of the two components."""
@@ -194,14 +184,13 @@ def louvain_runs(
     Louvain reads only the graph's structure, never its labels, so these
     partitions serve every labeling of that structure. The sequence is
     identical for any ``threads`` value; workers only parallelize
-    independent runs.
+    independent runs, and there are never more of them than CPUs.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     if threads > 1 and runs > 1:
-        graph.adjacency()  # build the cache once, before shipping to workers
         with ProcessPoolExecutor(
-            max_workers=min(threads, runs),
+            max_workers=min(threads, runs, os.cpu_count() or 1),
             initializer=_init_worker,
             initargs=(graph, config),
         ) as pool:

@@ -135,7 +135,7 @@ def test_malformed_row_exits_one_with_line_number(capsys, tmp_path):
     assert "e.tsv:2" in err
 
 
-@pytest.mark.parametrize("weight", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "1e-200", "1e160"])
 def test_non_finite_weight_exits_one_with_line_number(capsys, tmp_path, weight):
     epath = tmp_path / "e.tsv"
     epath.write_text(f"a\tb\t1\nb\tc\t{weight}\n")
@@ -146,6 +146,21 @@ def test_non_finite_weight_exits_one_with_line_number(capsys, tmp_path, weight):
     assert code == 1
     assert out == ""
     assert "e.tsv:2" in err
+
+
+def test_merged_total_weight_overflow_exits_one_naming_the_edge_file(capsys, tmp_path):
+    # every row is in range, but the merged total is not
+    epath = tmp_path / "e.tsv"
+    epath.write_text("a\tb\t1e150\nb\ta\t1e150\nb\tc\t1\n")
+    lpath = tmp_path / "l.tsv"
+    lpath.write_text("a\t0\nb\t0\nc\t1\n")
+    code, out, err = run(capsys, "analyze", "--graph", str(epath),
+                         "--labels", str(lpath), "--runs", "1")
+    assert code == 1
+    assert out == ""
+    assert "e.tsv" in err
+    assert "total edge weight" in err
+    assert "internal error" not in err
 
 
 def test_internal_failures_exit_two(capsys, karate_files, monkeypatch):
@@ -277,10 +292,15 @@ def test_build_network_bad_archive_exits_one(capsys, tmp_path):
 
 def test_entry_point_reproducible_across_hash_seeds(karate_files, tmp_path):
     # Byte-identical output must survive interpreter hash randomization.
+    import polarimeter
+
     edges, labels = karate_files
+    # the child imports the same package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(polarimeter.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     outs = []
     for hash_seed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
         proc = subprocess.run(
             [sys.executable, "-m", "polarimeter.cli", "analyze",
              "--graph", edges, "--labels", labels, "--runs", "3"],

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 from polarimeter import LabeledGraph, census
@@ -22,9 +23,17 @@ def test_rejects_self_loops():
 
 
 def test_rejects_nonpositive_weights():
-    for weight in (0.0, -1.0, math.nan, math.inf, -math.inf):
+    for weight in (0.0, -1.0, math.nan, math.inf, -math.inf, 1e-200, 1e160):
         with pytest.raises(ValueError, match="weight"):
             LabeledGraph([("a", "b", weight)], {"a": 0, "b": 1})
+
+
+def test_rejects_total_weight_above_the_bound():
+    edges = [("a", "b", 1e150), ("b", "a", 1e150), ("b", "c", 1.0)]
+    with pytest.raises(ValueError, match="total edge weight"):
+        LabeledGraph(edges, {"a": 0, "b": 1, "c": 0})
+    LabeledGraph([("a", "b", 1e150)], {"a": 0, "b": 1})
+    LabeledGraph([("a", "b", 1e-150)], {"a": 0, "b": 1})
 
 
 def test_rejects_empty_edge_set():
@@ -87,12 +96,38 @@ def test_total_weight_sums_merged_edges():
 
 
 def test_adjacency_is_symmetric_and_weighted():
-    g = LabeledGraph([("a", "b", 2.0), ("b", "c", 3.0)], {"a": 0, "b": 0, "c": 1})
-    adj = g.adjacency()
+    g = LabeledGraph([("b", "c", 3.0), ("a", "b", 2.0)], {"a": 0, "b": 0, "c": 1})
+    indptr, indices, weights = g.adjacency()
+    assert [a.dtype for a in g.adjacency()] == [np.int64, np.int64, np.float64]
     ia, ib, ic = (g.index_of(x) for x in "abc")
-    assert adj[ia] == [(ib, 2.0)]
-    assert sorted(adj[ib]) == [(ia, 2.0), (ic, 3.0)]
-    assert adj[ic] == [(ib, 3.0)]
+
+    def row(i):
+        a, b = indptr[i], indptr[i + 1]
+        return list(zip(indices[a:b].tolist(), weights[a:b].tolist()))
+
+    assert row(ia) == [(ib, 2.0)]
+    assert row(ib) == [(ia, 2.0), (ic, 3.0)]
+    assert row(ic) == [(ib, 3.0)]
+
+
+def test_edge_views_agree_with_the_csr_rows():
+    rng = random.Random(5)
+    pairs = [(rng.randrange(30), rng.randrange(30)) for _ in range(80)]
+    edges = [(u, v, rng.random() + 0.5) for u, v in pairs if u != v]
+    g = LabeledGraph(edges, {i: i % 2 for i in range(30)})
+    indptr, indices, weights = g.adjacency()
+    assert indptr[-1] == 2 * g.edge_count
+    rows = np.repeat(np.arange(g.node_count), np.diff(indptr))
+    entries = set(zip(rows.tolist(), indices.tolist(), weights.tolist()))
+    assert entries == {(j, i, x) for i, j, x in entries}
+    for i in range(g.node_count):
+        assert np.all(np.diff(indices[indptr[i] : indptr[i + 1]]) > 0)
+    iu, iv, w = g.edge_arrays()
+    assert np.all(iu < iv)
+    assert sorted(zip(iu.tolist(), iv.tolist())) == list(zip(iu.tolist(), iv.tolist()))
+    triples = zip(iu.tolist(), iv.tolist(), w.tolist())
+    assert g.edges == tuple((g.nodes[a], g.nodes[b], x) for a, b, x in triples)
+    assert w.sum() * 2 == pytest.approx(weights.sum())
 
 
 def test_replace_labels_keeps_structure():
@@ -107,8 +142,9 @@ def test_replace_labels_keeps_structure():
 def test_replace_labels_shares_the_structure():
     g = LabeledGraph([("a", "b", 1.0), ("b", "c", 2.0)], {"a": 0, "b": 1, "c": 1})
     g2 = g.replace_labels({"a": 1, "b": 1, "c": 0})
-    assert g2.edge_arrays() is g.edge_arrays()
     assert g2.adjacency() is g.adjacency()
+    for ours, theirs in zip(g2.adjacency(), g.adjacency()):
+        assert ours is theirs
     assert g2.nodes is g.nodes
     assert g2.opinion_array().tolist() == [1, 1, 0]
     assert g.opinion_array().tolist() == [0, 1, 1]

@@ -12,7 +12,6 @@ from polarimeter import (
     LabeledGraph,
     LouvainConfig,
     Partition,
-    ScaledWeights,
     accumulate,
     analyze,
     census,
@@ -43,7 +42,7 @@ def test_scaled_weight_uses_average_opinion_fraction():
     ]
     g = make_graph(edges + extra, opinions)
     scaled = scale_weights(g, census(g))
-    by_pair = {((u, v)): s for (u, v, _), s in zip(g.edges, scaled.values)}
+    by_pair = {((u, v)): s for (u, v, _), s in zip(g.edges, scaled)}
     assert by_pair[(0, 1)] == pytest.approx(13 / 22)
     assert by_pair[(0, 13)] == pytest.approx(11 / 22)
     assert by_pair[(13, 14)] == pytest.approx(9 / 22)
@@ -52,8 +51,8 @@ def test_scaled_weight_uses_average_opinion_fraction():
 def test_single_opinion_population_keeps_raw_weights():
     g = make_graph([(0, 1, 2.5), (1, 2, 0.5)], {0: 0, 1: 0, 2: 0})
     scaled = scale_weights(g, census(g))
-    assert scaled.values == pytest.approx([2.5, 0.5])
-    assert scaled.total == pytest.approx(3.0)
+    assert scaled == pytest.approx([2.5, 0.5])
+    assert scaled.sum() == pytest.approx(3.0)
 
 
 def test_scaled_weights_never_exceed_raw():
@@ -63,8 +62,8 @@ def test_scaled_weights_never_exceed_raw():
         g = make_graph(edges, opinions, k)
         scaled = scale_weights(g, census(g))
         raw = np.array([w for _, _, w in g.edges])
-        assert np.all(scaled.values > 0)
-        assert np.all(scaled.values <= raw + 1e-12)
+        assert np.all(scaled > 0)
+        assert np.all(scaled <= raw + 1e-12)
 
 
 # -- accumulation ------------------------------------------------------------
@@ -148,7 +147,7 @@ def two_edge_graph():
 
 def test_combine_weights_components_by_matrix_mass():
     # within mass 1.0 scores 1, between mass 0.5 scores 0: P = 2/3
-    scaled = ScaledWeights(np.array([1.0, 0.5]))
+    scaled = np.array([1.0, 0.5])
     p_w, p_b, p = score_partition(
         two_edge_graph(), scaled, partition_of({0: 0, 1: 0, 2: 1})
     )
@@ -158,7 +157,7 @@ def test_combine_weights_components_by_matrix_mass():
 
 def test_combine_single_community_equals_within_score():
     g = make_graph([(0, 1, 1.0), (1, 2, 1.0)], {0: 0, 1: 0, 2: 1})
-    scaled = ScaledWeights(np.array([0.9, 0.1]))
+    scaled = np.array([0.9, 0.1])
     p_w, p_b, p = score_partition(g, scaled, partition_of({0: 0, 1: 0, 2: 0}))
     assert p_b == 0.0
     assert p_w == pytest.approx(0.8, abs=1e-12)
@@ -168,7 +167,7 @@ def test_combine_single_community_equals_within_score():
 def test_combine_rejects_empty_matrices():
     g = two_edge_graph()
     with pytest.raises(ValueError):
-        score_partition(g, ScaledWeights(np.zeros(2)), partition_of({0: 0, 1: 0, 2: 1}))
+        score_partition(g, np.zeros(2), partition_of({0: 0, 1: 0, 2: 1}))
 
 
 def test_three_community_walkthrough_scores():
@@ -186,7 +185,7 @@ def test_three_community_walkthrough_scores():
         [("a", "b", 1.0), ("a", "c", 1.0), ("a", "d", 1.0), ("a", "e", 1.0)],
         {"a": 0, "b": 0, "c": 1, "d": 0, "e": 1},
     )
-    scaled = ScaledWeights(np.array([25.2, 4.8, 4.585, 2.415]))
+    scaled = np.array([25.2, 4.8, 4.585, 2.415])
     part = partition_of({"a": 0, "b": 0, "c": 0, "d": 1, "e": 2})
     assert score_partition(g, scaled, part) == pytest.approx(
         (0.68, 0.31, 0.61), abs=1e-12
@@ -270,6 +269,40 @@ def test_analyze_thread_count_does_not_change_results():
     serial = analyze(g, LouvainConfig(seed=3), runs=6, threads=1)
     parallel = analyze(g, LouvainConfig(seed=3), runs=6, threads=3)
     assert serial == parallel
+
+
+class RecordingPool:
+    """In-process stand-in for ProcessPoolExecutor that records max_workers."""
+
+    created: list[int] = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.created.append(max_workers)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable):
+        return map(fn, iterable)
+
+
+def test_louvain_runs_never_ask_for_more_workers_than_cpus(monkeypatch):
+    import polarimeter.metric as metric
+
+    monkeypatch.setattr(metric, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(metric.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(RecordingPool, "created", [])
+    g = demo_graph()
+    pooled = analyze(g, LouvainConfig(seed=3), runs=6, threads=64)
+    assert RecordingPool.created == [2]
+    analyze(g, LouvainConfig(seed=3), runs=6, threads=1)
+    analyze(g, LouvainConfig(seed=3), runs=1, threads=64)
+    assert RecordingPool.created == [2]
+    assert pooled == analyze(g, LouvainConfig(seed=3), runs=6)
 
 
 def test_analyze_rejects_zero_runs():

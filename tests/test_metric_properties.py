@@ -8,12 +8,16 @@ from hypothesis import strategies as st
 
 from polarimeter import (
     LabeledGraph,
+    LouvainConfig,
     Partition,
     accumulate,
+    analyze,
     census,
+    report_json,
     scale_weights,
     score_partition,
 )
+from polarimeter.graph import MAX_WEIGHT, MIN_WEIGHT
 
 
 @st.composite
@@ -56,7 +60,7 @@ def test_four_masses_sum_to_scaled_total(inputs):
     masses = accumulate(g, scaled, partition)
     assert masses.shape == (4,)
     assert (masses >= 0).all()
-    assert masses.sum() == pytest.approx(scaled.total, rel=1e-12)
+    assert masses.sum() == pytest.approx(scaled.sum(), rel=1e-12)
 
 
 @settings(max_examples=200, deadline=None)
@@ -84,3 +88,23 @@ def test_scores_ignore_duplicate_row_splitting(inputs):
     rows, opinions, k, partition = inputs
     split = [(u, v, w / 2) for u, v, w in rows] + [(v, u, w / 2) for u, v, w in rows]
     assert score(split, opinions, k, partition) == score(rows, opinions, k, partition)
+
+
+@settings(max_examples=100, deadline=None)
+@given(scored_inputs(), st.integers(-520, 520))
+def test_reports_ignore_power_of_two_weight_scaling(inputs, exponent):
+    # multiplying by 2**exponent is exact unless a weight, total or degree
+    # product leaves the normal range, which the weight bounds rule out
+    rows, opinions, k, _ = inputs
+    scaled = [(u, v, w * 2.0**exponent) for u, v, w in rows]
+    weights = [w for _, _, w in scaled]
+    in_range = all(MIN_WEIGHT <= w <= MAX_WEIGHT for w in weights)
+    if not (in_range and sum(weights) <= MAX_WEIGHT):
+        with pytest.raises(ValueError):
+            LabeledGraph(scaled, opinions, num_opinions=k)
+        return
+    config = LouvainConfig(seed=exponent)
+    want = analyze(LabeledGraph(rows, opinions, num_opinions=k), config, runs=2)
+    got = analyze(LabeledGraph(scaled, opinions, num_opinions=k), config, runs=2)
+    assert got == want
+    assert report_json(got) == report_json(want)
