@@ -22,7 +22,6 @@ from .io import (
     sweep_csv,
     write_edge_list,
     write_labels,
-    write_partition,
     write_sweep_csv,
 )
 from .metric import (
@@ -37,11 +36,9 @@ from .stance import (
     OPINION_NAMES,
     STANCES,
     StanceRecord,
-    UserStanceCounts,
     build_retweet_network,
     read_stance_records,
     score_users,
-    stance_counts,
 )
 from .synthetic import (
     SbmConfig,
@@ -67,7 +64,6 @@ __all__ = [
     "StanceRecord",
     "SweepCell",
     "SyntheticLabelConfig",
-    "UserStanceCounts",
     "accumulate",
     "analyze",
     "build_retweet_network",
@@ -86,11 +82,9 @@ __all__ = [
     "scale_weights",
     "score_partition",
     "score_users",
-    "stance_counts",
     "sweep",
     "sweep_csv",
     "write_edge_list",
     "write_labels",
-    "write_partition",
     "write_sweep_csv",
 ]

@@ -196,7 +196,7 @@ def _parse_grid(flag: str, text: str, cast):
                 values = [round(v, 10) for v in values]
         else:
             values = [cast(p) for p in text.split(",") if p.strip()]
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise InputError(f"{flag}: cannot parse grid {text!r} ({exc})")
     if not values:
         raise InputError(f"{flag}: grid {text!r} is empty")
@@ -221,8 +221,7 @@ def _analyze_and_emit(graph, args) -> int:
     if args.out is None:
         sys.stdout.write(report_json(report))
     else:
-        fmt = "csv" if args.out.endswith(".csv") else "json"
-        save_report(report, args.out, format=fmt)
+        save_report(report, args.out)
     return 0
 
 

@@ -31,12 +31,11 @@ MAX_WEIGHT = 1e150
 
 def _node_key(node: NodeId):
     # ints sort numerically, everything else by string form; mixed inputs
-    # stay deterministic because the type tag leads.
-    if isinstance(node, bool):
-        return (1, str(node))
-    if isinstance(node, int):
+    # stay deterministic because the type tag leads, and the type name
+    # breaks ties between equal string forms (True and "True").
+    if isinstance(node, int) and not isinstance(node, bool):
         return (0, node)
-    return (1, str(node))
+    return (1, str(node), type(node).__name__)
 
 
 class LabeledGraph:

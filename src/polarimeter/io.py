@@ -12,30 +12,40 @@ import json
 import logging
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import InputError
 from .graph import MAX_WEIGHT, MIN_WEIGHT, LabeledGraph
 
 if TYPE_CHECKING:
-    from .community import Partition
     from .metric import PolarizationReport
 
 logger = logging.getLogger(__name__)
 
-def _data_rows(path) -> list[tuple[int, str]]:
-    """(line_number, stripped_text) for non-comment, non-blank lines."""
+
+def _stripped_lines(path) -> Iterator[tuple[int, str]]:
+    """Yield (line_number, stripped_text) for the non-blank lines of a UTF-8
+    file. An unreadable file, or bytes that are not UTF-8, is an `InputError`
+    naming the path (and for bad bytes the line)."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise InputError(str(exc), path=path) from exc
-    rows = []
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise InputError(f"not UTF-8 ({exc.reason})", path=path, line=line) from None
+    del data  # hold one copy of the file in memory, not two
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        rows.append((lineno, line))
-    return rows
+        if line:
+            yield lineno, line
+
+
+def _data_rows(path) -> list[tuple[int, str]]:
+    """(line_number, stripped_text) for non-comment, non-blank lines."""
+    return [row for row in _stripped_lines(path) if not row[1].startswith("#")]
 
 
 def _detect_separator(path, rows: list[tuple[int, str]]) -> str:
@@ -180,12 +190,6 @@ def write_labels(graph: LabeledGraph, path) -> None:
             fh.write(f"{u}\t{graph.opinions[u]}\n")
 
 
-def write_partition(partition: "Partition", graph: LabeledGraph, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for u in graph.nodes:
-            fh.write(f"{u}\t{partition.assignment[u]}\n")
-
-
 def _json_dumps(value, indent: int = 0) -> str:
     # json.dumps cannot pin float formatting, so reports are rendered by
     # hand: every real gets exactly 6 decimal places.
@@ -234,14 +238,10 @@ def report_csv(report: "PolarizationReport") -> str:
     return header + "\n" + row + "\n"
 
 
-def save_report(report: "PolarizationReport", path, format: str = "json") -> None:
-    """Write a report as JSON or CSV. Same report, same bytes."""
-    if format == "json":
-        text = report_json(report)
-    elif format == "csv":
-        text = report_csv(report)
-    else:
-        raise InputError(f"unknown report format {format!r}")
+def save_report(report: "PolarizationReport", path) -> None:
+    """Write a report as CSV if the path ends in ``.csv``, else as JSON.
+    Same report, same bytes."""
+    text = report_csv(report) if str(path).endswith(".csv") else report_json(report)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
 

@@ -13,11 +13,11 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable
 
 from .errors import InputError
 from .graph import LabeledGraph
+from .io import _stripped_lines
 
 logger = logging.getLogger(__name__)
 
@@ -40,35 +40,16 @@ class StanceRecord:
     retweeters: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class UserStanceCounts:
-    favor: int = 0
-    against: int = 0
-    neutral: int = 0
-
-    @property
-    def total(self) -> int:
-        return self.favor + self.against + self.neutral
-
-
 def read_stance_records(path) -> list[StanceRecord]:
     """Parse a JSON-lines archive of stance-labeled tweet records.
 
     Empty or whitespace retweeter ids are dropped with a per-row warning;
     malformed rows and duplicate tweet ids are hard errors naming the line.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(str(exc), path=path) from exc
-
     records: list[StanceRecord] = []
     seen_ids: set[str] = set()
     dropped = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
+    for lineno, line in _stripped_lines(path):
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -121,53 +102,25 @@ def read_stance_records(path) -> list[StanceRecord]:
     return records
 
 
-def stance_counts(records: Iterable[StanceRecord]) -> dict[str, UserStanceCounts]:
-    """Favor/against/neutral item counts per user.
+def score_users(records: Iterable[StanceRecord]) -> dict[str, tuple[float, int]]:
+    """Per-user (score, opinion index) for every user with a stance item:
+    favor above +0.2, against below -0.2, neutral otherwise (boundaries are
+    strict).
 
     Authoring a tweet counts once for its author; every retweet event counts
     once for the retweeter with the inherited stance.
     """
-    counts: dict[str, dict[str, int]] = {}
-
-    def bump(user: str, stance: str):
-        per_user = counts.setdefault(user, dict.fromkeys(STANCES, 0))
-        per_user[stance] += 1
-
+    counts: dict[str, list[int]] = {}  # user -> [favor, against, neutral]
     for record in records:
-        bump(record.author, record.stance)
+        slot = STANCES.index(record.stance)
+        counts.setdefault(record.author, [0, 0, 0])[slot] += 1
         for retweeter in record.retweeters:
             if retweeter:
-                bump(retweeter, record.stance)
+                counts.setdefault(retweeter, [0, 0, 0])[slot] += 1
 
-    return {
-        user: UserStanceCounts(
-            favor=c["favor"], against=c["against"], neutral=c["neutral"]
-        )
-        for user, c in counts.items()
-    }
-
-
-def score_users(
-    records: Iterable[StanceRecord], users: Iterable[str] | None = None
-) -> dict[str, tuple[float, int]]:
-    """Per-user (score, opinion index): favor above +0.2, against below -0.2,
-    neutral otherwise (boundaries are strict).
-
-    By default the result covers every user with at least one stance item.
-    Passing `users` scores exactly that set instead; members with no stance
-    items score 0.0 and fall back to neutral, with a counted warning.
-    """
-    counts = stance_counts(records)
-    universe = list(counts) if users is None else list(users)
     scores: dict[str, tuple[float, int]] = {}
-    unscored = 0
-    for user in universe:
-        per_user = counts.get(user)
-        if per_user is None:
-            unscored += 1
-            scores[user] = (0.0, NEUTRAL)
-            continue
-        score = (per_user.favor - per_user.against) / per_user.total
+    for user, (favor, against, neutral) in counts.items():
+        score = (favor - against) / (favor + against + neutral)
         if score > SCORE_THRESHOLD:
             opinion = FAVOR
         elif score < -SCORE_THRESHOLD:
@@ -175,8 +128,6 @@ def score_users(
         else:
             opinion = NEUTRAL
         scores[user] = (score, opinion)
-    if unscored:
-        logger.warning("%d user(s) had no stance items; labeled neutral", unscored)
     return scores
 
 
@@ -185,8 +136,8 @@ def build_retweet_network(records: Iterable[StanceRecord]) -> LabeledGraph:
     two users in either direction. Self-retweets are dropped (counted);
     authors nobody retweeted remain as isolated nodes."""
     records = list(records)
-    weights: dict[tuple[str, str], int] = {}
     self_retweets = 0
+    edges: list[tuple[str, str, float]] = []
     for record in records:
         author = record.author
         for retweeter in record.retweeters:
@@ -194,14 +145,13 @@ def build_retweet_network(records: Iterable[StanceRecord]) -> LabeledGraph:
                 continue
             if retweeter == author:
                 self_retweets += 1
-                continue
-            key = (author, retweeter) if author <= retweeter else (retweeter, author)
-            weights[key] = weights.get(key, 0) + 1
+            else:
+                edges.append((author, retweeter, 1.0))
     if self_retweets:
         logger.warning("dropped %d self-retweet event(s)", self_retweets)
-    if not weights:
+    if not edges:
         raise InputError("no retweet edges in record set")
 
     opinions = {user: op for user, (_, op) in score_users(records).items()}
-    edges = [(u, v, float(c)) for (u, v), c in weights.items()]
+    # one unit row per event: LabeledGraph sums them into exact counts
     return LabeledGraph(edges, opinions, num_opinions=3)

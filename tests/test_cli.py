@@ -135,6 +135,40 @@ def test_malformed_row_exits_one_with_line_number(capsys, tmp_path):
     assert "e.tsv:2" in err
 
 
+def test_non_utf8_edge_file_exits_one_with_line_number(capsys, tmp_path):
+    epath = tmp_path / "e.tsv"
+    epath.write_bytes("\u00e9\tb\t1\n".encode("utf-8") + b"b\tc\xff\t1\n")
+    lpath = tmp_path / "l.tsv"
+    lpath.write_text("\u00e9\t0\nb\t0\nc\t1\n", encoding="utf-8")
+    code, _, err = run(capsys, "analyze", "--graph", str(epath),
+                       "--labels", str(lpath))
+    assert code == 1
+    assert "e.tsv:2: not UTF-8" in err
+
+
+def test_non_utf8_label_file_exits_one_with_line_number(capsys, tmp_path):
+    epath = tmp_path / "e.tsv"
+    epath.write_text("a\tb\t1\nb\tc\t1\n")
+    lpath = tmp_path / "l.tsv"
+    lpath.write_bytes(b"a\t0\nb\t0\n# c\n\nc\xff\t1\n")
+    code, _, err = run(capsys, "analyze", "--graph", str(epath),
+                       "--labels", str(lpath))
+    assert code == 1
+    assert "l.tsv:5: not UTF-8" in err
+
+
+def test_non_utf8_archive_exits_one_with_line_number(capsys, tmp_path):
+    archive = tmp_path / "tweets.jsonl"
+    archive.write_bytes(
+        b'{"tweet_id": "1", "author": "a", "stance": "favor", "retweeters": ["b"]}\n'
+        b"\n"
+        b'{"tweet_id": "\xff"}\n'
+    )
+    code, _, err = run(capsys, "build-network", "--records", str(archive))
+    assert code == 1
+    assert "tweets.jsonl:3: not UTF-8" in err
+
+
 @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "1e-200", "1e160"])
 def test_non_finite_weight_exits_one_with_line_number(capsys, tmp_path, weight):
     epath = tmp_path / "e.tsv"
@@ -236,6 +270,7 @@ def test_sweep_bad_grid_syntax_exits_one(capsys):
 
 def test_sweep_grid_values_out_of_range_exit_one(capsys):
     for flag, grid in (("--dom-ratios", "0,1.5"), ("--dom-ratios", "1.5"),
+                       ("--dom-ratios", "0.1:inf:0.1"),
                        ("--num-opinions", "1"), ("--num-opinions", "0:3")):
         code, _, err = run(capsys, "sweep", "--sbm", "2x10", flag, grid,
                            "--runs", "1")

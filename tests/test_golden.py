@@ -1,8 +1,13 @@
-"""Golden outputs: report bytes and per-run values fixed at a known-good
-commit. They pin the Louvain partitions, so a change to the graph layout or
-the optimizer's summation order that moves any of them fails here."""
+"""Golden outputs: report bytes, per-run values and build-network files
+fixed at a known-good commit. They pin the Louvain partitions and the
+retweet network, so a change to the graph layout, the optimizer's summation
+order or the stance counting that moves any of them fails here."""
 
 from __future__ import annotations
+
+import hashlib
+import json
+import random
 
 from polarimeter import (
     LouvainConfig,
@@ -59,3 +64,40 @@ def test_sbm_per_run_values():
         0.26588876601963535,
         0.265888766019635,
     )
+
+
+def write_archive(path, records=3000, users=150, seed=11):
+    """Seeded tweet archive: repeated and reversed retweet pairs, about 5%
+    self-retweets and about 2% authors nobody retweets."""
+    rng = random.Random(seed)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for i in range(records):
+            if rng.random() < 0.02:
+                author, retweeters = f"quiet{i}", []
+            else:
+                author = f"u{rng.randrange(users)}"
+                retweeters = [f"u{rng.randrange(users)}" for _ in range(rng.randrange(4))]
+                if rng.random() < 0.05:
+                    retweeters.append(author)
+            stance = ("favor", "against", "neutral")[rng.randrange(3)]
+            record = {"tweet_id": f"t{i}", "author": author, "stance": stance,
+                      "retweeters": retweeters}
+            fh.write(json.dumps(record) + "\n")
+
+
+def test_build_network_output_bytes(capsys, tmp_path, monkeypatch):
+    write_archive(tmp_path / "archive.jsonl")
+    monkeypatch.chdir(tmp_path)
+    assert main(["build-network", "--records", "archive.jsonl", "--out", "net"]) == 0
+    assert capsys.readouterr().out == (
+        "wrote net.edges.tsv net.labels.tsv net.names.json (211 nodes, 3645 edges)\n"
+    )
+    digests = {
+        name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("net.edges.tsv", "net.labels.tsv", "net.names.json")
+    }
+    assert digests == {
+        "net.edges.tsv": "69497cd2b281e4a36d81949ca05a7e7a2534fa3074a319f8eb113ffdd8b0ae0f",
+        "net.labels.tsv": "70780c5e597c80ea356d42e53f16be85f3a3503df06f2d229447a1c31b88d5d6",
+        "net.names.json": "fdaeb5961da0c4527be36fd14f02c800a05c3f391f001cc84a30fdb41ed4807a",
+    }

@@ -17,6 +17,12 @@ def test_merges_duplicate_and_reversed_edges():
     assert g.edges == (("a", "b", 3.0),)
 
 
+def test_merges_reversed_edges_between_a_bool_and_its_string_form():
+    g = LabeledGraph([(True, "True", 1.0), ("True", True, 1.0)], {True: 0, "True": 1})
+    assert g.edge_count == 1
+    assert g.edges == ((True, "True", 2.0),)
+
+
 def test_rejects_self_loops():
     with pytest.raises(ValueError, match="self-loop"):
         LabeledGraph([("a", "a", 1.0)], {"a": 0, "b": 1})

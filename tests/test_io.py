@@ -185,7 +185,7 @@ def test_report_serialization_is_byte_stable(small_report, tmp_path):
     assert report_json(small_report) == report_json(small_report)
     p1, p2 = tmp_path / "r1.json", tmp_path / "r2.json"
     save_report(small_report, p1)
-    save_report(small_report, p2, format="json")
+    save_report(small_report, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -197,13 +197,8 @@ def test_report_csv_one_header_one_row(small_report, tmp_path):
     assert "polarization_mean" in header
     assert len(header.split(",")) == len(row.split(","))
     out = tmp_path / "r.csv"
-    save_report(small_report, out, format="csv")
+    save_report(small_report, out)
     assert out.read_text() == text
-
-
-def test_save_report_unknown_format(small_report, tmp_path):
-    with pytest.raises(InputError):
-        save_report(small_report, tmp_path / "x", format="yaml")
 
 
 def test_sweep_csv_layout():

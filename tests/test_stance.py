@@ -12,7 +12,6 @@ from polarimeter import (
     build_retweet_network,
     read_stance_records,
     score_users,
-    stance_counts,
 )
 from polarimeter.stance import AGAINST, FAVOR, NEUTRAL, StanceRecord
 
@@ -116,16 +115,17 @@ def test_author_and_retweeters_accrue_inherited_stance():
     records = [
         rec("1", "a", "favor", ["b", "c"]),
         rec("2", "b", "against", ["a"]),
+        rec("3", "c", "neutral"),
     ]
-    counts = stance_counts(records)
-    assert (counts["a"].favor, counts["a"].against) == (1, 1)
-    assert (counts["b"].favor, counts["b"].against) == (1, 1)
-    assert (counts["c"].favor, counts["c"].against) == (1, 0)
+    scores = score_users(records)
+    # a and b: one favor, one against; c: one favor (inherited), one neutral
+    assert scores == {"a": (0.0, NEUTRAL), "b": (0.0, NEUTRAL), "c": (0.5, FAVOR)}
 
 
 def test_repeat_retweets_count_every_event():
-    records = [rec("1", "a", "favor", ["b", "b", "b"])]
-    assert stance_counts(records)["b"].favor == 3
+    records = [rec("1", "a", "favor", ["b", "b", "b"]), rec("2", "b", "neutral")]
+    # F=3, N=1 gives 0.75; counting the repeats once would give 0.5
+    assert score_users(records)["b"] == (0.75, FAVOR)
 
 
 def test_score_formula_and_strict_boundaries():
@@ -164,14 +164,6 @@ def test_score_negative_side():
     score, opinion = score_users(records)["y"]
     assert score == pytest.approx(-0.2)
     assert opinion == NEUTRAL
-
-
-def test_explicit_user_set_covers_silent_users(caplog):
-    records = [rec("1", "a", "favor", ["b"])]
-    with caplog.at_level(logging.WARNING, logger="polarimeter.stance"):
-        scores = score_users(records, users=["a", "b", "ghost"])
-    assert scores["ghost"] == (0.0, NEUTRAL)
-    assert "1 user(s)" in caplog.text
 
 
 # -- network construction --------------------------------------------------------
