@@ -175,8 +175,14 @@ def _parse_sbm(text: str, seed: int) -> SbmConfig:
     return SbmConfig(blocks, per_block, SBM_P_IN, SBM_P_OUT, seed=seed)
 
 
-def _parse_grid(flag: str, text: str, cast):
-    """start:stop[:step] inclusive range, or a comma-separated value list."""
+def _parse_grid(flag: str, text: str, cast, valid, bound: str) -> list:
+    """start:stop[:step] inclusive range, or a comma-separated value list.
+
+    Every value must pass ``valid``; ``bound`` describes the allowed values
+    in the error. A range is monotone, so its two ends are checked before it
+    is expanded: a ``stop`` past the bound fails at once, whatever count it
+    asks for.
+    """
     text = text.strip()
     try:
         if ":" in text:
@@ -191,16 +197,22 @@ def _parse_grid(flag: str, text: str, cast):
             if step <= 0 or stop < start:
                 raise ValueError("need stop >= start and step > 0")
             count = int((stop - start) / step + 1e-9) + 1
-            values = [start + k * step for k in range(count)]
-            if cast is float:
-                values = [round(v, 10) for v in values]
+
+            def expand(ks):
+                values = [start + k * step for k in ks]
+                return [round(v, 10) for v in values] if cast is float else values
+
+            candidates = expand([0, count - 1])
         else:
-            values = [cast(p) for p in text.split(",") if p.strip()]
+            candidates = [cast(p) for p in text.split(",") if p.strip()]
     except (ValueError, OverflowError) as exc:
         raise InputError(f"{flag}: cannot parse grid {text!r} ({exc})")
-    if not values:
+    if not candidates:
         raise InputError(f"{flag}: grid {text!r} is empty")
-    return values
+    for value in candidates:
+        if not valid(value):
+            raise InputError(f"{flag} values must be {bound}, got {value}")
+    return expand(range(count)) if ":" in text else candidates
 
 
 def _cmd_analyze(args) -> int:
@@ -230,14 +242,12 @@ def _cmd_sweep(args) -> int:
         raise InputError("sweep needs exactly one of --sbm or --graph")
     runs = _positive_int("--runs", args.runs)
     threads = _resolve_threads(args.threads)
-    ratios = _parse_grid("--dom-ratios", args.dom_ratios, float)
-    opinion_counts = _parse_grid("--num-opinions", args.num_opinions, int)
-    for ratio in ratios:
-        if not 0.0 < ratio <= 1.0:
-            raise InputError(f"--dom-ratios values must be in (0, 1], got {ratio}")
-    for count in opinion_counts:
-        if count < 2:
-            raise InputError(f"--num-opinions values must be >= 2, got {count}")
+    ratios = _parse_grid(
+        "--dom-ratios", args.dom_ratios, float, lambda r: 0.0 < r <= 1.0, "in (0, 1]"
+    )
+    opinion_counts = _parse_grid(
+        "--num-opinions", args.num_opinions, int, lambda c: c >= 2, ">= 2"
+    )
 
     if args.sbm is not None:
         graph, partition = generate_sbm(_parse_sbm(args.sbm, seed=args.seed))

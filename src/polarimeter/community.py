@@ -13,11 +13,15 @@ selection go to the lowest community id.
 
 from __future__ import annotations
 
+import logging
 import random
 from dataclasses import dataclass, field
 from typing import Callable
 
+from ._native import NODE_LIMIT, louvain_kernel
 from .graph import LabeledGraph, NodeId
+
+logger = logging.getLogger(__name__)
 
 PassHook = Callable[[int, int, float], None]
 
@@ -94,7 +98,31 @@ def louvain(
     ``pass_hook(level, pass_index, q)`` is called after every local-move pass
     with the modularity reached, for instrumentation in tests. Isolated nodes
     end up as singleton communities.
+
+    The work runs in the C kernel of ``_louvain.c`` when it can be built (see
+    ``_native``), and otherwise in the pure-Python level loop below; both
+    give bit-identical partitions and pass records.
     """
+    kernel = louvain_kernel()
+    if kernel is not None and graph.node_count >= NODE_LIMIT:
+        logger.warning(
+            "%d nodes is beyond the C Louvain kernel, using pure Python",
+            graph.node_count,
+        )
+        kernel = None
+    if kernel is None:
+        dense, k = _louvain_python(graph, config, pass_hook)
+    else:
+        dense, k, records = kernel(graph.adjacency(), graph.total_weight, config)
+        if pass_hook is not None:
+            for record in records:
+                pass_hook(*record)
+    return Partition(assignment=dict(zip(graph.nodes, dense)), k=k)
+
+
+def _louvain_python(graph, config, pass_hook):
+    """The pure-Python level loop, kept as the oracle for the C kernel.
+    Returns the dense assignment in node order and the community count."""
     rng = random.Random(config.seed)
     m = graph.total_weight
     resolution = config.resolution
@@ -122,8 +150,7 @@ def louvain(
         adj, loops = _aggregate(adj, loops, node2com, n_comms)
         level += 1
 
-    dense, k = _renumber(assignment)
-    return Partition(assignment=dict(zip(graph.nodes, dense)), k=k)
+    return _renumber(assignment)
 
 
 def _degrees(adj, loops) -> list[float]:

@@ -32,9 +32,10 @@ MAX_WEIGHT = 1e150
 def _node_key(node: NodeId):
     # ints sort numerically, everything else by string form; mixed inputs
     # stay deterministic because the type tag leads, and the type name
-    # breaks ties between equal string forms (True and "True").
-    if isinstance(node, int) and not isinstance(node, bool):
-        return (0, node)
+    # breaks ties between equal string forms (1.5 and "1.5"). A bool keys as
+    # the int it equals, because Python takes True and 1 as one node.
+    if isinstance(node, int):
+        return (0, int(node))
     return (1, str(node), type(node).__name__)
 
 

@@ -18,6 +18,7 @@ from typing import Iterator
 
 import numpy as np
 
+from ._native import louvain_kernel
 from .community import LouvainConfig, Partition, louvain
 from .graph import LabeledGraph, OpinionCensus, census
 
@@ -189,6 +190,7 @@ def louvain_runs(
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     if threads > 1 and runs > 1:
+        louvain_kernel()  # build or load it once, here; forked workers inherit it
         with ProcessPoolExecutor(
             max_workers=min(threads, runs, os.cpu_count() or 1),
             initializer=_init_worker,

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -277,6 +278,16 @@ def test_sweep_grid_values_out_of_range_exit_one(capsys):
         assert code == 1, (flag, grid)
         assert flag in err
         assert "internal error" not in err
+
+
+def test_sweep_grid_stop_past_the_bound_exits_before_expanding(capsys):
+    # 0.1:1e9:0.1 asks for 10**10 values; only its ends may be built
+    start = time.perf_counter()
+    code, _, err = run(capsys, "sweep", "--sbm", "2x10", "--dom-ratios",
+                       "0.1:1e9:0.1", "--runs", "1")
+    assert code == 1
+    assert "--dom-ratios values must be in (0, 1]" in err
+    assert time.perf_counter() - start < 1.0
 
 
 def test_sweep_bad_sbm_syntax_exits_one(capsys):

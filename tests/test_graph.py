@@ -23,6 +23,12 @@ def test_merges_reversed_edges_between_a_bool_and_its_string_form():
     assert g.edges == ((True, "True", 2.0),)
 
 
+def test_merges_reversed_edges_between_a_bool_and_the_int_it_equals():
+    g = LabeledGraph([(True, 2, 1.0), (2, 1, 1.0)], {True: 0, 2: 1})
+    assert g.edge_count == 1
+    assert g.edges == ((True, 2, 2.0),)
+
+
 def test_rejects_self_loops():
     with pytest.raises(ValueError, match="self-loop"):
         LabeledGraph([("a", "a", 1.0)], {"a": 0, "b": 1})

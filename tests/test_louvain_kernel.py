@@ -1,0 +1,173 @@
+"""The C Louvain kernel: it builds and loads here, it matches the pure-Python
+oracle bit for bit (partitions and every pass record), and when it cannot be
+had, ``louvain`` logs one warning and gives the same results in Python."""
+
+from __future__ import annotations
+
+import logging
+import os
+import random
+import subprocess
+import sys
+
+import pytest
+
+from polarimeter import (
+    LabeledGraph,
+    LouvainConfig,
+    Partition,
+    SbmConfig,
+    generate_sbm,
+    load_karate,
+    louvain,
+)
+from polarimeter import _native, community
+from oracles import random_graph_spec
+
+
+@pytest.fixture(scope="module")
+def kernel_cache(tmp_path_factory):
+    """A cache directory the kernel is built into, in use for this module."""
+    cache = tmp_path_factory.mktemp("cache")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(cache))
+        _native.louvain_kernel.cache_clear()
+        yield cache
+    _native.louvain_kernel.cache_clear()
+
+
+@pytest.fixture
+def forget_kernel_after():
+    """Forget the kernel this test loads (or fails to) when it ends."""
+    yield
+    _native.louvain_kernel.cache_clear()
+
+
+def test_kernel_builds_and_loads_here(kernel_cache):
+    assert _native.louvain_kernel() is not None
+    built = sorted(p.name for p in (kernel_cache / "polarimeter").iterdir())
+    assert len(built) == 1 and built[0].endswith(".so"), built
+
+
+def test_second_process_loads_the_cache_without_building(kernel_cache, tmp_path):
+    assert _native.louvain_kernel() is not None
+    (library,) = (kernel_cache / "polarimeter").iterdir()
+    built_at = library.stat().st_mtime_ns
+    # the child imports the same package as this process, installed or not
+    src = os.path.dirname(os.path.dirname(_native.__file__))
+    env = dict(
+        os.environ,
+        XDG_CACHE_HOME=str(kernel_cache),
+        PATH=str(tmp_path),  # no compiler: only the cached library can load
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    )
+    code = "from polarimeter._native import louvain_kernel as k; assert k() is not None"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+    assert list((kernel_cache / "polarimeter").iterdir()) == [library]
+    assert library.stat().st_mtime_ns == built_at
+
+
+def bridged_cliques():
+    edges = [(b + i, b + j, 1.0) for b in (0, 5) for i in range(5) for j in range(i + 1, 5)]
+    return LabeledGraph(edges + [(4, 5, 1.0)], {i: 0 for i in range(10)}, num_opinions=2)
+
+
+def criterion_8_random_graphs():
+    """The random graphs and seeds of test_criterion_8, drawn the same way."""
+    rng = random.Random(808)
+    for _ in range(40):
+        nodes, edges, opinions, k = random_graph_spec(rng, max_nodes=8)
+        yield LabeledGraph(edges, opinions, num_opinions=k), LouvainConfig(
+            seed=rng.randrange(10_000)
+        )
+        for _ in nodes:  # the draws criterion 8 makes for its random partition
+            rng.randrange(2)
+
+
+CASES = {
+    "karate": lambda: ((load_karate(), LouvainConfig(seed=s)) for s in range(100)),
+    "golden-sbm": lambda: (
+        (generate_sbm(SbmConfig(20, 250, 0.05, 0.001, seed=7))[0], LouvainConfig(seed=s))
+        for s in (42, 43, 44)
+    ),
+    "bridged-cliques": lambda: ((bridged_cliques(), LouvainConfig(seed=s)) for s in range(100)),
+    "criterion-8-random": criterion_8_random_graphs,
+    "karate-resolutions": lambda: (
+        (load_karate(), LouvainConfig(seed=s, resolution=r, min_modularity_gain=g))
+        for s in range(5)
+        for r in (0.3, 2.0)
+        for g in (1e-7, 1e-3)
+    ),
+}
+
+
+def python_louvain(graph, config, pass_hook=None):
+    dense, k = community._louvain_python(graph, config, pass_hook)
+    return Partition(assignment=dict(zip(graph.nodes, dense)), k=k)
+
+
+def assert_kernel_matches_python(graph, config):
+    native_passes, python_passes = [], []
+    native = louvain(graph, config, lambda *r: native_passes.append(r))
+    python = python_louvain(graph, config, lambda *r: python_passes.append(r))
+    assert native == python
+    assert native_passes == python_passes  # level, pass index and q all ==
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_kernel_matches_the_python_oracle(kernel_cache, case):
+    assert _native.louvain_kernel() is not None
+    for graph, config in CASES[case]():
+        assert_kernel_matches_python(graph, config)
+
+
+def test_records_beyond_the_first_buffer_are_kept(kernel_cache, monkeypatch):
+    assert _native.louvain_kernel() is not None
+    monkeypatch.setattr(_native, "PASS_RECORDS", 1)
+    assert_kernel_matches_python(load_karate(), LouvainConfig(seed=3))
+
+
+def unwritable_cache(monkeypatch, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+
+
+FAILURES = {
+    "no compiler": lambda mp, tmp: mp.setattr(_native, "COMPILERS", ("polarimeter-no-cc",)),
+    "failed build": lambda mp, tmp: mp.setattr(_native, "FLAGS", _native.FLAGS + ("-fno-such-flag",)),
+    "unwritable cache": unwritable_cache,
+}
+
+
+@pytest.mark.parametrize("failure", sorted(FAILURES))
+def test_unavailable_kernel_warns_once_and_gives_the_same_results(
+    kernel_cache, forget_kernel_after, monkeypatch, tmp_path, caplog, failure
+):
+    graph = load_karate()
+    configs = [LouvainConfig(seed=s) for s in range(5)]
+    assert _native.louvain_kernel() is not None
+    expected = [louvain(graph, c) for c in configs]
+
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))  # an empty cache
+    FAILURES[failure](monkeypatch, tmp_path)
+    _native.louvain_kernel.cache_clear()
+    with caplog.at_level(logging.WARNING, logger="polarimeter"):
+        got = [louvain(graph, c) for c in configs]
+
+    assert _native.louvain_kernel() is None
+    assert [r.levelno for r in caplog.records] == [logging.WARNING]
+    assert "C Louvain kernel unavailable" in caplog.records[0].getMessage()
+    assert got == expected
+    assert not list(tmp_path.glob("polarimeter/*"))  # no library, no temp file left
+
+
+def test_graph_beyond_the_kernel_runs_in_python(kernel_cache, monkeypatch, caplog):
+    graph = load_karate()
+    assert _native.louvain_kernel() is not None
+    expected = louvain(graph, LouvainConfig(seed=1))
+    monkeypatch.setattr(community, "NODE_LIMIT", graph.node_count)
+    with caplog.at_level(logging.WARNING, logger="polarimeter"):
+        got = louvain(graph, LouvainConfig(seed=1))
+    assert [r.levelno for r in caplog.records] == [logging.WARNING]
+    assert got == expected
