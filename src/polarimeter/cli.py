@@ -67,8 +67,8 @@ def _build_parser() -> _Parser:
             "--threads",
             type=int,
             default=None,
-            help=f"worker processes (default: ${THREADS_ENV} or 1); "
-            "results are identical for any value",
+            help="worker threads for the Louvain runs "
+            f"(default: ${THREADS_ENV} or 1); results are identical for any value",
         )
 
     p_analyze = sub.add_parser(

@@ -15,6 +15,7 @@ edge list view and the node-id edge triples are derived from it on request.
 from __future__ import annotations
 
 import copy
+import numbers
 from dataclasses import dataclass
 from itertools import chain
 from typing import Hashable, Iterable, Mapping
@@ -32,9 +33,14 @@ MAX_WEIGHT = 1e150
 def _node_key(node: NodeId):
     # ints sort numerically, everything else by string form; mixed inputs
     # stay deterministic because the type tag leads, and the type name
-    # breaks ties between equal string forms (1.5 and "1.5"). A bool keys as
-    # the int it equals, because Python takes True and 1 as one node.
-    if isinstance(node, int):
+    # breaks ties between equal string forms (1.5 and "1.5"). A value equal
+    # to an int (a bool, a numpy integer, 1.0) keys as that int, because
+    # Python takes it and the int as one node. Plain ints and strs, the
+    # common ids, skip the slower abstract-type check.
+    if isinstance(node, int) or not isinstance(node, str) and (
+        isinstance(node, numbers.Integral)
+        or isinstance(node, float) and node.is_integer()
+    ):
         return (0, int(node))
     return (1, str(node), type(node).__name__)
 
@@ -93,6 +99,10 @@ class LabeledGraph:
         indptr = np.searchsorted(key, np.arange(n + 1) * n)
         key %= n
         self._csr = (indptr, key, w.take(order, mode="wrap"))
+        # summed once, in edge_arrays() order, and shared by relabeled copies;
+        # the build's scratch arrays go first so the sum adds no peak memory
+        del iu, iv, order
+        self.total_weight = float(self.edge_arrays()[2].sum())
 
     def _set_labels(
         self, opinions: Mapping[NodeId, int], num_opinions: int | None
@@ -129,10 +139,6 @@ class LabeledGraph:
     @property
     def edge_count(self) -> int:
         return len(self._csr[1]) // 2
-
-    @property
-    def total_weight(self) -> float:
-        return float(self.edge_arrays()[2].sum())
 
     def index_of(self, node: NodeId) -> int:
         return self._index[node]

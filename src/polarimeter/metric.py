@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Iterator
 
@@ -163,19 +163,6 @@ def _std(values) -> float:
     return math.sqrt(math.fsum((v - mean) ** 2 for v in values) / len(values))
 
 
-_WORKER: tuple[LabeledGraph, LouvainConfig] | None = None
-
-
-def _init_worker(graph: LabeledGraph, config: LouvainConfig):
-    global _WORKER
-    _WORKER = (graph, config)
-
-
-def _louvain_run(run: int) -> Partition:
-    graph, config = _WORKER
-    return louvain(graph, replace(config, seed=config.seed + run))
-
-
 def louvain_runs(
     graph: LabeledGraph, config: LouvainConfig, runs: int, threads: int = 1
 ) -> Iterator[Partition]:
@@ -184,22 +171,24 @@ def louvain_runs(
 
     Louvain reads only the graph's structure, never its labels, so these
     partitions serve every labeling of that structure. The sequence is
-    identical for any ``threads`` value; workers only parallelize
-    independent runs, and there are never more of them than CPUs.
+    identical for any ``threads`` value: threads only run independent runs
+    side by side, never more of them than CPUs. They share the graph, and the
+    C kernel releases the GIL while it runs; the pure-Python fallback holds
+    the GIL, so without the kernel the runs go serially.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    if threads > 1 and runs > 1:
-        louvain_kernel()  # build or load it once, here; forked workers inherit it
-        with ProcessPoolExecutor(
-            max_workers=min(threads, runs, os.cpu_count() or 1),
-            initializer=_init_worker,
-            initargs=(graph, config),
-        ) as pool:
-            yield from pool.map(_louvain_run, range(runs))
+
+    def run(index: int) -> Partition:
+        return louvain(graph, replace(config, seed=config.seed + index))
+
+    # louvain_kernel() builds or loads the kernel here, before any thread starts
+    if threads > 1 and runs > 1 and louvain_kernel() is not None:
+        workers = min(threads, runs, os.cpu_count() or 1)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(run, range(runs))
     else:
-        for run in range(runs):
-            yield louvain(graph, replace(config, seed=config.seed + run))
+        yield from map(run, range(runs))
 
 
 def analyze(

@@ -29,6 +29,13 @@ def test_merges_reversed_edges_between_a_bool_and_the_int_it_equals():
     assert g.edges == ((True, 2, 2.0),)
 
 
+@pytest.mark.parametrize("one", [1.0, np.int64(1)], ids=["float", "numpy-int"])
+def test_merges_reversed_edges_between_an_int_equal_and_the_int(one):
+    g = LabeledGraph([(one, 2, 1.0), (2, 1, 1.0)], {1: 0, 2: 1})
+    assert g.edge_count == 1
+    assert g.edges == ((1, 2, 2.0),)
+
+
 def test_rejects_self_loops():
     with pytest.raises(ValueError, match="self-loop"):
         LabeledGraph([("a", "a", 1.0)], {"a": 0, "b": 1})
@@ -107,6 +114,14 @@ def test_total_weight_sums_merged_edges():
     assert g.total_weight == pytest.approx(4.0)
 
 
+def test_total_weight_is_the_edge_array_sum_bit_for_bit():
+    rng = random.Random(9)
+    pairs = [(rng.randrange(200), rng.randrange(200)) for _ in range(900)]
+    edges = [(u, v, rng.random() + 0.1) for u, v in pairs if u != v]
+    g = LabeledGraph(edges, {i: i % 3 for i in range(200)})
+    assert g.total_weight == float(g.edge_arrays()[2].sum())
+
+
 def test_adjacency_is_symmetric_and_weighted():
     g = LabeledGraph([("b", "c", 3.0), ("a", "b", 2.0)], {"a": 0, "b": 0, "c": 1})
     indptr, indices, weights = g.adjacency()
@@ -158,6 +173,7 @@ def test_replace_labels_shares_the_structure():
     for ours, theirs in zip(g2.adjacency(), g.adjacency()):
         assert ours is theirs
     assert g2.nodes is g.nodes
+    assert g2.total_weight == g.total_weight
     assert g2.opinion_array().tolist() == [1, 1, 0]
     assert g.opinion_array().tolist() == [0, 1, 1]
 

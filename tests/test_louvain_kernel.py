@@ -1,6 +1,7 @@
 """The C Louvain kernel: it builds and loads here, it matches the pure-Python
-oracle bit for bit (partitions and every pass record), and when it cannot be
-had, ``louvain`` logs one warning and gives the same results in Python."""
+oracle bit for bit (partitions and every pass record), two threads can run it
+at once, and when it cannot be had, ``louvain`` logs one warning and gives the
+same results in Python, with the runs kept serial."""
 
 from __future__ import annotations
 
@@ -17,12 +18,14 @@ from polarimeter import (
     LouvainConfig,
     Partition,
     SbmConfig,
+    analyze,
     generate_sbm,
     load_karate,
     louvain,
 )
-from polarimeter import _native, community
+from polarimeter import _native, community, metric
 from oracles import random_graph_spec
+from test_metric import RecordingPool
 
 
 @pytest.fixture(scope="module")
@@ -171,3 +174,24 @@ def test_graph_beyond_the_kernel_runs_in_python(kernel_cache, monkeypatch, caplo
         got = louvain(graph, LouvainConfig(seed=1))
     assert [r.levelno for r in caplog.records] == [logging.WARNING]
     assert got == expected
+
+
+def test_runs_on_two_threads_equal_the_serial_runs(kernel_cache, monkeypatch):
+    assert _native.louvain_kernel() is not None
+    monkeypatch.setattr(metric.os, "cpu_count", lambda: 2)  # two threads here too
+    graph = generate_sbm(SbmConfig(20, 250, 0.05, 0.001, seed=11))[0]
+    config = LouvainConfig(seed=5)
+    serial = list(metric.louvain_runs(graph, config, 4))
+    assert list(metric.louvain_runs(graph, config, 4, threads=2)) == serial
+
+
+def test_without_the_kernel_runs_stay_serial(monkeypatch):
+    graph = load_karate()
+    expected = analyze(graph, LouvainConfig(seed=5), runs=4)
+    for module in (metric, community):
+        monkeypatch.setattr(module, "louvain_kernel", lambda: None)
+    monkeypatch.setattr(metric, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(metric.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(RecordingPool, "created", [])
+    assert analyze(graph, LouvainConfig(seed=5), runs=4, threads=4) == expected
+    assert RecordingPool.created == []

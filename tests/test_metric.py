@@ -272,13 +272,12 @@ def test_analyze_thread_count_does_not_change_results():
 
 
 class RecordingPool:
-    """In-process stand-in for ProcessPoolExecutor that records max_workers."""
+    """Serial stand-in for ThreadPoolExecutor that records max_workers."""
 
     created: list[int] = []
 
-    def __init__(self, max_workers, initializer, initargs):
+    def __init__(self, max_workers):
         self.created.append(max_workers)
-        initializer(*initargs)
 
     def __enter__(self):
         return self
@@ -293,7 +292,9 @@ class RecordingPool:
 def test_louvain_runs_never_ask_for_more_workers_than_cpus(monkeypatch):
     import polarimeter.metric as metric
 
-    monkeypatch.setattr(metric, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(metric, "ThreadPoolExecutor", RecordingPool)
+    # the pool starts only when the kernel loads; stand in for a loaded one
+    monkeypatch.setattr(metric, "louvain_kernel", object)
     monkeypatch.setattr(metric.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(RecordingPool, "created", [])
     g = demo_graph()
