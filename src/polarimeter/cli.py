@@ -7,7 +7,6 @@ on identical inputs produce byte-identical outputs regardless of --threads.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .community import LouvainConfig
@@ -32,8 +31,6 @@ DEFAULT_SEED = 42
 # Block-model surrogate densities for the sweep command (5,000-node scale).
 SBM_P_IN = 0.05
 SBM_P_OUT = 0.001
-
-THREADS_ENV = "POLARIMETER_THREADS"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -66,9 +63,9 @@ def _build_parser() -> _Parser:
         p.add_argument(
             "--threads",
             type=int,
-            default=None,
-            help="worker threads for the Louvain runs "
-            f"(default: ${THREADS_ENV} or 1); results are identical for any value",
+            default=1,
+            help="worker threads for the Louvain runs (default: %(default)s); "
+            "results are identical for any value",
         )
 
     p_analyze = sub.add_parser(
@@ -140,20 +137,6 @@ def _build_parser() -> _Parser:
     p_demo.set_defaults(func=_cmd_demo_karate)
 
     return parser
-
-
-def _resolve_threads(value: int | None) -> int:
-    if value is None:
-        raw = os.environ.get(THREADS_ENV, "").strip()
-        if not raw:
-            return 1
-        try:
-            value = int(raw)
-        except ValueError:
-            raise InputError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-    if value < 1:
-        raise InputError(f"--threads must be >= 1, got {value}")
-    return value
 
 
 def _positive_int(name: str, value: int) -> int:
@@ -228,7 +211,7 @@ def _analyze_and_emit(graph, args) -> int:
         graph,
         LouvainConfig(seed=args.seed),
         runs=_positive_int("--runs", args.runs),
-        threads=_resolve_threads(args.threads),
+        threads=_positive_int("--threads", args.threads),
     )
     if args.out is None:
         sys.stdout.write(report_json(report))
@@ -241,7 +224,7 @@ def _cmd_sweep(args) -> int:
     if (args.sbm is None) == (args.graph is None):
         raise InputError("sweep needs exactly one of --sbm or --graph")
     runs = _positive_int("--runs", args.runs)
-    threads = _resolve_threads(args.threads)
+    threads = _positive_int("--threads", args.threads)
     ratios = _parse_grid(
         "--dom-ratios", args.dom_ratios, float, lambda r: 0.0 < r <= 1.0, "in (0, 1]"
     )

@@ -18,6 +18,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from ._native import NODE_LIMIT, louvain_kernel
 from .graph import LabeledGraph, NodeId
 
@@ -55,10 +57,19 @@ class Partition:
             groups[cid].append(node)
         return groups
 
+    def array(self, graph: LabeledGraph) -> np.ndarray:
+        """Community id per node, aligned with ``graph.nodes``; a graph node
+        missing from the assignment is a ValueError."""
+        assignment = self.assignment
+        try:
+            return np.fromiter(
+                (assignment[u] for u in graph.nodes), np.int64, graph.node_count
+            )
+        except KeyError as exc:
+            raise ValueError(f"node {exc.args[0]!r} missing from partition") from None
+
     def validate(self, graph: LabeledGraph) -> None:
-        for u in graph.nodes:
-            if u not in self.assignment:
-                raise ValueError(f"node {u!r} missing from partition")
+        self.array(graph)
         seen = set(self.assignment.values())
         if seen != set(range(self.k)):
             raise ValueError(f"community ids not contiguous 0..{self.k - 1}: {seen}")
@@ -69,19 +80,15 @@ def modularity(
 ) -> float:
     """Newman-Girvan weighted modularity with a resolution parameter."""
     m = graph.total_weight
-    try:
-        comm = [partition.assignment[u] for u in graph.nodes]
-    except KeyError as exc:
-        raise ValueError(f"node {exc.args[0]!r} missing from partition") from None
-
-    intra = [0.0] * partition.k
-    tot = [0.0] * partition.k
-    for iu, iv, w in zip(*(a.tolist() for a in graph.edge_arrays())):
-        cu, cv = comm[iu], comm[iv]
-        tot[cu] += w
-        tot[cv] += w
-        if cu == cv:
-            intra[cu] += w
+    comm = partition.array(graph)
+    iu, iv, w = graph.edge_arrays()
+    cu, cv = comm[iu], comm[iv]
+    # bincount adds in input order: the interleaved (cu, cv) pairs give each
+    # community total its edges in edge order, as a loop over the edges would
+    ends = np.stack([cu, cv], axis=1).ravel()
+    tot = np.bincount(ends, weights=np.repeat(w, 2), minlength=partition.k).tolist()
+    same = cu == cv
+    intra = np.bincount(cu[same], weights=w[same], minlength=partition.k).tolist()
 
     two_m = 2.0 * m
     q = 0.0

@@ -17,7 +17,6 @@ from __future__ import annotations
 import copy
 import numbers
 from dataclasses import dataclass
-from itertools import chain
 from typing import Hashable, Iterable, Mapping
 
 import numpy as np
@@ -62,8 +61,9 @@ class LabeledGraph:
         opinions: Mapping[NodeId, int],
         num_opinions: int | None = None,
     ):
-        merged: dict[tuple[NodeId, NodeId], float] = {}
         node_set = set(opinions)
+        ends: list[NodeId] = []
+        weights: list[float] = []
         for u, v, w in edges:
             if u == v:
                 raise ValueError(f"self-loop on node {u!r}")
@@ -74,35 +74,35 @@ class LabeledGraph:
                     f"edge ({u!r}, {v!r}); weights must lie in "
                     f"[{MIN_WEIGHT}, {MAX_WEIGHT}]"
                 )
-            key = (u, v) if _node_key(u) <= _node_key(v) else (v, u)
-            merged[key] = merged.get(key, 0.0) + w
-            node_set.add(u)
-            node_set.add(v)
-        if not merged:
+            ends += (u, v)
+            weights.append(w)
+        if not weights:
             raise ValueError("graph has no edges")
+        node_set.update(ends)
 
         self.nodes: tuple[NodeId, ...] = tuple(sorted(node_set, key=_node_key))
         self._index: dict[NodeId, int] = {u: i for i, u in enumerate(self.nodes)}
         self._set_labels(opinions, num_opinions)
 
-        w = np.fromiter(merged.values(), np.float64, len(merged))
-        if not w.sum() <= MAX_WEIGHT:
-            raise ValueError(f"total edge weight {w.sum()} exceeds {MAX_WEIGHT}")
+        # rows merge on their (low, high) index pair: bincount adds each
+        # pair's weights in input order, and np.unique sorts the pairs into
+        # edge_arrays() order, so the sum below is that view's sum
+        n = len(self.nodes)
+        ends = np.fromiter(map(self._index.__getitem__, ends), np.int64, len(ends))
+        low, high = np.sort(ends.reshape(-1, 2), axis=1).T
+        upper, inverse = np.unique(low * n + high, return_inverse=True)
+        w = np.bincount(inverse, weights=weights)
+        self.total_weight = total = float(w.sum())
+        if not total <= MAX_WEIGHT:
+            raise ValueError(f"total edge weight {total} exceeds {MAX_WEIGHT}")
         # entry j is edge j as (u, v), entry j + len(w) its mirror (v, u);
         # sorting the row-major keys u * n + v lays out the CSR rows
-        n = len(self.nodes)
-        ends = map(self._index.__getitem__, chain.from_iterable(merged))
-        iu, iv = np.fromiter(ends, np.int64, 2 * len(w)).reshape(-1, 2).T
-        key = np.concatenate([iu * n + iv, iv * n + iu])
+        key = np.concatenate([upper, upper % n * n + upper // n])
         order = np.argsort(key)
         key = key[order]
         indptr = np.searchsorted(key, np.arange(n + 1) * n)
         key %= n
         self._csr = (indptr, key, w.take(order, mode="wrap"))
-        # summed once, in edge_arrays() order, and shared by relabeled copies;
-        # the build's scratch arrays go first so the sum adds no peak memory
-        del iu, iv, order
-        self.total_weight = float(self.edge_arrays()[2].sum())
 
     def _set_labels(
         self, opinions: Mapping[NodeId, int], num_opinions: int | None

@@ -14,7 +14,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -39,14 +39,7 @@ def accumulate(
     """Scaled edge mass in four bins, indexed 2 * same_community + cross_opinion:
     [between/same-opinion, between/cross-opinion, within/same-opinion,
     within/cross-opinion]. Each edge lands in exactly one bin."""
-    assignment = partition.assignment
-    try:
-        comm = np.fromiter(
-            (assignment[u] for u in graph.nodes), dtype=np.int64, count=graph.node_count
-        )
-    except KeyError as exc:
-        raise ValueError(f"node {exc.args[0]!r} missing from partition") from None
-
+    comm = partition.array(graph)
     eu, ev, _ = graph.edge_arrays()
     opinion = graph.opinion_array()
     bins = 2 * (comm[eu] == comm[ev]) + (opinion[eu] != opinion[ev])
@@ -98,22 +91,6 @@ class PolarizationReport:
     num_opinions: int
 
     @property
-    def p_within_mean(self) -> float:
-        return _mean(self.p_within_runs)
-
-    @property
-    def p_within_std(self) -> float:
-        return _std(self.p_within_runs)
-
-    @property
-    def p_between_mean(self) -> float:
-        return _mean(self.p_between_runs)
-
-    @property
-    def p_between_std(self) -> float:
-        return _std(self.p_between_runs)
-
-    @property
     def polarization_mean(self) -> float:
         return _mean(self.polarization_runs)
 
@@ -129,10 +106,6 @@ class PolarizationReport:
     def polarization_max(self) -> float:
         return max(self.polarization_runs)
 
-    @property
-    def communities_mean(self) -> float:
-        return _mean(self.communities_per_run)
-
     def to_dict(self) -> dict:
         """Report fields in fixed serialization order."""
         return {
@@ -140,15 +113,21 @@ class PolarizationReport:
             "num_opinions": self.num_opinions,
             "runs": self.runs,
             "seed": self.seed,
-            "p_within": {"mean": self.p_within_mean, "std": self.p_within_std},
-            "p_between": {"mean": self.p_between_mean, "std": self.p_between_std},
+            "p_within": {
+                "mean": _mean(self.p_within_runs),
+                "std": _std(self.p_within_runs),
+            },
+            "p_between": {
+                "mean": _mean(self.p_between_runs),
+                "std": _std(self.p_between_runs),
+            },
             "polarization": {
                 "mean": self.polarization_mean,
                 "std": self.polarization_std,
                 "min": self.polarization_min,
                 "max": self.polarization_max,
             },
-            "communities": {"mean": self.communities_mean},
+            "communities": {"mean": _mean(self.communities_per_run)},
         }
 
 
@@ -203,9 +182,17 @@ def analyze(
     over the seed schedule. Results are identical for any ``threads`` value;
     workers only parallelize the Louvain runs, and scoring happens here.
     """
+    return _score_runs(graph, louvain_runs(graph, config, runs, threads), config.seed)
+
+
+def _score_runs(
+    graph: LabeledGraph, partitions: Iterable[Partition], seed: int
+) -> PolarizationReport:
+    """Score each partition against the graph's labels, in order, into a
+    report whose run count is the number of partitions."""
     scaled = scale_weights(graph, census(graph))
     scores, communities = [], []
-    for partition in louvain_runs(graph, config, runs, threads):
+    for partition in partitions:
         scores.append(score_partition(graph, scaled, partition))
         communities.append(partition.k)
     return PolarizationReport(
@@ -213,8 +200,8 @@ def analyze(
         p_between_runs=tuple(s[1] for s in scores),
         polarization_runs=tuple(s[2] for s in scores),
         communities_per_run=tuple(communities),
-        seed=config.seed,
-        runs=runs,
+        seed=seed,
+        runs=len(scores),
         graph_nodes=graph.node_count,
         graph_edges=graph.edge_count,
         num_opinions=graph.num_opinions,

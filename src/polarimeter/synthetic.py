@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .community import LouvainConfig, Partition
-from .graph import LabeledGraph, census
-from .metric import _mean, _std, louvain_runs, scale_weights, score_partition
+from .graph import LabeledGraph
+from .metric import _score_runs, louvain_runs
 
 
 @dataclass(frozen=True)
@@ -168,14 +168,13 @@ def sweep(
     cells = []
     for label_config in label_configs:
         labeled = relabel(graph, partition, label_config)
-        scaled = scale_weights(labeled, census(labeled))
-        scores = [score_partition(labeled, scaled, p)[2] for p in partitions]
+        report = _score_runs(labeled, partitions, seed)
         cells.append(
             SweepCell(
                 num_opinions=label_config.num_opinions,
                 dom_ratio=label_config.dom_ratio,
-                mean_p=_mean(scores),
-                std_p=_std(scores),
+                mean_p=report.polarization_mean,
+                std_p=report.polarization_std,
                 runs=runs,
             )
         )

@@ -79,24 +79,11 @@ def test_analyze_thread_flag_does_not_change_output(capsys, karate_files):
     assert out1 == out2
 
 
-def test_threads_env_var_is_the_fallback(capsys, karate_files, monkeypatch):
-    edges, labels = karate_files
-    base = ["analyze", "--graph", edges, "--labels", labels, "--runs", "2"]
-    monkeypatch.setenv("POLARIMETER_THREADS", "2")
-    _, out_env, _ = run(capsys, *base)
-    monkeypatch.delenv("POLARIMETER_THREADS")
-    _, out_plain, _ = run(capsys, *base)
-    assert out_env == out_plain
-
-
-def test_bad_threads_values_are_input_errors(capsys, karate_files, monkeypatch):
+def test_bad_threads_values_are_input_errors(capsys, karate_files):
     edges, labels = karate_files
     base = ["analyze", "--graph", edges, "--labels", labels, "--runs", "1"]
     code, _, err = run(capsys, *base, "--threads", "0")
     assert code == 1 and "--threads" in err
-    monkeypatch.setenv("POLARIMETER_THREADS", "soon")
-    code, _, err = run(capsys, *base)
-    assert code == 1 and "POLARIMETER_THREADS" in err
 
 
 def test_analyze_out_file_json_and_csv(capsys, karate_files, tmp_path):

@@ -59,6 +59,15 @@ def test_partition_members_and_validate():
         Partition(assignment={"a": 0}, k=1).validate(g)
 
 
+def test_partition_array_follows_graph_node_order():
+    g = LabeledGraph([("b", "a", 1.0), ("c", "d", 1.0)],
+                     {"a": 0, "b": 0, "c": 0, "d": 0})
+    p = Partition(assignment={"d": 0, "c": 0, "b": 1, "a": 1}, k=2)
+    assert p.array(g).tolist() == [1, 1, 0, 0]
+    with pytest.raises(ValueError, match="node 'c' missing from partition"):
+        Partition(assignment={"a": 0, "b": 0, "d": 0}, k=1).array(g)
+
+
 def test_modularity_two_disjoint_triangles_is_half():
     edges = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0),
              (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0)]

@@ -1,5 +1,5 @@
-"""Golden outputs: report bytes, per-run values and build-network files
-fixed at a known-good commit. They pin the Louvain partitions and the
+"""Golden outputs: report bytes, per-run values, modularity values and
+build-network files fixed at a known-good commit. They pin the Louvain partitions and the
 retweet network, so a change to the graph layout, the optimizer's summation
 order or the stance counting that moves any of them fails here."""
 
@@ -10,11 +10,15 @@ import json
 import random
 
 from polarimeter import (
+    LabeledGraph,
     LouvainConfig,
     SbmConfig,
     SyntheticLabelConfig,
     analyze,
     generate_sbm,
+    load_karate,
+    louvain,
+    modularity,
     relabel,
 )
 from polarimeter.cli import main
@@ -101,3 +105,34 @@ def test_build_network_output_bytes(capsys, tmp_path, monkeypatch):
         "net.labels.tsv": "70780c5e597c80ea356d42e53f16be85f3a3503df06f2d229447a1c31b88d5d6",
         "net.names.json": "fdaeb5961da0c4527be36fd14f02c800a05c3f391f001cc84a30fdb41ed4807a",
     }
+
+
+def test_karate_modularity_values():
+    graph = load_karate()
+    values = [modularity(graph, louvain(graph, LouvainConfig(seed=s))) for s in range(5)]
+    assert values == [
+        0.4155982905982906,
+        0.4151051939513477,
+        0.4151051939513477,
+        0.4188034188034188,
+        0.4155982905982906,
+    ]
+
+
+def test_sbm_modularity_values_per_resolution():
+    graph, _ = generate_sbm(SbmConfig(20, 250, 0.05, 0.001, seed=7))
+    values = [
+        modularity(graph, louvain(graph, LouvainConfig(seed=42, resolution=r)), r)
+        for r in (0.5, 1.0, 2.0)
+    ]
+    assert values == [0.6945960533706912, 0.6695859523222581, 0.619565750225392]
+
+
+def test_weighted_random_graph_modularity_values():
+    # non-dyadic weights: unlike the integer weights above, their community
+    # totals change bits when the edges are added in another order
+    rng = random.Random(5)
+    rows = [(*rng.sample(range(300), 2), rng.random() + 0.01) for _ in range(900)]
+    graph = LabeledGraph(rows, {u: 0 for u in range(300)})
+    values = [modularity(graph, louvain(graph, LouvainConfig(seed=s))) for s in range(3)]
+    assert values == [0.5065903104905737, 0.5076809234183836, 0.5069911147256968]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
@@ -120,6 +121,34 @@ def test_total_weight_is_the_edge_array_sum_bit_for_bit():
     edges = [(u, v, rng.random() + 0.1) for u, v in pairs if u != v]
     g = LabeledGraph(edges, {i: i % 3 for i in range(200)})
     assert g.total_weight == float(g.edge_arrays()[2].sum())
+
+
+# SHA-256 of adjacency() bytes and repr(total_weight), fixed at a known-good
+# commit. The weights are not dyadic, so summing a pair's duplicate and
+# reversed rows in another order moves the bits and fails here.
+ADJACENCY_DIGESTS = {
+    0: "0f878c7e22013718ad44721d729fa890d13f4d6af735dc0f0b997213c9fcfdd5",
+    1: "0b50d6b4454b2391ef1e0cd0206344d77ae77a1d442a916439570701cfd554e1",
+    2: "0305d3bb678a04788a72c12f154b6e4a1ca79df86e49ced78d1d0b44ba1bbff4",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(ADJACENCY_DIGESTS))
+def test_merged_weights_are_bit_exact(seed):
+    rng = random.Random(seed)
+    weights = (0.1, 1 / 3, 1e-3, 0.7, 2.5)
+    rows = []
+    for _ in range(60):
+        u, v = rng.sample(range(12), 2)
+        rows.append((u, v, rng.choice(weights)))
+        if rng.random() < 0.5:
+            rows.append((v, u, rng.choice(weights)))
+    g = LabeledGraph(rows, {u: u % 2 for u in range(12)})
+    digest = hashlib.sha256()
+    for array in g.adjacency():
+        digest.update(array.tobytes())
+    digest.update(repr(g.total_weight).encode())
+    assert digest.hexdigest() == ADJACENCY_DIGESTS[seed]
 
 
 def test_adjacency_is_symmetric_and_weighted():
