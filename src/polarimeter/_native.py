@@ -41,12 +41,8 @@ PASS_RECORDS = 256
 def louvain_kernel():
     """A function running Louvain's whole level loop in C, or None after one
     warning when the kernel cannot be built or loaded. Cached for the life
-    of the process.
-
-    The function takes ``(adjacency, m, config)``: the graph's CSR triple,
-    its total weight and a ``LouvainConfig``. It returns the dense
-    assignment in node order, the community count and one
-    ``(level, pass_index, q)`` record per local-move pass.
+    of the process. The function's arguments and results are those of the
+    pure-Python oracle, ``community._louvain_python``.
     """
     import ctypes
 
@@ -81,8 +77,7 @@ def louvain_kernel():
 
 def _run(function, adjacency, m, config):
     """One kernel call on a ctypes ``function`` with declared argtypes."""
-    indptr = adjacency[0]
-    n = len(indptr) - 1
+    n = len(adjacency[0]) - 1
     _, state, _ = random.Random(config.seed).getstate()
     mt = np.array(state[:-1], dtype=np.uint32)
     assignment = np.empty(n, dtype=np.int64)
@@ -111,11 +106,7 @@ def _run(function, adjacency, m, config):
         if count <= capacity:
             break
         capacity = count  # the same seed repeats the same passes
-    records, pass_index, previous = [], 0, -1
-    for level, q in zip(levels[:count].tolist(), qs[:count].tolist()):
-        pass_index = pass_index + 1 if level == previous else 0
-        previous = level
-        records.append((level, pass_index, q))
+    records = list(zip(levels[:count].tolist(), qs[:count].tolist()))
     return assignment.tolist(), k, records
 
 

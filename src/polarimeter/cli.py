@@ -31,6 +31,10 @@ DEFAULT_SEED = 42
 # Block-model surrogate densities for the sweep command (5,000-node scale).
 SBM_P_IN = 0.05
 SBM_P_OUT = 0.001
+# The generator draws every node pair, so its time and memory grow with the
+# block count and the expected edge count; past these it would ask for GBs.
+_SBM_MAX_BLOCKS = 1_000
+_SBM_MAX_EDGES = 1_000_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -90,7 +94,8 @@ def _build_parser() -> _Parser:
         default=None,
         metavar="BLOCKSxNODES",
         help="use a planted block-model graph, e.g. 20x250 "
-        f"(p_in={SBM_P_IN}, p_out={SBM_P_OUT})",
+        f"(p_in={SBM_P_IN}, p_out={SBM_P_OUT}); at most {_SBM_MAX_BLOCKS} "
+        f"blocks and {_SBM_MAX_EDGES:,} expected edges",
     )
     p_sweep.add_argument("--graph", default=None, help="edge list file")
     p_sweep.add_argument(
@@ -155,6 +160,18 @@ def _parse_sbm(text: str, seed: int) -> SbmConfig:
         raise InputError(f"--sbm expects BLOCKSxNODES (e.g. 20x250), got {text!r}")
     if blocks < 1 or per_block < 1:
         raise InputError(f"--sbm sizes must be >= 1, got {text!r}")
+    # per_block is capped first: an int past ~1e308 cannot enter a float product
+    if (
+        blocks > _SBM_MAX_BLOCKS
+        or per_block > _SBM_MAX_EDGES
+        or SBM_P_IN * blocks * per_block * (per_block - 1) / 2
+        + SBM_P_OUT * blocks * (blocks - 1) * per_block**2 / 2
+        > _SBM_MAX_EDGES
+    ):
+        raise InputError(
+            f"--sbm allows at most {_SBM_MAX_BLOCKS} blocks and "
+            f"{_SBM_MAX_EDGES:,} expected edges, got {text!r}"
+        )
     return SbmConfig(blocks, per_block, SBM_P_IN, SBM_P_OUT, seed=seed)
 
 

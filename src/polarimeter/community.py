@@ -13,10 +13,13 @@ selection go to the lowest community id.
 
 from __future__ import annotations
 
+import itertools
 import logging
+import os
 import random
-from dataclasses import dataclass, field
-from typing import Callable
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field, replace
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -110,54 +113,93 @@ def louvain(
     ``_native``), and otherwise in the pure-Python level loop below; both
     give bit-identical partitions and pass records.
     """
+    return _louvain(_kernel_for(graph), graph, config, pass_hook)
+
+
+def louvain_runs(
+    graph: LabeledGraph, config: LouvainConfig, runs: int, threads: int = 1
+) -> Iterator[Partition]:
+    """Yield the partitions of ``runs`` Louvain runs at seeds config.seed + run
+    index, in run order.
+
+    Louvain reads only the graph's structure, never its labels, so these
+    partitions serve every labeling of that structure. The sequence is
+    identical for any ``threads`` value: threads only run independent runs
+    side by side, never more of them than CPUs. They share the graph, and the
+    C kernel releases the GIL while it runs; the pure-Python fallback holds
+    the GIL, so whenever it runs instead, the runs go serially.
+    """
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
+    # the kernel is built or loaded here, before any thread starts
+    kernel = _kernel_for(graph)
+
+    def run(index: int) -> Partition:
+        return _louvain(kernel, graph, replace(config, seed=config.seed + index))
+
+    if threads > 1 and runs > 1 and kernel is not None:
+        workers = min(threads, runs, os.cpu_count() or 1)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(run, range(runs))
+    else:
+        yield from map(run, range(runs))
+
+
+def _kernel_for(graph: LabeledGraph):
+    """The C kernel if it can run ``graph``, else None after one warning."""
     kernel = louvain_kernel()
     if kernel is not None and graph.node_count >= NODE_LIMIT:
         logger.warning(
             "%d nodes is beyond the C Louvain kernel, using pure Python",
             graph.node_count,
         )
-        kernel = None
-    if kernel is None:
-        dense, k = _louvain_python(graph, config, pass_hook)
-    else:
-        dense, k, records = kernel(graph.adjacency(), graph.total_weight, config)
-        if pass_hook is not None:
-            for record in records:
-                pass_hook(*record)
+        return None
+    return kernel
+
+
+def _louvain(kernel, graph, config, pass_hook=None) -> Partition:
+    """One run on ``kernel``, or on the Python oracle when it is None; the
+    passes of each level are numbered from 0 for ``pass_hook``."""
+    dense, k, passes = (kernel or _louvain_python)(
+        graph.adjacency(), graph.total_weight, config
+    )
+    if pass_hook is not None:
+        for level, records in itertools.groupby(passes, key=lambda r: r[0]):
+            for pass_index, (_, q) in enumerate(records):
+                pass_hook(level, pass_index, q)
     return Partition(assignment=dict(zip(graph.nodes, dense)), k=k)
 
 
-def _louvain_python(graph, config, pass_hook):
-    """The pure-Python level loop, kept as the oracle for the C kernel.
-    Returns the dense assignment in node order and the community count."""
+def _louvain_python(adjacency, m, config):
+    """The pure-Python level loop: the C kernel's oracle and fallback, with
+    its contract. It takes the graph's CSR triple, its total weight and a
+    ``LouvainConfig``, and returns the dense assignment in node order, the
+    community count and one ``(level, q)`` record per local-move pass."""
     rng = random.Random(config.seed)
-    m = graph.total_weight
     resolution = config.resolution
     min_gain = config.min_modularity_gain
 
     # the CSR triple as Python lists: indptr, indices, weights
-    adj = tuple(a.tolist() for a in graph.adjacency())
-    loops = [0.0] * graph.node_count
+    adj = tuple(a.tolist() for a in adjacency)
+    loops = [0.0] * (len(adj[0]) - 1)
     # assignment[i]: community of original node i at the current level
-    assignment = list(range(graph.node_count))
+    assignment = list(range(len(loops)))
+    passes: list[tuple[int, float]] = []
 
     prev_q = 0.0  # modularity of the singleton partition
     for deg in _degrees(adj, loops):
         prev_q -= resolution * (deg / (2.0 * m)) ** 2
-    level = 0
-    while True:
-        node2com, q = _one_level(
-            adj, loops, m, resolution, min_gain, rng, pass_hook, level
-        )
+    for level in itertools.count():
+        node2com, qs = _one_level(adj, loops, m, resolution, min_gain, rng)
+        passes += ((level, q) for q in qs)
         node2com, n_comms = _renumber(node2com)
         assignment = [node2com[c] for c in assignment]
-        if q - prev_q <= min_gain or n_comms == len(loops):
+        if qs[-1] - prev_q <= min_gain or n_comms == len(loops):
             break
-        prev_q = q
+        prev_q = qs[-1]
         adj, loops = _aggregate(adj, loops, node2com, n_comms)
-        level += 1
 
-    return _renumber(assignment)
+    return (*_renumber(assignment), passes)
 
 
 def _degrees(adj, loops) -> list[float]:
@@ -172,8 +214,9 @@ def _degrees(adj, loops) -> list[float]:
     return degree
 
 
-def _one_level(adj, loops, m, resolution, min_gain, rng, pass_hook, level):
-    """Local moves until a pass yields no improvement above tolerance."""
+def _one_level(adj, loops, m, resolution, min_gain, rng):
+    """Local moves until a pass yields no improvement above tolerance.
+    Returns the community slot per node and the modularity after each pass."""
     indptr, indices, weights = adj
     n = len(loops)
     two_m = 2.0 * m
@@ -188,8 +231,7 @@ def _one_level(adj, loops, m, resolution, min_gain, rng, pass_hook, level):
             q += internal[c] / two_m - resolution * (tot[c] / two_m) ** 2
         return q
 
-    q = current_q()
-    pass_index = 0
+    qs = [current_q()]
     while True:
         order = list(range(n))
         rng.shuffle(order)
@@ -224,14 +266,9 @@ def _one_level(adj, loops, m, resolution, min_gain, rng, pass_hook, level):
             if best_c != cu:
                 moved += 1
 
-        new_q = current_q()
-        if pass_hook is not None:
-            pass_hook(level, pass_index, new_q)
-        pass_index += 1
-        gain = new_q - q
-        q = new_q
-        if moved == 0 or gain <= min_gain:
-            return node2com, q
+        qs.append(current_q())
+        if moved == 0 or qs[-1] - qs[-2] <= min_gain:
+            return node2com, qs[1:]
 
 
 def _renumber(labels: list[int]) -> tuple[list[int], int]:

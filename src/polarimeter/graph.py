@@ -117,7 +117,7 @@ class LabeledGraph:
             if u not in self._index:
                 raise ValueError(f"label for node {u!r}, which is not in the graph")
 
-        self.opinions: dict[NodeId, int] = {}
+        labels = []
         for u in self.nodes:
             if u not in opinions:
                 raise ValueError(f"node {u!r} has no opinion label")
@@ -126,9 +126,9 @@ class LabeledGraph:
                 raise ValueError(
                     f"opinion {o} of node {u!r} outside [0, {num_opinions})"
                 )
-            self.opinions[u] = o
+            labels.append(o)
         self.num_opinions = int(num_opinions)
-        self._labels = np.fromiter(self.opinions.values(), np.int64, len(self.nodes))
+        self._labels = np.array(labels, dtype=np.int64)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -179,6 +179,11 @@ class LabeledGraph:
         order. Built on each access."""
         iu, iv, w = (a.tolist() for a in self.edge_arrays())
         return tuple((self.nodes[a], self.nodes[b], x) for a, b, x in zip(iu, iv, w))
+
+    @property
+    def opinions(self) -> dict[NodeId, int]:
+        """Opinion per node id, in ``nodes`` order. Built on each access."""
+        return dict(zip(self.nodes, self._labels.tolist()))
 
     def opinion_array(self) -> np.ndarray:
         """Opinion index per node, aligned with ``nodes`` order."""

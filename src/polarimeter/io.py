@@ -186,8 +186,8 @@ def write_edge_list(graph: LabeledGraph, path) -> None:
 
 def write_labels(graph: LabeledGraph, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for u in graph.nodes:
-            fh.write(f"{u}\t{graph.opinions[u]}\n")
+        for u, o in zip(graph.nodes, graph.opinion_array().tolist()):
+            fh.write(f"{u}\t{o}\n")
 
 
 def _json_dumps(value, indent: int = 0) -> str:
@@ -195,18 +195,11 @@ def _json_dumps(value, indent: int = 0) -> str:
     # hand: every real gets exactly 6 decimal places.
     pad = "  " * indent
     if isinstance(value, dict):
-        if not value:
-            return "{}"
         inner = ",\n".join(
             f"{pad}  {json.dumps(k)}: {_json_dumps(v, indent + 1)}"
             for k, v in value.items()
         )
         return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        inner = ", ".join(_json_dumps(v, indent) for v in value)
-        return "[" + inner + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.6f}"
     if isinstance(value, int):

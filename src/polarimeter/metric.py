@@ -11,15 +11,12 @@ detection across a seed schedule and reports summary statistics.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from typing import Iterable, Iterator
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from ._native import louvain_kernel
-from .community import LouvainConfig, Partition, louvain
+from .community import LouvainConfig, Partition, louvain_runs
 from .graph import LabeledGraph, OpinionCensus, census
 
 
@@ -140,34 +137,6 @@ def _mean(values) -> float:
 def _std(values) -> float:
     mean = _mean(values)
     return math.sqrt(math.fsum((v - mean) ** 2 for v in values) / len(values))
-
-
-def louvain_runs(
-    graph: LabeledGraph, config: LouvainConfig, runs: int, threads: int = 1
-) -> Iterator[Partition]:
-    """Yield the partitions of ``runs`` Louvain runs at seeds config.seed + run
-    index, in run order.
-
-    Louvain reads only the graph's structure, never its labels, so these
-    partitions serve every labeling of that structure. The sequence is
-    identical for any ``threads`` value: threads only run independent runs
-    side by side, never more of them than CPUs. They share the graph, and the
-    C kernel releases the GIL while it runs; the pure-Python fallback holds
-    the GIL, so without the kernel the runs go serially.
-    """
-    if runs < 1:
-        raise ValueError(f"runs must be >= 1, got {runs}")
-
-    def run(index: int) -> Partition:
-        return louvain(graph, replace(config, seed=config.seed + index))
-
-    # louvain_kernel() builds or loads the kernel here, before any thread starts
-    if threads > 1 and runs > 1 and louvain_kernel() is not None:
-        workers = min(threads, runs, os.cpu_count() or 1)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(run, range(runs))
-    else:
-        yield from map(run, range(runs))
 
 
 def analyze(

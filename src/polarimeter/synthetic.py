@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .community import LouvainConfig, Partition
+from .community import LouvainConfig, Partition, louvain_runs
 from .graph import LabeledGraph
-from .metric import _score_runs, louvain_runs
+from .metric import _score_runs
 
 
 @dataclass(frozen=True)

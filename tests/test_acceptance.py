@@ -323,7 +323,7 @@ def test_published_dominance_table_advisory():
         num_opinions_list=sorted(PUBLISHED_GRID),
         runs=runs,
         seed=42,
-        threads=int(os.environ.get("POLARIMETER_THREADS", "1")),
+        threads=2,
     )
     assert len(cells) == len(PUBLISHED_GRID) * len(RATIO_GRID)
     lines = []
@@ -355,5 +355,5 @@ def test_published_retweet_network_score():
     assert g.node_count == 37255
     assert g.edge_count == 41668
     report = analyze(g, LouvainConfig(seed=42), runs=100,
-                     threads=int(os.environ.get("POLARIMETER_THREADS", "1")))
+                     threads=2)
     assert 0.88 <= report.polarization_mean <= 0.98

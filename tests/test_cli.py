@@ -278,10 +278,14 @@ def test_sweep_grid_stop_past_the_bound_exits_before_expanding(capsys):
 
 
 def test_sweep_bad_sbm_syntax_exits_one(capsys):
-    for bad in ("20", "20x", "x250", "20x250x9", "ax b"):
+    # the last three are well formed but past the size bound; unchecked, they
+    # reach numpy and ask for GBs (the last is too large for a float, too)
+    for bad in ("20", "20x", "x250", "20x250x9", "ax b", "1x100000", "100000x1",
+                "1x" + "9" * 400):
         code, _, err = run(capsys, "sweep", "--sbm", bad, "--runs", "1")
         assert code == 1, bad
         assert "--sbm" in err
+        assert "internal error" not in err
 
 
 def test_sweep_out_file(capsys, tmp_path):

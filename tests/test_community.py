@@ -163,9 +163,12 @@ def test_pass_hook_reports_monotone_modularity():
     louvain(g, LouvainConfig(seed=3), pass_hook=lambda level, i, q: trace.append((level, i, q)))
     assert trace, "hook never fired"
     levels = sorted({lvl for lvl, _, _ in trace})
+    assert levels == list(range(len(levels)))
     for lvl in levels:
         qs = [q for l, _, q in trace if l == lvl]
         assert all(b >= a - 1e-12 for a, b in zip(qs, qs[1:]))
+        # passes are numbered from 0 within each level
+        assert [i for l, i, _ in trace if l == lvl] == list(range(len(qs)))
 
 
 def test_final_internal_q_matches_public_scorer():

@@ -1,7 +1,8 @@
 """The C Louvain kernel: it builds and loads here, it matches the pure-Python
-oracle bit for bit (partitions and every pass record), two threads can run it
-at once, and when it cannot be had, ``louvain`` logs one warning and gives the
-same results in Python, with the runs kept serial."""
+oracle bit for bit (partitions and every pass record) under the same call,
+two threads can run it at once, and when it cannot be had or the graph is
+beyond it, one warning is logged and Python gives the same results, with the
+runs kept serial."""
 
 from __future__ import annotations
 
@@ -16,14 +17,13 @@ import pytest
 from polarimeter import (
     LabeledGraph,
     LouvainConfig,
-    Partition,
     SbmConfig,
     analyze,
     generate_sbm,
     load_karate,
     louvain,
 )
-from polarimeter import _native, community, metric
+from polarimeter import _native, community
 from oracles import random_graph_spec
 from test_metric import RecordingPool
 
@@ -104,17 +104,10 @@ CASES = {
 }
 
 
-def python_louvain(graph, config, pass_hook=None):
-    dense, k = community._louvain_python(graph, config, pass_hook)
-    return Partition(assignment=dict(zip(graph.nodes, dense)), k=k)
-
-
 def assert_kernel_matches_python(graph, config):
-    native_passes, python_passes = [], []
-    native = louvain(graph, config, lambda *r: native_passes.append(r))
-    python = python_louvain(graph, config, lambda *r: python_passes.append(r))
-    assert native == python
-    assert native_passes == python_passes  # level, pass index and q all ==
+    args = (graph.adjacency(), graph.total_weight, config)
+    # assignment, community count and every (level, q) pass record all ==
+    assert _native.louvain_kernel()(*args) == community._louvain_python(*args)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -176,22 +169,39 @@ def test_graph_beyond_the_kernel_runs_in_python(kernel_cache, monkeypatch, caplo
     assert got == expected
 
 
+def test_runs_beyond_the_kernel_stay_serial_and_warn_once(
+    kernel_cache, monkeypatch, caplog
+):
+    graph = load_karate()
+    assert _native.louvain_kernel() is not None
+    monkeypatch.setattr(community, "NODE_LIMIT", graph.node_count)
+    monkeypatch.setattr(community, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(community.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(RecordingPool, "created", [])
+    serial = list(community.louvain_runs(graph, LouvainConfig(seed=1), 4))
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="polarimeter"):
+        got = list(community.louvain_runs(graph, LouvainConfig(seed=1), 4, threads=2))
+    assert RecordingPool.created == []
+    assert [r.levelno for r in caplog.records] == [logging.WARNING]
+    assert got == serial
+
+
 def test_runs_on_two_threads_equal_the_serial_runs(kernel_cache, monkeypatch):
     assert _native.louvain_kernel() is not None
-    monkeypatch.setattr(metric.os, "cpu_count", lambda: 2)  # two threads here too
+    monkeypatch.setattr(community.os, "cpu_count", lambda: 2)  # two threads here too
     graph = generate_sbm(SbmConfig(20, 250, 0.05, 0.001, seed=11))[0]
     config = LouvainConfig(seed=5)
-    serial = list(metric.louvain_runs(graph, config, 4))
-    assert list(metric.louvain_runs(graph, config, 4, threads=2)) == serial
+    serial = list(community.louvain_runs(graph, config, 4))
+    assert list(community.louvain_runs(graph, config, 4, threads=2)) == serial
 
 
 def test_without_the_kernel_runs_stay_serial(monkeypatch):
     graph = load_karate()
     expected = analyze(graph, LouvainConfig(seed=5), runs=4)
-    for module in (metric, community):
-        monkeypatch.setattr(module, "louvain_kernel", lambda: None)
-    monkeypatch.setattr(metric, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(metric.os, "cpu_count", lambda: 4)
+    monkeypatch.setattr(community, "louvain_kernel", lambda: None)
+    monkeypatch.setattr(community, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(community.os, "cpu_count", lambda: 4)
     monkeypatch.setattr(RecordingPool, "created", [])
     assert analyze(graph, LouvainConfig(seed=5), runs=4, threads=4) == expected
     assert RecordingPool.created == []

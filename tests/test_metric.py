@@ -290,12 +290,13 @@ class RecordingPool:
 
 
 def test_louvain_runs_never_ask_for_more_workers_than_cpus(monkeypatch):
-    import polarimeter.metric as metric
+    import polarimeter.community as community
 
-    monkeypatch.setattr(metric, "ThreadPoolExecutor", RecordingPool)
-    # the pool starts only when the kernel loads; stand in for a loaded one
-    monkeypatch.setattr(metric, "louvain_kernel", object)
-    monkeypatch.setattr(metric.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(community, "ThreadPoolExecutor", RecordingPool)
+    # the pool starts only when the kernel loads; the Python oracle shares
+    # its contract, so it stands in for a loaded one
+    monkeypatch.setattr(community, "louvain_kernel", lambda: community._louvain_python)
+    monkeypatch.setattr(community.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(RecordingPool, "created", [])
     g = demo_graph()
     pooled = analyze(g, LouvainConfig(seed=3), runs=6, threads=64)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import statistics
 from collections import Counter
 
 import pytest
@@ -14,9 +15,12 @@ from polarimeter import (
     SbmConfig,
     SyntheticLabelConfig,
     analyze,
+    census,
     generate_sbm,
     louvain,
     relabel,
+    scale_weights,
+    score_partition,
     sweep,
 )
 from polarimeter.synthetic import _round_half_up
@@ -246,3 +250,31 @@ def test_relabel_seed_streams_differ_across_cells():
     a = relabel(g, part, SyntheticLabelConfig(dom_ratio=0.5, num_opinions=3, seed=1))
     b = relabel(g, part, SyntheticLabelConfig(dom_ratio=0.5, num_opinions=3, seed=2))
     assert a.opinions != b.opinions
+
+
+def test_two_opinion_scores_agree_at_d_and_one_minus_d():
+    # With two opinions the dominant one is drawn uniformly and every other
+    # member gets the other opinion, so d and 1 - d give labelings with one
+    # distribution when their dominant counts sum to the community size.
+    # P does not change when opinions are renamed, so its expectation is
+    # the same at d and 1 - d: the k=2 row of criterion 5 is a V by
+    # construction. Scored on the planted partition of criterion 5's graph,
+    # without Louvain.
+    graph, planted = generate_sbm(SbmConfig(20, 250, 0.05, 0.001, seed=42))
+
+    def mean_p(d):
+        scores = []
+        for seed in range(1000, 1040):
+            g = relabel(graph, planted, SyntheticLabelConfig(d, 2, seed=seed))
+            scores.append(score_partition(g, scale_weights(g, census(g)), planted)[2])
+        return statistics.fmean(scores)
+
+    for d in (0.3, 0.4):
+        assert _round_half_up(d * 250) + _round_half_up((1 - d) * 250) == 250
+    means = {d: mean_p(d) for d in (0.3, 0.7, 0.4, 0.6)}
+    # measured: 0.1247 / 0.1255 and 0.0302 / 0.0281, differences 0.0008 and
+    # 0.0021 against standard errors of the difference of 0.0034 and 0.0010
+    bar = 0.005
+    assert abs(means[0.3] - means[0.7]) < bar, means
+    assert abs(means[0.4] - means[0.6]) < bar, means
+    assert means[0.3] - means[0.4] > 10 * bar, means  # measured 0.0945
