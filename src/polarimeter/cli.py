@@ -13,6 +13,7 @@ from .community import LouvainConfig
 from .errors import InputError
 from .io import (
     _json_dumps,
+    _open_out,
     load_graph,
     load_karate,
     report_json,
@@ -23,7 +24,7 @@ from .io import (
     write_sweep_csv,
 )
 from .metric import analyze
-from .stance import OPINION_NAMES, build_retweet_network, read_stance_records
+from .stance import OPINION_NAMES, _iter_stance_records, build_retweet_network
 from .synthetic import SbmConfig, generate_sbm, sweep
 
 DEFAULT_RUNS = 100
@@ -274,13 +275,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_build_network(args) -> int:
-    records = read_stance_records(args.records)
-    graph = build_retweet_network(records)
+    # the archive streams into the build: no list of its records is kept
+    graph = build_retweet_network(_iter_stance_records(args.records))
     prefix = args.out
     write_edge_list(graph, prefix + ".edges.tsv")
     write_labels(graph, prefix + ".labels.tsv")
     names = {str(i): name for i, name in enumerate(OPINION_NAMES)}
-    with open(prefix + ".names.json", "w", encoding="utf-8") as fh:
+    with _open_out(prefix + ".names.json") as fh:
         fh.write(_json_dumps(names) + "\n")
     sys.stdout.write(
         f"wrote {prefix}.edges.tsv {prefix}.labels.tsv {prefix}.names.json "

@@ -6,18 +6,20 @@ loads, ints for generated graphs); internally nodes are numbered by a
 canonical sort, so the same logical graph always produces the same in-memory
 layout regardless of input row order.
 
-Edges are stored once, as a symmetric CSR triple over those node indices:
-``indptr`` (int64, one offset per node plus one), ``indices`` (int64) and
-``weights`` (float64), each row's neighbours in ascending index order. The
-edge list view and the node-id edge triples are derived from it on request.
+Edges are laid out once, at construction, as a symmetric CSR triple over
+those node indices: ``indptr`` (int64, one offset per node plus one),
+``indices`` (int64) and ``weights`` (float64), each row's neighbours in
+ascending index order; and as the read-only edge arrays ``(iu, iv, weight)``,
+one entry per edge. The node-id edge triples are derived on request.
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import numbers
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -42,6 +44,50 @@ def _node_key(node: NodeId):
     ):
         return (0, int(node))
     return (1, str(node), type(node).__name__)
+
+
+def _node_order(ids: Sequence[NodeId]) -> list[int]:
+    """Positions of the distinct ``ids`` in node order, the order of
+    ``sorted(ids, key=_node_key)``. When every id is a plain int or a plain
+    str, that is the sorted ints followed by the sorted strs, which plain
+    comparisons give without building a key per id."""
+    key = ids.__getitem__
+    kinds = set(map(type, ids))
+    if kinds <= {int} or kinds <= {str}:
+        return sorted(range(len(ids)), key=key)
+    if kinds == {int, str}:
+        ints = [i for i, u in enumerate(ids) if type(u) is int]
+        strs = [i for i, u in enumerate(ids) if type(u) is str]
+        return sorted(ints, key=key) + sorted(strs, key=key)
+    return sorted(range(len(ids)), key=lambda i: _node_key(ids[i]))
+
+
+def _label_array(
+    nodes: tuple[NodeId, ...],
+    index: Mapping[NodeId, int],
+    opinions: Mapping[NodeId, int],
+    num_opinions: int | None,
+) -> tuple[np.ndarray, int]:
+    """Check one label per node and return the labels in node order, with
+    the opinion count (inferred from the labels when None)."""
+    if num_opinions is None:
+        top = max((int(o) for o in opinions.values()), default=0)
+        num_opinions = max(2, top + 1)
+    if num_opinions < 2:
+        raise ValueError(f"num_opinions must be >= 2, got {num_opinions}")
+    for u in opinions:
+        if u not in index:
+            raise ValueError(f"label for node {u!r}, which is not in the graph")
+
+    labels = []
+    for u in nodes:
+        if u not in opinions:
+            raise ValueError(f"node {u!r} has no opinion label")
+        o = int(opinions[u])
+        if not 0 <= o < num_opinions:
+            raise ValueError(f"opinion {o} of node {u!r} outside [0, {num_opinions})")
+        labels.append(o)
+    return np.array(labels, dtype=np.int64), int(num_opinions)
 
 
 class LabeledGraph:
@@ -80,55 +126,58 @@ class LabeledGraph:
             raise ValueError("graph has no edges")
         node_set.update(ends)
 
-        self.nodes: tuple[NodeId, ...] = tuple(sorted(node_set, key=_node_key))
-        self._index: dict[NodeId, int] = {u: i for i, u in enumerate(self.nodes)}
-        self._set_labels(opinions, num_opinions)
+        ids = list(node_set)
+        nodes = tuple(map(ids.__getitem__, _node_order(ids)))
+        index = dict(zip(nodes, range(len(nodes))))
+        labels, num_opinions = _label_array(nodes, index, opinions, num_opinions)
+        ends = np.fromiter(map(index.__getitem__, ends), np.int64, len(ends))
+        # the float list goes before the layout allocates: a graph load peaks here
+        weights = np.array(weights)
+        self._lay_out(nodes, ends, weights, labels, num_opinions)
 
+    def _lay_out(
+        self,
+        nodes: tuple[NodeId, ...],
+        ends: np.ndarray,
+        weights: np.ndarray,
+        labels: np.ndarray,
+        num_opinions: int,
+    ) -> None:
+        """Store a graph given by node indices: ``ends`` holds each row's two
+        indices into ``nodes`` (interleaved, no self-loops), ``weights`` one
+        valid weight per row, ``labels`` one opinion per node. Every
+        constructor ends here."""
+        self.nodes = nodes
+        self.num_opinions = int(num_opinions)
+        self._labels = labels
         # rows merge on their (low, high) index pair: bincount adds each
         # pair's weights in input order, and np.unique sorts the pairs into
         # edge_arrays() order, so the sum below is that view's sum
-        n = len(self.nodes)
-        ends = np.fromiter(map(self._index.__getitem__, ends), np.int64, len(ends))
+        n = len(nodes)
         low, high = np.sort(ends.reshape(-1, 2), axis=1).T
         upper, inverse = np.unique(low * n + high, return_inverse=True)
         w = np.bincount(inverse, weights=weights)
         self.total_weight = total = float(w.sum())
         if not total <= MAX_WEIGHT:
             raise ValueError(f"total edge weight {total} exceeds {MAX_WEIGHT}")
+        iu, iv = upper // n, upper % n
+        for array in (iu, iv, w):
+            array.setflags(write=False)
+        self._edges = (iu, iv, w)
         # entry j is edge j as (u, v), entry j + len(w) its mirror (v, u);
         # sorting the row-major keys u * n + v lays out the CSR rows
-        key = np.concatenate([upper, upper % n * n + upper // n])
+        key = np.concatenate([upper, iv * n + iu])
         order = np.argsort(key)
         key = key[order]
         indptr = np.searchsorted(key, np.arange(n + 1) * n)
         key %= n
         self._csr = (indptr, key, w.take(order, mode="wrap"))
 
-    def _set_labels(
-        self, opinions: Mapping[NodeId, int], num_opinions: int | None
-    ) -> None:
-        """Validate one label per node and store them in node order."""
-        if num_opinions is None:
-            top = max((int(o) for o in opinions.values()), default=0)
-            num_opinions = max(2, top + 1)
-        if num_opinions < 2:
-            raise ValueError(f"num_opinions must be >= 2, got {num_opinions}")
-        for u in opinions:
-            if u not in self._index:
-                raise ValueError(f"label for node {u!r}, which is not in the graph")
-
-        labels = []
-        for u in self.nodes:
-            if u not in opinions:
-                raise ValueError(f"node {u!r} has no opinion label")
-            o = int(opinions[u])
-            if not 0 <= o < num_opinions:
-                raise ValueError(
-                    f"opinion {o} of node {u!r} outside [0, {num_opinions})"
-                )
-            labels.append(o)
-        self.num_opinions = int(num_opinions)
-        self._labels = np.array(labels, dtype=np.int64)
+    @functools.cached_property
+    def _index(self) -> dict[NodeId, int]:
+        """Node id to index, built on first use: writing a graph out or
+        scoring it never needs it."""
+        return dict(zip(self.nodes, range(len(self.nodes))))
 
     # -- basic accessors ---------------------------------------------------
 
@@ -148,14 +197,16 @@ class LabeledGraph:
     ) -> "LabeledGraph":
         """Copy with fresh opinion labels that shares this graph's structure.
 
-        Nodes and the CSR edge arrays are shared, not copied; only the labels
-        are new.
+        Nodes, the CSR triple and the edge arrays are shared, not copied;
+        only the labels are new.
         """
         relabeled = copy.copy(self)
-        relabeled._set_labels(opinions, num_opinions)
+        relabeled._labels, relabeled.num_opinions = _label_array(
+            self.nodes, self._index, opinions, num_opinions
+        )
         return relabeled
 
-    # -- edge views (the CSR triple is the only edge store) ----------------
+    # -- edge views (laid out once, at construction) -----------------------
 
     def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The stored CSR triple ``(indptr, indices, weights)``: the
@@ -166,12 +217,9 @@ class LabeledGraph:
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One entry per edge: ``(iu, iv, weight)`` with node indices
-        ``iu < iv``, ordered by ``(iu, iv)``. Built from the CSR triple on
-        each call."""
-        indptr, indices, weights = self._csr
-        rows = np.repeat(np.arange(len(self.nodes), dtype=np.int64), np.diff(indptr))
-        upper = indices > rows
-        return rows[upper], indices[upper], weights[upper]
+        ``iu < iv``, ordered by ``(iu, iv)``. Stored once, at construction,
+        as read-only arrays."""
+        return self._edges
 
     @property
     def edges(self) -> tuple[tuple[NodeId, NodeId, float], ...]:

@@ -8,11 +8,12 @@ fixed key order, reals with 6 decimal places in reports, ``\\n`` newlines.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 from importlib import resources
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterator, TextIO
 
 from .errors import InputError
 from .graph import MAX_WEIGHT, MIN_WEIGHT, LabeledGraph
@@ -176,16 +177,28 @@ def load_karate() -> LabeledGraph:
 # -- writers ----------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def _open_out(path) -> Iterator[TextIO]:
+    """A UTF-8 text file opened for writing with ``\\n`` newlines. A file that
+    cannot be created or written (a missing directory, no permission, a full
+    disk) is an `InputError` naming the path."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+    except OSError as exc:
+        raise InputError(str(exc), path=path) from exc
+
+
 def write_edge_list(graph: LabeledGraph, path) -> None:
     """Tab-separated ``u v w`` rows in ``graph.edges`` order, full precision."""
     iu, iv, weights = (a.tolist() for a in graph.edge_arrays())
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_out(path) as fh:
         for a, b, w in zip(iu, iv, weights):
             fh.write(f"{graph.nodes[a]}\t{graph.nodes[b]}\t{w!r}\n")
 
 
 def write_labels(graph: LabeledGraph, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_out(path) as fh:
         for u, o in zip(graph.nodes, graph.opinion_array().tolist()):
             fh.write(f"{u}\t{o}\n")
 
@@ -235,7 +248,7 @@ def save_report(report: "PolarizationReport", path) -> None:
     """Write a report as CSV if the path ends in ``.csv``, else as JSON.
     Same report, same bytes."""
     text = report_csv(report) if str(path).endswith(".csv") else report_json(report)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_out(path) as fh:
         fh.write(text)
 
 
@@ -251,5 +264,5 @@ def sweep_csv(cells) -> str:
 
 
 def write_sweep_csv(cells, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_out(path) as fh:
         fh.write(sweep_csv(cells))

@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import json
 import logging
+from array import array
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import InputError
-from .graph import LabeledGraph
+from .graph import LabeledGraph, _node_order
 from .io import _stripped_lines
 
 logger = logging.getLogger(__name__)
@@ -46,7 +49,13 @@ def read_stance_records(path) -> list[StanceRecord]:
     Empty or whitespace retweeter ids are dropped with a per-row warning;
     malformed rows and duplicate tweet ids are hard errors naming the line.
     """
-    records: list[StanceRecord] = []
+    return list(_iter_stance_records(path))
+
+
+def _iter_stance_records(path) -> Iterator[StanceRecord]:
+    """``read_stance_records`` one record at a time: each row's warnings are
+    logged as it is read, the total once the archive is exhausted, and a bad
+    row raises when it is reached."""
     seen_ids: set[str] = set()
     dropped = 0
     for lineno, line in _stripped_lines(path):
@@ -89,69 +98,101 @@ def read_stance_records(path) -> list[StanceRecord]:
                 logger.warning("%s:%d: empty retweeter id skipped", path, lineno)
                 continue
             kept.append(r)
-        records.append(
-            StanceRecord(
-                tweet_id=tweet_id,
-                author=author.strip(),
-                stance=stance,
-                retweeters=tuple(kept),
-            )
+        yield StanceRecord(
+            tweet_id=tweet_id,
+            author=author.strip(),
+            stance=stance,
+            retweeters=tuple(kept),
         )
     if dropped:
         logger.warning("%s: skipped %d empty retweeter id(s) in total", path, dropped)
-    return records
+
+
+def _tally(
+    records: Iterable[StanceRecord],
+) -> tuple[list[str], np.ndarray, np.ndarray, int]:
+    """One pass over the records, with every user id interned to the index of
+    its first appearance (author before retweeters, in record order).
+
+    Returns the users in index order; their ``[favor, against, neutral]``
+    item counts as an (n, 3) array (authoring a tweet is one item for the
+    author, every retweet event one for the retweeter, with the inherited
+    stance); the ``(author, retweeter)`` index pairs of the non-self retweet
+    events, flattened; and the number of self-retweet events. Empty
+    retweeter ids are skipped.
+    """
+    index: dict[str, int] = {}
+    intern = index.setdefault
+    # int64 buffers, not lists of ints: numpy reads them without a copy
+    items = array("q")  # user * 3 + stance slot, one per stance item
+    ends = array("q")
+    self_retweets = 0
+    for record in records:
+        slot = STANCES.index(record.stance)
+        author = intern(record.author, len(index))
+        items.append(author * 3 + slot)
+        for retweeter in record.retweeters:
+            if retweeter:
+                user = intern(retweeter, len(index))
+                items.append(user * 3 + slot)
+                if user == author:
+                    self_retweets += 1
+                else:
+                    ends.append(author)
+                    ends.append(user)
+    counts = np.bincount(np.frombuffer(items, np.int64), minlength=3 * len(index))
+    ends = np.frombuffer(ends, np.int64)
+    return list(index), counts.reshape(-1, 3), ends, self_retweets
+
+
+def _opinions(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Score (favor - against) / (favor + against + neutral) per user, and
+    its opinion: favor above +0.2, against below -0.2, neutral otherwise
+    (boundaries are strict). The counts are exact int64, so each quotient
+    rounds as Python's int division does."""
+    favor, against, neutral = counts.T
+    score = (favor - against) / (favor + against + neutral)
+    opinion = np.full(len(score), NEUTRAL, dtype=np.int64)
+    opinion[score > SCORE_THRESHOLD] = FAVOR
+    opinion[score < -SCORE_THRESHOLD] = AGAINST
+    return score, opinion
 
 
 def score_users(records: Iterable[StanceRecord]) -> dict[str, tuple[float, int]]:
     """Per-user (score, opinion index) for every user with a stance item:
     favor above +0.2, against below -0.2, neutral otherwise (boundaries are
-    strict).
+    strict). Users appear in order of first appearance.
 
     Authoring a tweet counts once for its author; every retweet event counts
     once for the retweeter with the inherited stance.
     """
-    counts: dict[str, list[int]] = {}  # user -> [favor, against, neutral]
-    for record in records:
-        slot = STANCES.index(record.stance)
-        counts.setdefault(record.author, [0, 0, 0])[slot] += 1
-        for retweeter in record.retweeters:
-            if retweeter:
-                counts.setdefault(retweeter, [0, 0, 0])[slot] += 1
-
-    scores: dict[str, tuple[float, int]] = {}
-    for user, (favor, against, neutral) in counts.items():
-        score = (favor - against) / (favor + against + neutral)
-        if score > SCORE_THRESHOLD:
-            opinion = FAVOR
-        elif score < -SCORE_THRESHOLD:
-            opinion = AGAINST
-        else:
-            opinion = NEUTRAL
-        scores[user] = (score, opinion)
-    return scores
+    users, counts, _, _ = _tally(records)
+    score, opinion = _opinions(counts)
+    return dict(zip(users, zip(score.tolist(), opinion.tolist())))
 
 
 def build_retweet_network(records: Iterable[StanceRecord]) -> LabeledGraph:
     """Undirected retweet graph: edge weight counts retweet events between
     two users in either direction. Self-retweets are dropped (counted);
-    authors nobody retweeted remain as isolated nodes."""
-    records = list(records)
-    self_retweets = 0
-    edges: list[tuple[str, str, float]] = []
-    for record in records:
-        author = record.author
-        for retweeter in record.retweeters:
-            if not retweeter:
-                continue
-            if retweeter == author:
-                self_retweets += 1
-            else:
-                edges.append((author, retweeter, 1.0))
+    authors nobody retweeted remain as isolated nodes. The records are read
+    once, so a one-shot iterator will do."""
+    users, counts, ends, self_retweets = _tally(records)
     if self_retweets:
         logger.warning("dropped %d self-retweet event(s)", self_retweets)
-    if not edges:
+    if not len(ends):
         raise InputError("no retweet edges in record set")
 
-    opinions = {user: op for user, (_, op) in score_users(records).items()}
-    # one unit row per event: LabeledGraph sums them into exact counts
-    return LabeledGraph(edges, opinions, num_opinions=3)
+    _, opinion = _opinions(counts)
+    order = _node_order(users)
+    rank = np.empty(len(users), dtype=np.int64)
+    rank[order] = np.arange(len(users))
+    graph = LabeledGraph.__new__(LabeledGraph)
+    # one unit row per event: the layout sums them into exact counts
+    graph._lay_out(
+        tuple(map(users.__getitem__, order)),
+        rank[ends],
+        np.ones(len(ends) // 2),
+        opinion[order],
+        num_opinions=3,
+    )
+    return graph

@@ -122,3 +122,44 @@ def random_graph_spec(rng: random.Random, max_nodes=8, max_opinions=3):
         edges.append((u, v, round(rng.uniform(0.5, 3.0), 3)))
     opinions = {u: rng.randrange(num_opinions) for u in nodes}
     return nodes, edges, opinions, num_opinions
+
+
+def naive_score_users(records):
+    """Per-user (score, opinion) as the plain counting loop computes it.
+
+    records: objects with ``author``, ``stance`` and ``retweeters``. Every
+    authored tweet and every non-empty retweet event is one stance item for
+    its user; the score (favor - against) / items is cut at +/-0.2, strictly,
+    into opinions 0 (against), 1 (neutral) and 2 (favor). Users appear in
+    order of first appearance.
+    """
+    stances = ("favor", "against", "neutral")
+    counts = {}
+    for record in records:
+        slot = stances.index(record.stance)
+        counts.setdefault(record.author, [0, 0, 0])[slot] += 1
+        for retweeter in record.retweeters:
+            if retweeter:
+                counts.setdefault(retweeter, [0, 0, 0])[slot] += 1
+    scores = {}
+    for user, (favor, against, neutral) in counts.items():
+        score = (favor - against) / (favor + against + neutral)
+        if score > 0.2:
+            opinion = 2
+        elif score < -0.2:
+            opinion = 0
+        else:
+            opinion = 1
+        scores[user] = (score, opinion)
+    return scores
+
+
+def naive_retweet_rows(records):
+    """One ``(author, retweeter, 1.0)`` row per retweet event, skipping empty
+    retweeter ids and self-retweets."""
+    return [
+        (record.author, retweeter, 1.0)
+        for record in records
+        for retweeter in record.retweeters
+        if retweeter and retweeter != record.author
+    ]

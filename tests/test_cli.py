@@ -327,6 +327,79 @@ def test_build_network_bad_archive_exits_one(capsys, tmp_path):
     assert "tweets.jsonl:1" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "sweep", "build-network", "demo-karate"])
+def test_out_into_a_missing_directory_exits_one_naming_the_file(
+    capsys, karate_files, tmp_path, command
+):
+    missing = tmp_path / "nodir"
+    archive = tmp_path / "tweets.jsonl"
+    archive.write_text(
+        '{"tweet_id": "1", "author": "a", "stance": "favor", "retweeters": ["b"]}\n'
+    )
+    edges, labels = karate_files
+    argv, written = {
+        "analyze": (["--graph", edges, "--labels", labels, "--runs", "2",
+                     "--out", str(missing / "r.csv")], "r.csv"),
+        "sweep": (["--sbm", "2x20", "--dom-ratios", "0.5", "--num-opinions", "2",
+                   "--runs", "1", "--out", str(missing / "s.csv")], "s.csv"),
+        "build-network": (["--records", str(archive), "--out", str(missing / "net")],
+                          "net.edges.tsv"),
+        "demo-karate": (["--runs", "2", "--out", str(missing / "r.json")], "r.json"),
+    }[command]
+    code, out, err = run(capsys, command, *argv)
+    assert code == 1
+    assert str(missing / written) in err
+    assert "internal error" not in err
+    assert out == ""
+
+
+def _build_network_subprocess(tmp_path, archive):
+    """Run ``build-network`` in a child, whose warnings reach stderr through
+    logging's default handler as they would for a user."""
+    import polarimeter
+
+    src = os.path.dirname(os.path.dirname(polarimeter.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "polarimeter.cli", "build-network",
+         "--records", str(archive), "--out", "net"],
+        capture_output=True, text=True, cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+
+
+def test_build_network_bad_last_line_exits_one_before_writing(tmp_path):
+    archive = tmp_path / "tweets.jsonl"
+    rows = [
+        {"tweet_id": str(i), "author": f"u{i}", "stance": "favor",
+         "retweeters": [f"u{i + 1}"]}
+        for i in range(50)
+    ]
+    archive.write_text("".join(json.dumps(r) + "\n" for r in rows) + "{not json\n")
+    proc = _build_network_subprocess(tmp_path, archive)
+    assert proc.returncode == 1
+    assert f"{archive}:51: invalid JSON" in proc.stderr
+    assert proc.stdout == ""
+    for name in ("net.edges.tsv", "net.labels.tsv", "net.names.json"):
+        assert not (tmp_path / name).exists()
+
+
+def test_build_network_warnings_keep_their_order(tmp_path):
+    archive = tmp_path / "tweets.jsonl"
+    rows = [
+        {"tweet_id": "1", "author": "a", "stance": "favor", "retweeters": ["a", "b"]},
+        {"tweet_id": "2", "author": "b", "stance": "against", "retweeters": [" ", "c"]},
+    ]
+    archive.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    proc = _build_network_subprocess(tmp_path, archive)
+    assert proc.returncode == 0
+    assert proc.stderr.splitlines() == [
+        f"{archive}:2: empty retweeter id skipped",
+        f"{archive}: skipped 1 empty retweeter id(s) in total",
+        "dropped 1 self-retweet event(s)",
+    ]
+
+
 def test_entry_point_reproducible_across_hash_seeds(karate_files, tmp_path):
     # Byte-identical output must survive interpreter hash randomization.
     import polarimeter

@@ -8,8 +8,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from polarimeter import LabeledGraph, census
+from polarimeter.graph import _node_key, _node_order
 
 
 def test_merges_duplicate_and_reversed_edges():
@@ -186,6 +189,25 @@ def test_edge_views_agree_with_the_csr_rows():
     assert w.sum() * 2 == pytest.approx(weights.sum())
 
 
+def test_edge_arrays_are_stored_once_read_only_and_equal_the_csr_view():
+    rng = random.Random(11)
+    rows = [(*rng.sample(range(40), 2), rng.random() + 0.01) for _ in range(150)]
+    g = LabeledGraph(rows, {u: u % 3 for u in range(40)})
+    arrays = g.edge_arrays()
+    assert g.edge_arrays() is arrays
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
+    # the per-edge view of the CSR rows, bit for bit
+    indptr, indices, weights = g.adjacency()
+    rows = np.repeat(np.arange(g.node_count, dtype=np.int64), np.diff(indptr))
+    upper = indices > rows
+    for stored, derived in zip(arrays, (rows[upper], indices[upper], weights[upper])):
+        assert stored.dtype == derived.dtype
+        assert stored.tobytes() == derived.tobytes()
+    assert g.replace_labels({u: 0 for u in range(40)}).edge_arrays() is arrays
+
+
 def test_replace_labels_keeps_structure():
     g = LabeledGraph([("a", "b", 1.0)], {"a": 0, "b": 1})
     g2 = g.replace_labels({"a": 2, "b": 2}, num_opinions=3)
@@ -267,3 +289,29 @@ def test_edge_input_order_never_matters():
             (v, u, w) if rng.random() < 0.5 else (u, v, w) for u, v, w in shuffled
         ]
         assert LabeledGraph(flipped, labels).edges == ref.edges
+
+
+NODE_IDS = st.one_of(
+    st.sets(st.integers(-(10**20), 10**20)),
+    st.sets(st.text(max_size=4)),
+    st.sets(st.one_of(st.integers(-50, 50), st.text(max_size=3))),
+    # values that are not plain ints or strs, or that equal an int
+    st.sets(
+        st.one_of(
+            st.integers(-3, 3),
+            st.text(max_size=2),
+            st.sampled_from([True, False, 1.0, 2.5, 1.5, "1.5", np.int64(2), "True"]),
+        )
+    ),
+)
+
+
+@given(NODE_IDS)
+@example({True, "True", 2})
+@example({1.5, "1.5", np.int64(7), 3})
+def test_node_order_is_the_node_key_order(ids):
+    ids = list(ids)
+    got = [ids[i] for i in _node_order(ids)]
+    want = sorted(ids, key=_node_key)
+    assert len(got) == len(want)
+    assert all(a is b for a, b in zip(got, want))

@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import json
 import logging
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import naive_retweet_rows, naive_score_users
 from polarimeter import (
     InputError,
+    LabeledGraph,
     build_retweet_network,
     read_stance_records,
     score_users,
@@ -226,3 +231,68 @@ def test_total_edge_weight_equals_non_self_retweet_events():
     ]
     g = build_retweet_network(records)
     assert g.total_weight == pytest.approx(5.0)
+
+
+# -- agreement with the plain-loop oracle ----------------------------------------
+
+# digit-only ids (which must still sort as strings), case pairs, non-ASCII text
+USER_IDS = st.one_of(
+    st.from_regex(r"[0-9]{1,3}", fullmatch=True),
+    st.sampled_from(["a", "A", "b", "B", "é", "É", "ß", "ǅ", "日本", "Zz"]),
+    st.text(min_size=1, max_size=3),
+)
+
+
+@st.composite
+def record_sets(draw):
+    """Records over a small user pool, with repeat retweets, self-retweets
+    (a retweeter equal to its author) and empty retweeter ids."""
+    pool = draw(st.lists(USER_IDS, min_size=1, max_size=8, unique=True))
+    retweeter = st.sampled_from(pool + [""])
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(pool),
+                st.sampled_from(("favor", "against", "neutral")),
+                st.lists(retweeter, max_size=6),
+            ),
+            max_size=12,
+        )
+    )
+    return [rec(str(i), author, stance, rts) for i, (author, stance, rts) in enumerate(rows)]
+
+
+def assert_same_graph(got, want):
+    assert [(type(u), u) for u in got.nodes] == [(type(u), u) for u in want.nodes]
+    for ours, theirs in zip(got.adjacency(), want.adjacency()):
+        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+    for ours, theirs in zip(got.edge_arrays(), want.edge_arrays()):
+        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+    assert got.opinion_array().tolist() == want.opinion_array().tolist()
+    assert got.num_opinions == want.num_opinions
+    assert repr(got.total_weight) == repr(want.total_weight)
+
+
+@settings(max_examples=300, deadline=None)
+@given(record_sets())
+def test_stance_pipeline_matches_the_plain_loop_oracle(records):
+    want_scores = naive_score_users(records)
+    assert list(score_users(records).items()) == list(want_scores.items())
+
+    rows = naive_retweet_rows(records)
+    if not rows:
+        with pytest.raises(InputError, match="no retweet edges"):
+            build_retweet_network(records)
+        return
+    opinions = {user: opinion for user, (_, opinion) in want_scores.items()}
+    want = LabeledGraph(rows, opinions, num_opinions=3)
+    assert_same_graph(build_retweet_network(records), want)
+    assert_same_graph(build_retweet_network(r for r in records), want)
+
+    # the same archive without its edges
+    edgeless = [
+        replace(r, retweeters=tuple(x for x in r.retweeters if x in ("", r.author)))
+        for r in records
+    ]
+    with pytest.raises(InputError, match="no retweet edges"):
+        build_retweet_network(iter(edgeless))
