@@ -106,8 +106,7 @@ def _run(function, adjacency, m, config):
         if count <= capacity:
             break
         capacity = count  # the same seed repeats the same passes
-    records = list(zip(levels[:count].tolist(), qs[:count].tolist()))
-    return assignment.tolist(), k, records
+    return assignment, k, list(zip(levels[:count].tolist(), qs[:count].tolist()))
 
 
 def _library() -> Path:

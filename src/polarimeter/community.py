@@ -18,13 +18,13 @@ import logging
 import os
 import random
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator
+from dataclasses import dataclass, replace
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
 from ._native import NODE_LIMIT, louvain_kernel
-from .graph import LabeledGraph, NodeId
+from .graph import LabeledGraph, NodeId, _node_order
 
 logger = logging.getLogger(__name__)
 
@@ -46,36 +46,46 @@ class LouvainConfig:
             )
 
 
-@dataclass(frozen=True, eq=True)
 class Partition:
-    """Total assignment of nodes to communities 0..k-1, every id non-empty."""
+    """Total assignment of nodes to communities 0..k-1, every id non-empty:
+    one read-only int64 array of community ids in ``graph.nodes`` order, plus
+    ``k``. A node-id mapping is resolved into it once, keys in node order."""
 
-    assignment: dict[NodeId, int] = field(compare=True)
-    k: int = field(compare=True)
+    def __init__(self, assignment: Mapping[NodeId, int], k: int):
+        ids = list(assignment)
+        nodes = tuple(map(ids.__getitem__, _node_order(ids)))
+        self._hold(nodes, np.fromiter(map(assignment.__getitem__, nodes), np.int64), k)
 
-    def members(self) -> list[list[NodeId]]:
-        """Nodes grouped by community id."""
-        groups: list[list[NodeId]] = [[] for _ in range(self.k)]
-        for node, cid in self.assignment.items():
-            groups[cid].append(node)
-        return groups
+    def _hold(self, nodes, communities: np.ndarray, k: int) -> "Partition":
+        """Keep ``communities`` (uncopied, now read-only) as ``nodes``' array."""
+        communities.setflags(write=False)
+        self._nodes, self._communities, self.k = nodes, communities, int(k)
+        return self
+
+    @property
+    def assignment(self) -> dict[NodeId, int]:
+        """Community per node id, in node order. Built on each access."""
+        return dict(zip(self._nodes, self._communities.tolist()))
 
     def array(self, graph: LabeledGraph) -> np.ndarray:
-        """Community id per node, aligned with ``graph.nodes``; a graph node
-        missing from the assignment is a ValueError."""
-        assignment = self.assignment
-        try:
-            return np.fromiter(
-                (assignment[u] for u in graph.nodes), np.int64, graph.node_count
-            )
-        except KeyError as exc:
-            raise ValueError(f"node {exc.args[0]!r} missing from partition") from None
+        """The stored array; a ValueError unless the nodes are ``graph.nodes``."""
+        if self._nodes is not graph.nodes and self._nodes != graph.nodes:
+            known = set(self._nodes)
+            for u in graph.nodes:
+                if u not in known:
+                    raise ValueError(f"node {u!r} missing from partition")
+            raise ValueError("partition holds nodes that are not in the graph")
+        return self._communities
 
     def validate(self, graph: LabeledGraph) -> None:
-        self.array(graph)
-        seen = set(self.assignment.values())
-        if seen != set(range(self.k)):
-            raise ValueError(f"community ids not contiguous 0..{self.k - 1}: {seen}")
+        comm = self.array(graph)
+        if comm.min() < 0 or comm.max() != self.k - 1 or not np.bincount(comm).all():
+            raise ValueError(f"community ids not contiguous 0..{self.k - 1}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Partition):
+            return NotImplemented
+        return self.k == other.k and self.assignment == other.assignment
 
 
 def modularity(
@@ -167,14 +177,14 @@ def _louvain(kernel, graph, config, pass_hook=None) -> Partition:
         for level, records in itertools.groupby(passes, key=lambda r: r[0]):
             for pass_index, (_, q) in enumerate(records):
                 pass_hook(level, pass_index, q)
-    return Partition(assignment=dict(zip(graph.nodes, dense)), k=k)
+    return Partition.__new__(Partition)._hold(graph.nodes, dense, k)
 
 
 def _louvain_python(adjacency, m, config):
     """The pure-Python level loop: the C kernel's oracle and fallback, with
     its contract. It takes the graph's CSR triple, its total weight and a
-    ``LouvainConfig``, and returns the dense assignment in node order, the
-    community count and one ``(level, q)`` record per local-move pass."""
+    ``LouvainConfig``, and returns the int64 dense assignment in node order,
+    the community count and one ``(level, q)`` record per local-move pass."""
     rng = random.Random(config.seed)
     resolution = config.resolution
     min_gain = config.min_modularity_gain
@@ -199,7 +209,8 @@ def _louvain_python(adjacency, m, config):
         prev_q = qs[-1]
         adj, loops = _aggregate(adj, loops, node2com, n_comms)
 
-    return (*_renumber(assignment), passes)
+    assignment, k = _renumber(assignment)
+    return np.array(assignment, dtype=np.int64), k, passes
 
 
 def _degrees(adj, loops) -> list[float]:

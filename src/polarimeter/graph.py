@@ -16,10 +16,9 @@ one entry per edge. The node-id edge triples are derived on request.
 from __future__ import annotations
 
 import copy
-import functools
 import numbers
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Sequence
+from typing import Collection, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -64,7 +63,7 @@ def _node_order(ids: Sequence[NodeId]) -> list[int]:
 
 def _label_array(
     nodes: tuple[NodeId, ...],
-    index: Mapping[NodeId, int],
+    node_set: Collection[NodeId],
     opinions: Mapping[NodeId, int],
     num_opinions: int | None,
 ) -> tuple[np.ndarray, int]:
@@ -76,7 +75,7 @@ def _label_array(
     if num_opinions < 2:
         raise ValueError(f"num_opinions must be >= 2, got {num_opinions}")
     for u in opinions:
-        if u not in index:
+        if u not in node_set:
             raise ValueError(f"label for node {u!r}, which is not in the graph")
 
     labels = []
@@ -122,8 +121,6 @@ class LabeledGraph:
                 )
             ends += (u, v)
             weights.append(w)
-        if not weights:
-            raise ValueError("graph has no edges")
         node_set.update(ends)
 
         ids = list(node_set)
@@ -147,6 +144,8 @@ class LabeledGraph:
         indices into ``nodes`` (interleaved, no self-loops), ``weights`` one
         valid weight per row, ``labels`` one opinion per node. Every
         constructor ends here."""
+        if not len(weights):
+            raise ValueError("graph has no edges")
         self.nodes = nodes
         self.num_opinions = int(num_opinions)
         self._labels = labels
@@ -173,12 +172,6 @@ class LabeledGraph:
         key %= n
         self._csr = (indptr, key, w.take(order, mode="wrap"))
 
-    @functools.cached_property
-    def _index(self) -> dict[NodeId, int]:
-        """Node id to index, built on first use: writing a graph out or
-        scoring it never needs it."""
-        return dict(zip(self.nodes, range(len(self.nodes))))
-
     # -- basic accessors ---------------------------------------------------
 
     @property
@@ -189,9 +182,6 @@ class LabeledGraph:
     def edge_count(self) -> int:
         return len(self._csr[1]) // 2
 
-    def index_of(self, node: NodeId) -> int:
-        return self._index[node]
-
     def replace_labels(
         self, opinions: Mapping[NodeId, int], num_opinions: int | None = None
     ) -> "LabeledGraph":
@@ -200,10 +190,14 @@ class LabeledGraph:
         Nodes, the CSR triple and the edge arrays are shared, not copied;
         only the labels are new.
         """
-        relabeled = copy.copy(self)
-        relabeled._labels, relabeled.num_opinions = _label_array(
-            self.nodes, self._index, opinions, num_opinions
+        return self._with_labels(
+            *_label_array(self.nodes, set(self.nodes), opinions, num_opinions)
         )
+
+    def _with_labels(self, labels: np.ndarray, num_opinions: int) -> "LabeledGraph":
+        """Copy sharing this graph's structure, with valid node-order ``labels``."""
+        relabeled = copy.copy(self)
+        relabeled._labels, relabeled.num_opinions = labels, int(num_opinions)
         return relabeled
 
     # -- edge views (laid out once, at construction) -----------------------
@@ -250,9 +244,6 @@ class OpinionCensus:
 
     counts: tuple[int, ...]
     total: int
-
-    def fraction(self, opinion: int) -> float:
-        return self.counts[opinion] / self.total
 
     @property
     def fractions(self) -> tuple[float, ...]:

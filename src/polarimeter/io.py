@@ -12,7 +12,6 @@ import contextlib
 import json
 import logging
 from importlib import resources
-from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, TextIO
 
 from .errors import InputError
@@ -26,22 +25,22 @@ logger = logging.getLogger(__name__)
 
 def _stripped_lines(path) -> Iterator[tuple[int, str]]:
     """Yield (line_number, stripped_text) for the non-blank lines of a UTF-8
-    file. An unreadable file, or bytes that are not UTF-8, is an `InputError`
-    naming the path (and for bad bytes the line)."""
+    file, streamed; lines end at ``\\n`` only, as in JSON Lines. An unreadable
+    file, or bytes that are not UTF-8, is an `InputError` naming the path
+    (and for bad bytes the line)."""
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                try:
+                    line = raw.decode("utf-8").strip()
+                except UnicodeDecodeError as exc:
+                    raise InputError(
+                        f"not UTF-8 ({exc.reason})", path=path, line=lineno
+                    ) from None
+                if line:
+                    yield lineno, line
     except OSError as exc:
         raise InputError(str(exc), path=path) from exc
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
-        raise InputError(f"not UTF-8 ({exc.reason})", path=path, line=line) from None
-    del data  # hold one copy of the file in memory, not two
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line:
-            yield lineno, line
 
 
 def _data_rows(path) -> list[tuple[int, str]]:

@@ -69,19 +69,22 @@ def relabel(
     opinions. Node and edge structure is untouched.
     """
     rng = random.Random(config.seed)
-    opinions: dict = {}
-    for members in partition.members():
+    comm = partition.array(graph)
+    order = np.argsort(comm, kind="stable").tolist()  # members in node order
+    labels = [0] * len(order)
+    sizes = np.bincount(comm, minlength=partition.k)
+    for start, size in zip((np.cumsum(sizes) - sizes).tolist(), sizes.tolist()):
+        members = order[start : start + size]
         dominant = rng.randrange(config.num_opinions)
-        size = len(members)
         n_dominant = 1 if size == 1 else _round_half_up(config.dom_ratio * size)
         chosen = set(rng.sample(members, n_dominant))
         for node in members:
             if node in chosen:
-                opinions[node] = dominant
+                labels[node] = dominant
             else:
                 other = rng.randrange(config.num_opinions - 1)
-                opinions[node] = other if other < dominant else other + 1
-    return graph.replace_labels(opinions, config.num_opinions)
+                labels[node] = other if other < dominant else other + 1
+    return graph._with_labels(np.array(labels, dtype=np.int64), config.num_opinions)
 
 
 def generate_sbm(config: SbmConfig) -> tuple[LabeledGraph, Partition]:
@@ -93,33 +96,27 @@ def generate_sbm(config: SbmConfig) -> tuple[LabeledGraph, Partition]:
     """
     rng = np.random.default_rng(config.seed)
     size = config.nodes_per_block
-    edges: list[tuple[int, int, float]] = []
+    pairs = []  # (u, v) index rows of the drawn edges
 
     iu, iv = np.triu_indices(size, 1)
     for block in range(config.blocks):
-        base = block * size
         mask = rng.random(iu.size) < config.p_in
-        edges.extend(
-            (int(u), int(v), 1.0) for u, v in zip(iu[mask] + base, iv[mask] + base)
-        )
+        pairs.append(np.stack([iu[mask], iv[mask]], axis=1) + block * size)
 
     if config.p_out > 0.0:
         for a in range(config.blocks):
             for b in range(a + 1, config.blocks):
-                mask = rng.random(size * size) < config.p_out
-                hits = np.nonzero(mask)[0]
-                edges.extend(
-                    (int(a * size + i // size), int(b * size + i % size), 1.0)
-                    for i in hits
-                )
+                hits = np.flatnonzero(rng.random(size * size) < config.p_out)
+                u, v = np.divmod(hits, size)
+                pairs.append(np.stack([u + a * size, v + b * size], axis=1))
 
+    ends = np.concatenate(pairs).ravel()
     total = config.blocks * size
-    opinions = {node: 0 for node in range(total)}
-    graph = LabeledGraph(edges, opinions, num_opinions=2)
-    partition = Partition(
-        assignment={node: node // size for node in range(total)}, k=config.blocks
-    )
-    return graph, partition
+    graph = LabeledGraph.__new__(LabeledGraph)
+    labels = np.zeros(total, dtype=np.int64)
+    graph._lay_out(tuple(range(total)), ends, np.ones(len(ends) // 2), labels, 2)
+    blocks = np.arange(total) // size
+    return graph, Partition.__new__(Partition)._hold(graph.nodes, blocks, config.blocks)
 
 
 @dataclass(frozen=True)

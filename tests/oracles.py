@@ -7,6 +7,7 @@ these, the burden of proof is on the fast path.
 
 from __future__ import annotations
 
+import math
 import random
 
 
@@ -163,3 +164,29 @@ def naive_retweet_rows(records):
         for retweeter in record.retweeters
         if retweeter and retweeter != record.author
     ]
+
+
+def naive_relabel(nodes, communities, k, dom_ratio, num_opinions, seed):
+    """Opinion per node id as ``relabel`` draws it: communities in id order,
+    each community's members in ``nodes`` order, a dominant opinion on
+    round-half-up(dom_ratio * size) sampled members (every member of a
+    singleton) and a uniform other opinion on the rest, all from one
+    ``random.Random(seed)``. ``communities`` maps node id to community."""
+    rng = random.Random(seed)
+    groups = {c: [] for c in range(k)}
+    for node in nodes:
+        groups[communities[node]].append(node)
+    opinions = {}
+    for c in range(k):
+        members = groups[c]
+        dominant = rng.randrange(num_opinions)
+        size = len(members)
+        n_dominant = 1 if size == 1 else math.floor(dom_ratio * size + 0.5)
+        chosen = set(rng.sample(members, n_dominant))
+        for node in members:
+            if node in chosen:
+                opinions[node] = dominant
+            else:
+                other = rng.randrange(num_opinions - 1)
+                opinions[node] = other if other < dominant else other + 1
+    return opinions

@@ -6,7 +6,18 @@ import random
 
 import pytest
 
-from polarimeter import LabeledGraph, LouvainConfig, Partition, louvain, modularity
+from polarimeter import (
+    LabeledGraph,
+    LouvainConfig,
+    Partition,
+    SyntheticLabelConfig,
+    census,
+    louvain,
+    modularity,
+    relabel,
+    scale_weights,
+    score_partition,
+)
 from oracles import all_partitions, brute_force_modularity, random_graph_spec
 
 
@@ -49,14 +60,39 @@ def test_config_validation():
         LouvainConfig(min_modularity_gain=-1.0)
 
 
-def test_partition_members_and_validate():
+def test_partition_validate():
     g = LabeledGraph([("a", "b", 1.0), ("c", "d", 1.0)],
                      {"a": 0, "b": 0, "c": 0, "d": 0})
     p = Partition(assignment={"a": 0, "b": 0, "c": 1, "d": 1}, k=2)
     p.validate(g)
-    assert p.members() == [["a", "b"], ["c", "d"]]
+    assert p.assignment == {"a": 0, "b": 0, "c": 1, "d": 1}
     with pytest.raises(ValueError):
         Partition(assignment={"a": 0}, k=1).validate(g)
+    for ids, k in [((0, 0, 2, 2), 2), ((0, 0, 1, 1), 3), ((-1, 0, 1, 1), 2)]:
+        with pytest.raises(ValueError, match="not contiguous"):
+            Partition(assignment=dict(zip("abcd", ids)), k=k).validate(g)
+
+
+def test_partition_array_is_read_only():
+    g = two_cliques(3)
+    for p in (louvain(g, LouvainConfig(seed=1)),
+              Partition(assignment={u: 0 for u in g.nodes}, k=1)):
+        with pytest.raises(ValueError):
+            p.array(g)[0] = 1
+
+
+def test_mapping_partition_in_any_key_order_equals_the_array_partition():
+    base = ring_of_cliques()
+    g = relabel(base, louvain(base, LouvainConfig(seed=4)),
+                SyntheticLabelConfig(dom_ratio=0.7, num_opinions=3, seed=5))
+    found = louvain(g, LouvainConfig(seed=6))
+    items = list(found.assignment.items())
+    random.Random(8).shuffle(items)
+    mapped = Partition(assignment=dict(items), k=found.k)
+    assert mapped.array(g).tolist() == found.array(g).tolist()
+    assert modularity(g, mapped) == modularity(g, found)
+    scaled = scale_weights(g, census(g))
+    assert score_partition(g, scaled, mapped) == score_partition(g, scaled, found)
 
 
 def test_partition_array_follows_graph_node_order():

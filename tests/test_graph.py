@@ -158,7 +158,7 @@ def test_adjacency_is_symmetric_and_weighted():
     g = LabeledGraph([("b", "c", 3.0), ("a", "b", 2.0)], {"a": 0, "b": 0, "c": 1})
     indptr, indices, weights = g.adjacency()
     assert [a.dtype for a in g.adjacency()] == [np.int64, np.int64, np.float64]
-    ia, ib, ic = (g.index_of(x) for x in "abc")
+    ia, ib, ic = (g.nodes.index(x) for x in "abc")
 
     def row(i):
         a, b = indptr[i], indptr[i + 1]
@@ -246,7 +246,7 @@ def test_census_counts_include_isolated_nodes():
     c = census(g)
     assert c.counts == (1, 3)
     assert c.total == 4
-    assert c.fraction(1) == pytest.approx(0.75)
+    assert c.fractions[1] == pytest.approx(0.75)
 
 
 def test_census_degenerate_single_opinion():
@@ -273,8 +273,8 @@ def test_example_fractions_thirteen_and_nine_of_twenty_two():
     edges = [(i, i + 1, 1.0) for i in range(21)]
     g = LabeledGraph(edges, opinions)
     c = census(g)
-    assert c.fraction(0) == pytest.approx(13 / 22)
-    assert c.fraction(1) == pytest.approx(9 / 22)
+    assert c.fractions[0] == pytest.approx(13 / 22)
+    assert c.fractions[1] == pytest.approx(9 / 22)
 
 
 def test_edge_input_order_never_matters():

@@ -12,6 +12,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from polarimeter import (
@@ -106,8 +107,12 @@ CASES = {
 
 def assert_kernel_matches_python(graph, config):
     args = (graph.adjacency(), graph.total_weight, config)
-    # assignment, community count and every (level, q) pass record all ==
-    assert _native.louvain_kernel()(*args) == community._louvain_python(*args)
+    got, k, records = _native.louvain_kernel()(*args)
+    want, want_k, want_records = community._louvain_python(*args)
+    # the int64 assignment, community count and every (level, q) record all ==
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want)
+    assert (k, records) == (want_k, want_records)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

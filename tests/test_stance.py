@@ -113,6 +113,17 @@ def test_blank_lines_are_skipped(tmp_path):
     assert len(read_stance_records(str(path))) == 1
 
 
+def test_lines_end_at_newline_only(tmp_path):
+    # a raw U+2028 or U+0085 inside a JSON string is valid JSON and does not
+    # end a JSON Lines record
+    row = {"tweet_id": "1", "author": "a", "stance": "favor", "retweeters": ["b"],
+           "text": "x\u2028y\x85z"}
+    path = tmp_path / "a.jsonl"
+    path.write_text(json.dumps(row, ensure_ascii=False) + "\n", encoding="utf-8")
+    assert "\u2028" in path.read_text(encoding="utf-8")
+    assert read_stance_records(str(path)) == [rec("1", "a", "favor", ["b"])]
+
+
 # -- counting and scoring -------------------------------------------------------
 
 

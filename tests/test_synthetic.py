@@ -7,7 +7,10 @@ import statistics
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import naive_relabel
 from polarimeter import (
     LabeledGraph,
     LouvainConfig,
@@ -17,6 +20,7 @@ from polarimeter import (
     analyze,
     census,
     generate_sbm,
+    load_karate,
     louvain,
     relabel,
     scale_weights,
@@ -40,6 +44,14 @@ def blocks_partition(sizes):
             assignment[node] = cid
             node += 1
     return Partition(assignment=assignment, k=len(sizes))
+
+
+def blocks_of(part):
+    """Node ids grouped by community id."""
+    blocks = [[] for _ in range(part.k)]
+    for node, cid in part.assignment.items():
+        blocks[cid].append(node)
+    return blocks
 
 
 def test_round_half_up_is_not_bankers_rounding():
@@ -70,7 +82,7 @@ def test_relabel_full_dominance_gives_uniform_communities():
     g = chain_graph(12)
     part = blocks_partition([6, 6])
     out = relabel(g, part, SyntheticLabelConfig(dom_ratio=1.0, num_opinions=4, seed=3))
-    for block in part.members():
+    for block in blocks_of(part):
         labels = {out.opinions[u] for u in block}
         assert len(labels) == 1
     assert out.num_opinions == 4
@@ -101,6 +113,70 @@ def test_relabel_singleton_community_gets_dominant_label():
     for seed in range(10):
         out = relabel(g, part, SyntheticLabelConfig(0.4, num_opinions=3, seed=seed))
         assert 0 <= out.opinions[2] < 3
+
+
+def relabel_case(raw, extra=(), louvain_seed=None):
+    """A graph on ids "n0".."n{len(raw)-1}" (a chain plus ``extra`` index
+    pairs; sorted as strings, so node order differs from index order) and
+    either its Louvain partition at ``louvain_seed`` or the partition that
+    puts node i in the first-appearance rank of ``raw[i]``."""
+    nodes = [f"n{i}" for i in range(len(raw))]
+    rows = [(i, i + 1) for i in range(len(raw) - 1)]
+    rows += [(a, b) for a, b in extra if a != b]
+    graph = LabeledGraph([(nodes[a], nodes[b], 1.0) for a, b in rows],
+                         {u: 0 for u in nodes})
+    if louvain_seed is not None:
+        return graph, louvain(graph, LouvainConfig(seed=louvain_seed))
+    dense = {}
+    for c in raw:
+        dense.setdefault(c, len(dense))
+    return graph, Partition(assignment={u: dense[c] for u, c in zip(nodes, raw)},
+                            k=len(dense))
+
+
+@st.composite
+def relabel_cases(draw):
+    n = draw(st.integers(2, 30))
+    raw = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=2 * n))
+    louvain_seed = draw(st.none() | st.integers(0, 999))
+    return relabel_case(raw, extra, louvain_seed)
+
+
+def assert_relabel_matches_oracle(graph, partition, config):
+    got = relabel(graph, partition, config).opinions
+    want = naive_relabel(graph.nodes, partition.assignment, partition.k,
+                         config.dom_ratio, config.num_opinions, config.seed)
+    assert got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=relabel_cases(),
+    dom_ratio=st.floats(0.0, 1.0, exclude_min=True),
+    num_opinions=st.integers(2, 10),
+    seed=st.integers(0, 2**64),
+)
+@example(case=relabel_case([0] * 12), dom_ratio=0.5, num_opinions=3, seed=1)
+@example(case=relabel_case(list(range(12))), dom_ratio=0.5, num_opinions=3, seed=1)
+def test_relabel_matches_the_plain_loop_oracle(case, dom_ratio, num_opinions, seed):
+    graph, partition = case
+    assert_relabel_matches_oracle(
+        graph, partition, SyntheticLabelConfig(dom_ratio, num_opinions, seed=seed)
+    )
+
+
+def test_relabel_matches_the_oracle_on_louvain_and_planted_partitions():
+    karate = load_karate()
+    sbm, planted = generate_sbm(SbmConfig(5, 40, 0.3, 0.01, seed=3))
+    cases = [(karate, louvain(karate, LouvainConfig(seed=s))) for s in range(3)]
+    cases += [(sbm, planted), (sbm, louvain(sbm, LouvainConfig(seed=0)))]
+    for graph, partition in cases:
+        for dom_ratio in (0.4, 0.8, 1.0):
+            for num_opinions in (2, 5, 10):
+                config = SyntheticLabelConfig(dom_ratio, num_opinions, seed=7)
+                assert_relabel_matches_oracle(graph, partition, config)
 
 
 def test_relabel_is_deterministic_per_seed():
@@ -156,7 +232,7 @@ def test_louvain_recovers_planted_blocks():
                                      p_out=0.005, seed=21))
     found = louvain(g, LouvainConfig(seed=0))
     assert found.k == 5
-    for block in part.members():
+    for block in blocks_of(part):
         assert len({found.assignment[u] for u in block}) == 1
 
 
