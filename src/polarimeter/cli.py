@@ -24,7 +24,7 @@ from .io import (
     write_sweep_csv,
 )
 from .metric import analyze
-from .stance import OPINION_NAMES, _iter_stance_records, build_retweet_network
+from .stance import OPINION_NAMES, _iter_stance_rows, _retweet_network
 from .synthetic import SbmConfig, generate_sbm, sweep
 
 DEFAULT_RUNS = 100
@@ -251,7 +251,11 @@ def _cmd_sweep(args) -> int:
     )
 
     if args.sbm is not None:
-        graph, partition = generate_sbm(_parse_sbm(args.sbm, seed=args.seed))
+        config = _parse_sbm(args.sbm, seed=args.seed)
+        try:
+            graph, partition = generate_sbm(config)
+        except ValueError as exc:  # the config is valid, so the draw was empty
+            raise InputError(f"--sbm {args.sbm!r}: {exc}")
     else:
         if args.labels is None:
             raise InputError("sweep --graph also needs --labels")
@@ -276,7 +280,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_build_network(args) -> int:
     # the archive streams into the build: no list of its records is kept
-    graph = build_retweet_network(_iter_stance_records(args.records))
+    graph = _retweet_network(_iter_stance_rows(args.records))
     prefix = args.out
     write_edge_list(graph, prefix + ".edges.tsv")
     write_labels(graph, prefix + ".labels.tsv")

@@ -25,6 +25,7 @@ from .io import _stripped_lines
 logger = logging.getLogger(__name__)
 
 STANCES = ("favor", "against", "neutral")
+_SLOTS = {stance: slot for slot, stance in enumerate(STANCES)}
 
 # Opinion indices of the output graph, in fixed documented order.
 AGAINST, NEUTRAL, FAVOR = 0, 1, 2
@@ -49,40 +50,59 @@ def read_stance_records(path) -> list[StanceRecord]:
     Empty or whitespace retweeter ids are dropped with a per-row warning;
     malformed rows and duplicate tweet ids are hard errors naming the line.
     """
-    return list(_iter_stance_records(path))
+    return [
+        StanceRecord(tweet_id, author, STANCES[slot], retweeters)
+        for tweet_id, author, slot, retweeters in _iter_stance_rows(path)
+    ]
 
 
-def _iter_stance_records(path) -> Iterator[StanceRecord]:
-    """``read_stance_records`` one record at a time: each row's warnings are
-    logged as it is read, the total once the archive is exhausted, and a bad
-    row raises when it is reached."""
+def _iter_stance_rows(path) -> Iterator[tuple[str, str, int, tuple[str, ...]]]:
+    """The validated rows of an archive, one ``(tweet_id, author,
+    stance_slot, retweeters)`` tuple per record, with the author and the
+    retweeters stripped and the empty retweeters dropped. Each row's warnings
+    are logged as it is read, the total once the archive is exhausted, and a
+    bad row raises when it is reached.
+
+    A line is decoded with the C scanner and accepted only when its one
+    value ends where the line ends; any other outcome decodes the line again
+    with ``json.loads``, whose result or error stands. JSON gives exact
+    types, so ``type(x) is str`` is the string check.
+    """
+    scan = json.JSONDecoder().scan_once
+    slot_of = _SLOTS.get
+    strip = str.strip
     seen_ids: set[str] = set()
     dropped = 0
     for lineno, line in _stripped_lines(path):
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid JSON: {exc.msg}", path=path, line=lineno) from None
-        if not isinstance(obj, dict):
+            obj, end = scan(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if end != len(line):
+            obj = _loads(line, path, lineno)
+        if type(obj) is not dict:
             raise InputError("record is not a JSON object", path=path, line=lineno)
 
         tweet_id = obj.get("tweet_id")
-        author = obj.get("author")
-        stance = obj.get("stance")
-        retweeters = obj.get("retweeters")
-        if not isinstance(tweet_id, str) or not tweet_id:
+        if type(tweet_id) is not str or not tweet_id:
             raise InputError("missing or empty 'tweet_id'", path=path, line=lineno)
-        if not isinstance(author, str) or not author.strip():
+        author = obj.get("author")
+        if type(author) is not str or not (author := author.strip()):
             raise InputError("missing or empty 'author'", path=path, line=lineno)
-        if stance not in STANCES:
+        stance = obj.get("stance")
+        slot = slot_of(stance) if type(stance) is str else None
+        if slot is None:
             raise InputError(
                 f"stance must be one of {STANCES}, got {stance!r}",
                 path=path,
                 line=lineno,
             )
-        if not isinstance(retweeters, list) or not all(
-            isinstance(r, str) for r in retweeters
-        ):
+        retweeters = obj.get("retweeters")
+        try:
+            kept = tuple(map(strip, retweeters)) if type(retweeters) is list else None
+        except TypeError:  # an item that is not a string
+            kept = None
+        if kept is None:
             raise InputError(
                 "'retweeters' must be a list of strings", path=path, line=lineno
             )
@@ -90,36 +110,48 @@ def _iter_stance_records(path) -> Iterator[StanceRecord]:
             raise InputError(f"duplicate tweet_id {tweet_id!r}", path=path, line=lineno)
         seen_ids.add(tweet_id)
 
-        kept = []
-        for r in retweeters:
-            r = r.strip()
-            if not r:
-                dropped += 1
-                logger.warning("%s:%d: empty retweeter id skipped", path, lineno)
-                continue
-            kept.append(r)
-        yield StanceRecord(
-            tweet_id=tweet_id,
-            author=author.strip(),
-            stance=stance,
-            retweeters=tuple(kept),
-        )
+        if "" in kept:
+            for retweeter in kept:
+                if not retweeter:
+                    dropped += 1
+                    logger.warning("%s:%d: empty retweeter id skipped", path, lineno)
+            kept = tuple(filter(None, kept))
+        yield tweet_id, author, slot, kept
     if dropped:
         logger.warning("%s: skipped %d empty retweeter id(s) in total", path, dropped)
 
 
-def _tally(
-    records: Iterable[StanceRecord],
-) -> tuple[list[str], np.ndarray, np.ndarray, int]:
-    """One pass over the records, with every user id interned to the index of
-    its first appearance (author before retweeters, in record order).
+def _loads(line: str, path, lineno: int):
+    """``json.loads`` of one line, its decoding errors as `InputError`s
+    naming the line."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"invalid JSON: {exc.msg}", path=path, line=lineno) from None
+    except RecursionError:
+        raise InputError(
+            "invalid JSON: nesting too deep", path=path, line=lineno
+        ) from None
+
+
+def _rows(records: Iterable[StanceRecord]):
+    """`StanceRecord`s as the rows `_iter_stance_rows` yields."""
+    return (
+        (r.tweet_id, r.author, STANCES.index(r.stance), r.retweeters) for r in records
+    )
+
+
+def _tally(rows) -> tuple[list[str], np.ndarray, np.ndarray, int]:
+    """One pass over ``(tweet_id, author, stance_slot, retweeters)`` rows,
+    with every user id interned to the index of its first appearance (author
+    before retweeters, in row order).
 
     Returns the users in index order; their ``[favor, against, neutral]``
     item counts as an (n, 3) array (authoring a tweet is one item for the
     author, every retweet event one for the retweeter, with the inherited
     stance); the ``(author, retweeter)`` index pairs of the non-self retweet
     events, flattened; and the number of self-retweet events. Empty
-    retweeter ids are skipped.
+    retweeter ids, which hand-built records may hold, are skipped.
     """
     index: dict[str, int] = {}
     intern = index.setdefault
@@ -127,11 +159,10 @@ def _tally(
     items = array("q")  # user * 3 + stance slot, one per stance item
     ends = array("q")
     self_retweets = 0
-    for record in records:
-        slot = STANCES.index(record.stance)
-        author = intern(record.author, len(index))
+    for _, author, slot, retweeters in rows:
+        author = intern(author, len(index))
         items.append(author * 3 + slot)
-        for retweeter in record.retweeters:
+        for retweeter in retweeters:
             if retweeter:
                 user = intern(retweeter, len(index))
                 items.append(user * 3 + slot)
@@ -166,7 +197,7 @@ def score_users(records: Iterable[StanceRecord]) -> dict[str, tuple[float, int]]
     Authoring a tweet counts once for its author; every retweet event counts
     once for the retweeter with the inherited stance.
     """
-    users, counts, _, _ = _tally(records)
+    users, counts, _, _ = _tally(_rows(records))
     score, opinion = _opinions(counts)
     return dict(zip(users, zip(score.tolist(), opinion.tolist())))
 
@@ -176,7 +207,13 @@ def build_retweet_network(records: Iterable[StanceRecord]) -> LabeledGraph:
     two users in either direction. Self-retweets are dropped (counted);
     authors nobody retweeted remain as isolated nodes. The records are read
     once, so a one-shot iterator will do."""
-    users, counts, ends, self_retweets = _tally(records)
+    return _retweet_network(_rows(records))
+
+
+def _retweet_network(rows) -> LabeledGraph:
+    """`build_retweet_network` of ``(tweet_id, author, stance_slot,
+    retweeters)`` rows."""
+    users, counts, ends, self_retweets = _tally(rows)
     if self_retweets:
         logger.warning("dropped %d self-retweet event(s)", self_retweets)
     if not len(ends):

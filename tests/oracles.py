@@ -7,6 +7,7 @@ these, the burden of proof is on the fast path.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -190,3 +191,64 @@ def naive_relabel(nodes, communities, k, dom_ratio, num_opinions, seed):
                 other = rng.randrange(num_opinions - 1)
                 opinions[node] = other if other < dominant else other + 1
     return opinions
+
+
+def naive_stance_rows(path):
+    """The rows, warnings and first error of a stance archive, read by the
+    plain loop: ``json.loads`` per line, ``isinstance`` checks in a fixed
+    order, empty retweeters dropped one at a time.
+
+    Lines end at ``\\n`` and are stripped; blank ones are skipped. Returns
+    ``(rows, warnings, error)``: one ``(tweet_id, author, stance_slot,
+    retweeters)`` tuple per record before the first bad line, the warning
+    messages in order, and ``(message, line_number)`` for that bad line, or
+    None. The total of dropped retweeters is warned only for an archive that
+    reads to its end.
+    """
+    stances = ("favor", "against", "neutral")
+    rows, warnings, seen = [], [], set()
+    dropped = 0
+    with open(path, "rb") as fh:
+        lines = fh.read().split(b"\n")
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.decode("utf-8").strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            return rows, warnings, (f"invalid JSON: {exc.msg}", lineno)
+        except RecursionError:
+            return rows, warnings, ("invalid JSON: nesting too deep", lineno)
+        if not isinstance(obj, dict):
+            return rows, warnings, ("record is not a JSON object", lineno)
+        tweet_id = obj.get("tweet_id")
+        author = obj.get("author")
+        stance = obj.get("stance")
+        retweeters = obj.get("retweeters")
+        if not isinstance(tweet_id, str) or not tweet_id:
+            return rows, warnings, ("missing or empty 'tweet_id'", lineno)
+        if not isinstance(author, str) or not author.strip():
+            return rows, warnings, ("missing or empty 'author'", lineno)
+        if stance not in stances:
+            return rows, warnings, (
+                f"stance must be one of {stances}, got {stance!r}", lineno
+            )
+        if not isinstance(retweeters, list) or not all(
+            isinstance(r, str) for r in retweeters
+        ):
+            return rows, warnings, ("'retweeters' must be a list of strings", lineno)
+        if tweet_id in seen:
+            return rows, warnings, (f"duplicate tweet_id {tweet_id!r}", lineno)
+        seen.add(tweet_id)
+        kept = []
+        for r in retweeters:
+            if r.strip():
+                kept.append(r.strip())
+            else:
+                dropped += 1
+                warnings.append(f"{path}:{lineno}: empty retweeter id skipped")
+        rows.append((tweet_id, author.strip(), stances.index(stance), tuple(kept)))
+    if dropped:
+        warnings.append(f"{path}: skipped {dropped} empty retweeter id(s) in total")
+    return rows, warnings, None

@@ -327,6 +327,23 @@ def test_build_network_bad_archive_exits_one(capsys, tmp_path):
     assert "tweets.jsonl:1" in err
 
 
+def test_build_network_deep_nesting_exits_one(capsys, tmp_path):
+    archive = tmp_path / "tweets.jsonl"
+    archive.write_text("[" * 200_000 + "\n")
+    code, _, err = run(capsys, "build-network", "--records", str(archive))
+    assert code == 1
+    assert f"{archive}:1: invalid JSON: nesting too deep" in err
+
+
+@pytest.mark.parametrize("size", ["1x1", "2x1"])
+def test_sweep_sbm_without_edges_exits_one(capsys, size):
+    code, out, err = run(capsys, "sweep", "--sbm", size, "--runs", "1")
+    assert code == 1
+    assert f"--sbm '{size}'" in err
+    assert "internal error" not in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("command", ["analyze", "sweep", "build-network", "demo-karate"])
 def test_out_into_a_missing_directory_exits_one_naming_the_file(
     capsys, karate_files, tmp_path, command

@@ -15,11 +15,15 @@ from polarimeter import (
     SbmConfig,
     SyntheticLabelConfig,
     analyze,
+    build_retweet_network,
     generate_sbm,
     load_karate,
     louvain,
     modularity,
+    read_stance_records,
     relabel,
+    write_edge_list,
+    write_labels,
 )
 from polarimeter.cli import main
 
@@ -105,6 +109,24 @@ def test_build_network_output_bytes(capsys, tmp_path, monkeypatch):
         "net.labels.tsv": "70780c5e597c80ea356d42e53f16be85f3a3503df06f2d229447a1c31b88d5d6",
         "net.names.json": "fdaeb5961da0c4527be36fd14f02c800a05c3f391f001cc84a30fdb41ed4807a",
     }
+
+
+def test_build_network_files_equal_the_library_path(capsys, tmp_path, monkeypatch):
+    # the CLI streams validated rows into the build; the library path builds
+    # StanceRecords first: both must write the same bytes
+    write_archive(tmp_path / "archive.jsonl", records=2000, users=300, seed=29)
+    monkeypatch.chdir(tmp_path)
+    assert main(["build-network", "--records", "archive.jsonl", "--out", "cli"]) == 0
+    graph = build_retweet_network(read_stance_records("archive.jsonl"))
+    write_edge_list(graph, "lib.edges.tsv")
+    write_labels(graph, "lib.labels.tsv")
+    for suffix in ("edges.tsv", "labels.tsv"):
+        assert (tmp_path / f"cli.{suffix}").read_bytes() == (
+            tmp_path / f"lib.{suffix}"
+        ).read_bytes()
+    assert capsys.readouterr().out.endswith(
+        f"({graph.node_count} nodes, {graph.edge_count} edges)\n"
+    )
 
 
 def test_karate_modularity_values():

@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+import tempfile
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_retweet_rows, naive_score_users
+from oracles import naive_retweet_rows, naive_score_users, naive_stance_rows
 from polarimeter import (
     InputError,
     LabeledGraph,
@@ -18,7 +20,13 @@ from polarimeter import (
     read_stance_records,
     score_users,
 )
-from polarimeter.stance import AGAINST, FAVOR, NEUTRAL, StanceRecord
+from polarimeter.stance import (
+    AGAINST,
+    FAVOR,
+    NEUTRAL,
+    StanceRecord,
+    _iter_stance_rows,
+)
 
 
 def rec(tweet_id, author, stance, retweeters=()):
@@ -122,6 +130,94 @@ def test_lines_end_at_newline_only(tmp_path):
     path.write_text(json.dumps(row, ensure_ascii=False) + "\n", encoding="utf-8")
     assert "\u2028" in path.read_text(encoding="utf-8")
     assert read_stance_records(str(path)) == [rec("1", "a", "favor", ["b"])]
+
+
+def test_deep_nesting_is_an_input_error(tmp_path):
+    path = tmp_path / "a.jsonl"
+    path.write_text("\n" + "[" * 200_000 + "\n", encoding="utf-8")
+    with pytest.raises(InputError, match=r"a\.jsonl:2: invalid JSON: nesting too deep"):
+        read_stance_records(str(path))
+
+
+# -- the row stream against the plain-loop oracle ---------------------------------
+
+VALID = '{"tweet_id": "1", "author": "a", "stance": "favor", "retweeters": ["b"]}'
+# lines that are not one JSON object each, among them three that splice into
+# valid objects when lines are joined with commas
+ODD_LINES = st.sampled_from([
+    '{"a":"}', '{"}', '{"x":1},{"y":2}',
+    "\ufeff" + VALID,  # a BOM is not whitespace: json.loads rejects it
+    VALID + " x", VALID + "}", VALID + " " + VALID,
+    "[1]", '"text"', "3", "null", "{not json", "[" * 3000,
+    '{"tweet_id": "9", "author": "a", "stance": "favor", "retweeters": ["b", 1]}',
+    '{"tweet_id": "9", "author": "a", "stance": "favor", "retweeters": "b"}',
+    '{"tweet_id": "9", "author": "a", "stance": ["favor"], "retweeters": []}',
+    '{"tweet_id": "9", "author": "a", "stance": NaN, "retweeters": []}',
+    '{"tweet_id": 9, "author": "a", "stance": "favor", "retweeters": []}',
+    '{"tweet_id": "9", "author": " ", "stance": "favor", "retweeters": []}',
+])
+# whitespace that str.strip removes, JSON's own and four kinds JSON rejects
+PADDING = st.text(st.sampled_from(" \t\r\xa0\u2028\x1c\x85"), max_size=3)
+
+
+@st.composite
+def archive_lines(draw):
+    users = st.sampled_from(["a", "b", " b ", "c", "é", "日本"])
+    record = st.fixed_dictionaries({
+        "tweet_id": st.sampled_from(["1", "2", "3", "4", "5", "6", "7", ""]),
+        "author": users,
+        "stance": st.sampled_from(["favor", "against", "neutral", "meh"]),
+        "retweeters": st.lists(st.one_of(users, st.sampled_from(["", "  "])),
+                               max_size=4),
+    })
+    valid = st.builds(
+        lambda row, ascii, pad: pad + json.dumps(row, ensure_ascii=ascii) + pad,
+        record, st.booleans(), PADDING,
+    )
+    line = st.one_of(valid, valid, valid, st.just(""), PADDING, ODD_LINES)
+    return draw(st.lists(line, max_size=10))
+
+
+def read_rows(path):
+    """Rows, warning messages and first error of `_iter_stance_rows`."""
+    messages = []
+    handler = logging.Handler()
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger("polarimeter.stance")
+    logger.addHandler(handler)
+    rows, error = [], None
+    try:
+        for row in _iter_stance_rows(path):
+            rows.append(row)
+    except InputError as exc:
+        error = (str(exc), exc.line)
+    finally:
+        logger.removeHandler(handler)
+    return rows, messages, error
+
+
+@settings(max_examples=300, deadline=None)
+@given(archive_lines())
+@example(['{"a":"}', VALID])
+@example(['{"}', VALID])
+@example(['{"x":1},{"y":2}'])
+@example([VALID, "\ufeff" + VALID])
+def test_stance_rows_match_the_plain_loop_oracle(lines):
+    fd, path = tempfile.mkstemp(suffix=".jsonl")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+        want_rows, want_warnings, want_error = naive_stance_rows(path)
+        rows, warnings, error = read_rows(path)
+    finally:
+        os.remove(path)
+    assert rows == want_rows
+    assert warnings == want_warnings
+    if want_error is None:
+        assert error is None
+    else:
+        message, lineno = want_error
+        assert error == (f"{path}:{lineno}: {message}", lineno)
 
 
 # -- counting and scoring -------------------------------------------------------
@@ -232,6 +328,12 @@ def test_network_uses_three_opinion_slots_with_fixed_mapping():
     assert g.opinions["a"] == AGAINST == 0
     # n: 1 neutral authored + 1 favor + 1 against inherited -> score 0.
     assert g.opinions["n"] == NEUTRAL == 1
+
+
+def test_hand_built_empty_retweeters_are_skipped():
+    records = [rec("1", "a", "favor", ["", "b", ""])]
+    assert build_retweet_network(records).edges == (("a", "b", 1.0),)
+    assert list(score_users(records)) == ["a", "b"]
 
 
 def test_total_edge_weight_equals_non_self_retweet_events():
