@@ -123,11 +123,11 @@ static void degrees(const level_graph *g, double *degree)
 }
 
 static double current_q(int64_t n, const double *internal, const double *tot,
-                        double two_m, double resolution)
+                        double two_m)
 {
     double q = 0.0;
     for (int64_t c = 0; c < n; c++)
-        q += internal[c] / two_m - resolution * square(tot[c] / two_m);
+        q += internal[c] / two_m - square(tot[c] / two_m);
     return q;
 }
 
@@ -140,9 +140,9 @@ typedef struct {
 /* _one_level: local moves until a pass yields no improvement above
    min_gain; leaves the community of each node in s->node2com and returns
    the modularity reached. */
-static double one_level(const level_graph *g, double m, double resolution,
-                        double min_gain, mt19937 *mt, scratch *s,
-                        int32_t level, pass_records *rec)
+static double one_level(const level_graph *g, double m, double min_gain,
+                        mt19937 *mt, scratch *s, int32_t level,
+                        pass_records *rec)
 {
     const int64_t n = g->n;
     const double two_m = 2.0 * m;
@@ -157,7 +157,7 @@ static double one_level(const level_graph *g, double m, double resolution,
         tot[u] = degree[u];
         internal[u] = 2.0 * g->loops[u];
     }
-    double q = current_q(n, internal, tot, two_m, resolution);
+    double q = current_q(n, internal, tot, two_m);
     for (;;) {
         shuffle_range(mt, s->order, n);
         int64_t moved = 0;
@@ -188,7 +188,7 @@ static double one_level(const level_graph *g, double m, double resolution,
             double best_score = 0.0;
             for (int64_t t = 0; t < nt; t++) {
                 const int64_t c = s->touched[t];
-                const double score = nbw[c] - resolution * tot[c] * ku / two_m;
+                const double score = nbw[c] - tot[c] * ku / two_m;
                 if (best_c < 0 || score > best_score
                     || (score == best_score && c < best_c)) {
                     best_c = c;
@@ -204,7 +204,7 @@ static double one_level(const level_graph *g, double m, double resolution,
                 moved++;
         }
 
-        const double new_q = current_q(n, internal, tot, two_m, resolution);
+        const double new_q = current_q(n, internal, tot, two_m);
         if (rec->count < rec->capacity) {
             rec->level[rec->count] = level;
             rec->q[rec->count] = new_q;
@@ -316,10 +316,9 @@ static void free_graph(level_graph *g)
 }
 
 /* The level loop of community.louvain on allocated scratch and buffers. */
-static int64_t run_levels(level_graph g, double m, double resolution,
-                          double min_gain, mt19937 *mt, scratch *s,
-                          level_graph bufs[2], int64_t *assignment,
-                          pass_records *rec)
+static int64_t run_levels(level_graph g, double m, double min_gain,
+                          mt19937 *mt, scratch *s, level_graph bufs[2],
+                          int64_t *assignment, pass_records *rec)
 {
     const int64_t n = g.n;
     for (int64_t i = 0; i < n; i++)
@@ -328,9 +327,9 @@ static int64_t run_levels(level_graph g, double m, double resolution,
     double prev_q = 0.0; /* modularity of the singleton partition */
     degrees(&g, s->degree);
     for (int64_t u = 0; u < n; u++)
-        prev_q -= resolution * square(s->degree[u] / (2.0 * m));
+        prev_q -= square(s->degree[u] / (2.0 * m));
     for (int32_t level = 0;; level++) {
-        double q = one_level(&g, m, resolution, min_gain, mt, s, level, rec);
+        double q = one_level(&g, m, min_gain, mt, s, level, rec);
         int64_t n_comms = renumber(s->node2com, g.n, s->members);
         for (int64_t i = 0; i < n; i++)
             assignment[i] = s->node2com[assignment[i]];
@@ -353,8 +352,8 @@ static int64_t run_levels(level_graph g, double m, double resolution,
    (level, modularity) go to pass_level/pass_q up to capacity; *passes gets
    the total number of passes, which may exceed capacity. */
 int64_t louvain_levels(int64_t n, const int64_t *indptr, const int64_t *indices,
-                       const double *weights, double m, double resolution,
-                       double min_gain, const uint32_t *state, int64_t index,
+                       const double *weights, double m, double min_gain,
+                       const uint32_t *state, int64_t index,
                        int64_t *assignment, int64_t capacity,
                        int32_t *pass_level, double *pass_q, int64_t *passes)
 {
@@ -384,8 +383,7 @@ int64_t louvain_levels(int64_t n, const int64_t *indptr, const int64_t *indices,
         && s.offsets && s.degree && s.tot && s.internal && s.acc && s.mark) {
         level_graph g = {n, (int64_t *)indptr, (int64_t *)indices,
                          (double *)weights, zero_loops};
-        k = run_levels(g, m, resolution, min_gain, &mt, &s, bufs, assignment,
-                       &rec);
+        k = run_levels(g, m, min_gain, &mt, &s, bufs, assignment, &rec);
     }
     *passes = rec.count;
     free(zero_loops);

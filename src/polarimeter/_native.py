@@ -35,6 +35,8 @@ FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 NODE_LIMIT = 2**31
 # room for per-pass records; a run with more passes runs again with more
 PASS_RECORDS = 256
+# a local-move pass or a level gaining no more modularity than this ends it
+MIN_GAIN = 1e-7
 
 
 @functools.cache
@@ -61,7 +63,6 @@ def louvain_kernel():
         i64,  # indices
         f64,  # weights
         ctypes.c_double,  # m
-        ctypes.c_double,  # resolution
         ctypes.c_double,  # min_gain
         np.ctypeslib.ndpointer(np.uint32, shape=(624,), flags="C_CONTIGUOUS"),
         ctypes.c_int64,  # MT19937 index
@@ -75,10 +76,10 @@ def louvain_kernel():
     return functools.partial(_run, function)
 
 
-def _run(function, adjacency, m, config):
+def _run(function, adjacency, m, seed):
     """One kernel call on a ctypes ``function`` with declared argtypes."""
     n = len(adjacency[0]) - 1
-    _, state, _ = random.Random(config.seed).getstate()
+    _, state, _ = random.Random(seed).getstate()
     mt = np.array(state[:-1], dtype=np.uint32)
     assignment = np.empty(n, dtype=np.int64)
     passes = np.zeros(1, dtype=np.int64)
@@ -90,8 +91,7 @@ def _run(function, adjacency, m, config):
             n,
             *adjacency,
             m,
-            config.resolution,
-            config.min_modularity_gain,
+            MIN_GAIN,
             mt,
             state[-1],
             assignment,

@@ -18,12 +18,12 @@ import logging
 import os
 import random
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Mapping
+from dataclasses import dataclass
+from typing import Callable, ClassVar, Iterator, Mapping
 
 import numpy as np
 
-from ._native import NODE_LIMIT, louvain_kernel
+from ._native import MIN_GAIN, NODE_LIMIT, louvain_kernel
 from .graph import LabeledGraph, NodeId, _node_order
 
 logger = logging.getLogger(__name__)
@@ -34,16 +34,7 @@ PassHook = Callable[[int, int, float], None]
 @dataclass(frozen=True)
 class LouvainConfig:
     seed: int = 42
-    resolution: float = 1.0
-    min_modularity_gain: float = 1e-7
-
-    def __post_init__(self):
-        if self.resolution <= 0.0:
-            raise ValueError(f"resolution must be positive, got {self.resolution}")
-        if self.min_modularity_gain <= 0.0:
-            raise ValueError(
-                f"min_modularity_gain must be positive, got {self.min_modularity_gain}"
-            )
+    min_modularity_gain: ClassVar[float] = MIN_GAIN
 
 
 class Partition:
@@ -88,10 +79,8 @@ class Partition:
         return self.k == other.k and self.assignment == other.assignment
 
 
-def modularity(
-    graph: LabeledGraph, partition: Partition, resolution: float = 1.0
-) -> float:
-    """Newman-Girvan weighted modularity with a resolution parameter."""
+def modularity(graph: LabeledGraph, partition: Partition) -> float:
+    """Newman-Girvan weighted modularity."""
     m = graph.total_weight
     comm = partition.array(graph)
     iu, iv, w = graph.edge_arrays()
@@ -106,7 +95,7 @@ def modularity(
     two_m = 2.0 * m
     q = 0.0
     for c in range(partition.k):
-        q += intra[c] / m - resolution * (tot[c] / two_m) ** 2
+        q += intra[c] / m - (tot[c] / two_m) ** 2
     return q
 
 
@@ -123,7 +112,7 @@ def louvain(
     ``_native``), and otherwise in the pure-Python level loop below; both
     give bit-identical partitions and pass records.
     """
-    return _louvain(_kernel_for(graph), graph, config, pass_hook)
+    return _louvain(_kernel_for(graph), graph, config.seed, pass_hook)
 
 
 def louvain_runs(
@@ -145,7 +134,7 @@ def louvain_runs(
     kernel = _kernel_for(graph)
 
     def run(index: int) -> Partition:
-        return _louvain(kernel, graph, replace(config, seed=config.seed + index))
+        return _louvain(kernel, graph, config.seed + index)
 
     if threads > 1 and runs > 1 and kernel is not None:
         workers = min(threads, runs, os.cpu_count() or 1)
@@ -167,11 +156,11 @@ def _kernel_for(graph: LabeledGraph):
     return kernel
 
 
-def _louvain(kernel, graph, config, pass_hook=None) -> Partition:
-    """One run on ``kernel``, or on the Python oracle when it is None; the
-    passes of each level are numbered from 0 for ``pass_hook``."""
+def _louvain(kernel, graph, seed, pass_hook=None) -> Partition:
+    """One run at ``seed`` on ``kernel``, or on the Python oracle when it is
+    None; the passes of each level are numbered from 0 for ``pass_hook``."""
     dense, k, passes = (kernel or _louvain_python)(
-        graph.adjacency(), graph.total_weight, config
+        graph.adjacency(), graph.total_weight, seed
     )
     if pass_hook is not None:
         for level, records in itertools.groupby(passes, key=lambda r: r[0]):
@@ -180,14 +169,12 @@ def _louvain(kernel, graph, config, pass_hook=None) -> Partition:
     return Partition.__new__(Partition)._hold(graph.nodes, dense, k)
 
 
-def _louvain_python(adjacency, m, config):
+def _louvain_python(adjacency, m, seed):
     """The pure-Python level loop: the C kernel's oracle and fallback, with
-    its contract. It takes the graph's CSR triple, its total weight and a
-    ``LouvainConfig``, and returns the int64 dense assignment in node order,
-    the community count and one ``(level, q)`` record per local-move pass."""
-    rng = random.Random(config.seed)
-    resolution = config.resolution
-    min_gain = config.min_modularity_gain
+    its contract. It takes the graph's CSR triple, its total weight and the
+    run's seed, and returns the int64 dense assignment in node order, the
+    community count and one ``(level, q)`` record per local-move pass."""
+    rng = random.Random(seed)
 
     # the CSR triple as Python lists: indptr, indices, weights
     adj = tuple(a.tolist() for a in adjacency)
@@ -198,13 +185,13 @@ def _louvain_python(adjacency, m, config):
 
     prev_q = 0.0  # modularity of the singleton partition
     for deg in _degrees(adj, loops):
-        prev_q -= resolution * (deg / (2.0 * m)) ** 2
+        prev_q -= (deg / (2.0 * m)) ** 2
     for level in itertools.count():
-        node2com, qs = _one_level(adj, loops, m, resolution, min_gain, rng)
+        node2com, qs = _one_level(adj, loops, m, rng)
         passes += ((level, q) for q in qs)
         node2com, n_comms = _renumber(node2com)
         assignment = [node2com[c] for c in assignment]
-        if qs[-1] - prev_q <= min_gain or n_comms == len(loops):
+        if qs[-1] - prev_q <= MIN_GAIN or n_comms == len(loops):
             break
         prev_q = qs[-1]
         adj, loops = _aggregate(adj, loops, node2com, n_comms)
@@ -225,7 +212,7 @@ def _degrees(adj, loops) -> list[float]:
     return degree
 
 
-def _one_level(adj, loops, m, resolution, min_gain, rng):
+def _one_level(adj, loops, m, rng):
     """Local moves until a pass yields no improvement above tolerance.
     Returns the community slot per node and the modularity after each pass."""
     indptr, indices, weights = adj
@@ -239,7 +226,7 @@ def _one_level(adj, loops, m, resolution, min_gain, rng):
     def current_q() -> float:
         q = 0.0
         for c in range(n):
-            q += internal[c] / two_m - resolution * (tot[c] / two_m) ** 2
+            q += internal[c] / two_m - (tot[c] / two_m) ** 2
         return q
 
     qs = [current_q()]
@@ -266,7 +253,7 @@ def _one_level(adj, loops, m, resolution, min_gain, rng):
             if cu not in nbw:
                 nbw[cu] = 0.0
             for c in sorted(nbw):
-                score = nbw[c] - resolution * tot[c] * ku / two_m
+                score = nbw[c] - tot[c] * ku / two_m
                 if best_c < 0 or score > best_score:
                     best_c = c
                     best_score = score
@@ -278,7 +265,7 @@ def _one_level(adj, loops, m, resolution, min_gain, rng):
                 moved += 1
 
         qs.append(current_q())
-        if moved == 0 or qs[-1] - qs[-2] <= min_gain:
+        if moved == 0 or qs[-1] - qs[-2] <= MIN_GAIN:
             return node2com, qs[1:]
 
 

@@ -21,6 +21,7 @@ if TYPE_CHECKING:
     from .metric import PolarizationReport
 
 logger = logging.getLogger(__name__)
+_WRITE_ROWS = 65_536  # edge rows write_edge_list turns into Python objects at once
 
 
 def _stripped_lines(path) -> Iterator[tuple[int, str]]:
@@ -64,11 +65,11 @@ def load_graph(edge_file, label_file) -> LabeledGraph:
 
     Edge rows are ``u <sep> v [<sep> weight]`` with weight defaulting to 1.0;
     duplicate and reversed rows are merged by summing, self-loop rows are
-    dropped with a counted warning. Label rows are ``u <sep> opinion_index``.
-    Nodes appearing only in the label file become isolated nodes. A node in
-    the edge file without a label, a weight outside [MIN_WEIGHT, MAX_WEIGHT],
-    a merged total weight above MAX_WEIGHT, or an empty edge set is a hard
-    error.
+    dropped with a counted warning. Label rows are ``u <sep> opinion_index``,
+    every index below the number of labeled nodes. Nodes appearing only in
+    the label file become isolated nodes. A node in the edge file without a
+    label, a weight outside [MIN_WEIGHT, MAX_WEIGHT], a merged total weight
+    above MAX_WEIGHT, or an empty edge set is a hard error.
     """
     edge_rows = _data_rows(edge_file)
     if not edge_rows:
@@ -135,6 +136,7 @@ def _load_labels(label_file) -> dict[str, int]:
         raise InputError("label file is empty", path=label_file)
     sep = _detect_separator(label_file, rows)
     opinions: dict[str, int] = {}
+    top, top_line = 0, 0  # the largest index, which sizes the census, and its line
     for lineno, line in rows:
         fields = [f.strip() for f in line.split(sep)]
         if len(fields) != 2:
@@ -161,6 +163,14 @@ def _load_labels(label_file) -> dict[str, int]:
                 f"conflicting labels for node {node!r}", path=label_file, line=lineno
             )
         opinions[node] = opinion
+        if opinion > top:
+            top, top_line = opinion, lineno
+    if top >= len(opinions):
+        raise InputError(
+            f"opinion index {top} is not below the {len(opinions)} labeled nodes",
+            path=label_file,
+            line=top_line,
+        )
     return opinions
 
 
@@ -190,10 +200,12 @@ def _open_out(path) -> Iterator[TextIO]:
 
 def write_edge_list(graph: LabeledGraph, path) -> None:
     """Tab-separated ``u v w`` rows in ``graph.edges`` order, full precision."""
-    iu, iv, weights = (a.tolist() for a in graph.edge_arrays())
+    nodes, arrays = graph.nodes, graph.edge_arrays()
     with _open_out(path) as fh:
-        for a, b, w in zip(iu, iv, weights):
-            fh.write(f"{graph.nodes[a]}\t{graph.nodes[b]}\t{w!r}\n")
+        for i in range(0, len(arrays[0]), _WRITE_ROWS):
+            # no name holds a slice's lists: they go before the next are made
+            for a, b, w in zip(*(x[i : i + _WRITE_ROWS].tolist() for x in arrays)):
+                fh.write(f"{nodes[a]}\t{nodes[b]}\t{w!r}\n")
 
 
 def write_labels(graph: LabeledGraph, path) -> None:

@@ -128,6 +128,8 @@ def _loads(line: str, path, lineno: int):
         return json.loads(line)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc.msg}", path=path, line=lineno) from None
+    except ValueError as exc:  # an integer beyond Python's digit limit
+        raise InputError(f"invalid JSON: {exc}", path=path, line=lineno) from None
     except RecursionError:
         raise InputError(
             "invalid JSON: nesting too deep", path=path, line=lineno

@@ -55,8 +55,8 @@ def naive_polarization(nodes, edges, opinions, num_opinions, communities):
     return p_w, p_b, (s_w * p_w + s_b * p_b) / (s_w + s_b)
 
 
-def brute_force_modularity(nodes, edges, communities, resolution=1.0):
-    """Pairwise-sum modularity: (1/2m) sum_ij (A_ij - g*k_i*k_j/2m) d(ci,cj).
+def brute_force_modularity(nodes, edges, communities):
+    """Pairwise-sum modularity: (1/2m) sum_ij (A_ij - k_i*k_j/2m) d(ci,cj).
 
     Quadratic in nodes on purpose; the production code uses the
     per-community form, so agreement checks both derivations.
@@ -80,7 +80,7 @@ def brute_force_modularity(nodes, edges, communities, resolution=1.0):
             if communities[u] != communities[v]:
                 continue
             a_uv = adj[u].get(v, 0.0)
-            q += a_uv - resolution * degree[u] * degree[v] / two_m
+            q += a_uv - degree[u] * degree[v] / two_m
     return q / two_m
 
 

@@ -335,6 +335,19 @@ def test_build_network_deep_nesting_exits_one(capsys, tmp_path):
     assert f"{archive}:1: invalid JSON: nesting too deep" in err
 
 
+def test_build_network_integer_beyond_the_digit_limit_exits_one(capsys, tmp_path):
+    archive = tmp_path / "tweets.jsonl"
+    archive.write_text(
+        '{"tweet_id": "1", "author": "a", "stance": "favor", "retweeters": ["b"]}\n'
+        '{"tweet_id": "2", "n": ' + "9" * 5000 + "}\n"
+    )
+    code, out, err = run(capsys, "build-network", "--records", str(archive))
+    assert code == 1
+    assert f"{archive}:2: invalid JSON: Exceeds the limit" in err
+    assert "internal error" not in err
+    assert out == ""
+
+
 @pytest.mark.parametrize("size", ["1x1", "2x1"])
 def test_sweep_sbm_without_edges_exits_one(capsys, size):
     code, out, err = run(capsys, "sweep", "--sbm", size, "--runs", "1")
@@ -370,19 +383,42 @@ def test_out_into_a_missing_directory_exits_one_naming_the_file(
     assert out == ""
 
 
-def _build_network_subprocess(tmp_path, archive):
-    """Run ``build-network`` in a child, whose warnings reach stderr through
-    logging's default handler as they would for a user."""
+def _cli_subprocess(cwd, *argv, ulimit_kib=None):
+    """Run the CLI in a child, whose warnings reach stderr through logging's
+    default handler as they would for a user. With ``ulimit_kib`` the child
+    runs under ``ulimit -v`` of that many KiB."""
     import polarimeter
 
     src = os.path.dirname(os.path.dirname(polarimeter.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    cap = []
+    if ulimit_kib:
+        cap = ["sh", "-c", f'ulimit -v {ulimit_kib} && exec "$@"', "sh"]
     return subprocess.run(
-        [sys.executable, "-m", "polarimeter.cli", "build-network",
-         "--records", str(archive), "--out", "net"],
-        capture_output=True, text=True, cwd=tmp_path,
+        [*cap, sys.executable, "-m", "polarimeter.cli", *argv],
+        capture_output=True, text=True, cwd=cwd,
         env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def _build_network_subprocess(tmp_path, archive):
+    return _cli_subprocess(
+        tmp_path, "build-network", "--records", str(archive), "--out", "net"
+    )
+
+
+@pytest.mark.parametrize("index", ["99999999999999999999", "1000000000000000"])
+def test_huge_opinion_index_exits_one_naming_the_label_line(tmp_path, index):
+    (tmp_path / "e.tsv").write_text("a\tb\n")
+    (tmp_path / "l.tsv").write_text(f"a\t0\nb\t1\nc\t{index}\n")
+    # under the cap, arrays sized by the index could not be allocated
+    proc = _cli_subprocess(tmp_path, "analyze", "--graph", "e.tsv", "--labels", "l.tsv",
+                           "--runs", "1", ulimit_kib=2**20)
+    assert proc.returncode == 1
+    message = f"l.tsv:3: opinion index {index} is not below the 3 labeled nodes"
+    assert message in proc.stderr
+    assert "internal error" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_build_network_bad_last_line_exits_one_before_writing(tmp_path):

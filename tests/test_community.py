@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -53,11 +54,14 @@ def as_dict_partition(graph, blocks):
     return Partition(assignment=assignment, k=len(blocks))
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        LouvainConfig(resolution=0.0)
-    with pytest.raises(ValueError):
-        LouvainConfig(min_modularity_gain=-1.0)
+def test_config_holds_only_the_seed():
+    assert [f.name for f in dataclasses.fields(LouvainConfig)] == ["seed"]
+    assert LouvainConfig.min_modularity_gain == 1e-7
+    assert LouvainConfig(seed=3).min_modularity_gain == 1e-7
+    with pytest.raises(TypeError):
+        LouvainConfig(resolution=2.0)
+    with pytest.raises(TypeError):
+        LouvainConfig(min_modularity_gain=1e-3)
 
 
 def test_partition_validate():
@@ -128,10 +132,8 @@ def test_modularity_matches_brute_force_on_random_graphs():
         remap = {c: i for i, c in enumerate(cids)}
         p = Partition(assignment={u: remap[c] for u, c in assignment.items()},
                       k=len(cids))
-        resolution = rng.choice([0.5, 1.0, 2.0])
-        assert modularity(g, p, resolution=resolution) == pytest.approx(
-            brute_force_modularity(nodes, edges, p.assignment, resolution),
-            abs=1e-9,
+        assert modularity(g, p) == pytest.approx(
+            brute_force_modularity(nodes, edges, p.assignment), abs=1e-9
         )
 
 
@@ -213,13 +215,6 @@ def test_final_internal_q_matches_public_scorer():
     trace = []
     p = louvain(g, LouvainConfig(seed=17), pass_hook=lambda l, i, q: trace.append(q))
     assert trace[-1] == pytest.approx(modularity(g, p), abs=1e-9)
-
-
-def test_higher_resolution_never_coarsens():
-    g = ring_of_cliques(cliques=6, size=5)
-    coarse = louvain(g, LouvainConfig(seed=2, resolution=0.3))
-    fine = louvain(g, LouvainConfig(seed=2, resolution=3.0))
-    assert fine.k >= coarse.k
 
 
 def test_weights_steer_the_partition():

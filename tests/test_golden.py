@@ -141,13 +141,10 @@ def test_karate_modularity_values():
     ]
 
 
-def test_sbm_modularity_values_per_resolution():
+def test_sbm_modularity_value():
     graph, _ = generate_sbm(SbmConfig(20, 250, 0.05, 0.001, seed=7))
-    values = [
-        modularity(graph, louvain(graph, LouvainConfig(seed=42, resolution=r)), r)
-        for r in (0.5, 1.0, 2.0)
-    ]
-    assert values == [0.6945960533706912, 0.6695859523222581, 0.619565750225392]
+    value = modularity(graph, louvain(graph, LouvainConfig(seed=42)))
+    assert value == 0.6695859523222581
 
 
 def test_weighted_random_graph_modularity_values():

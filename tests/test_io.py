@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 import logging
+import random
 
 import pytest
 
+from polarimeter import io as pio
 from polarimeter import (
     InputError,
     LabeledGraph,
@@ -109,6 +111,16 @@ def test_repeated_identical_label_rows_are_fine(tmp_path):
     assert load_graph(edges, labels).opinions == {"a": 0, "b": 1}
 
 
+def test_opinion_index_must_be_below_the_labeled_node_count(tmp_path):
+    edges = write(tmp_path / "e.tsv", "a\tb\t1\n")
+    labels = write(tmp_path / "l.tsv", "a\t0\nb\t0\nc\t2\n")
+    assert load_graph(edges, labels).num_opinions == 3
+    labels = write(tmp_path / "l.tsv", "a\t0\nb\t3\nc\t3\n")
+    with pytest.raises(InputError, match="opinion index 3 is not below") as info:
+        load_graph(edges, labels)
+    assert info.value.line == 2
+
+
 def test_empty_edge_file_rejected(tmp_path):
     edges = write(tmp_path / "e.tsv", "# nothing\n")
     labels = write(tmp_path / "l.tsv", "a\t0\n")
@@ -147,6 +159,18 @@ def test_write_then_load_round_trips(tmp_path):
     for (u1, v1, w1), (u2, v2, w2) in zip(g.edges, g2.edges):
         assert (u1, v1) == (u2, v2)
         assert w1 == pytest.approx(w2, abs=1e-9)
+
+
+def test_edge_list_written_in_slices_has_the_rows_of_graph_edges(tmp_path, monkeypatch):
+    rng = random.Random(5)
+    rows = [(*(f"u{x}" for x in rng.sample(range(300), 2)), rng.random() + 0.01)
+            for _ in range(900)]
+    g = LabeledGraph(rows, {f"u{x}": 0 for x in range(300)})
+    monkeypatch.setattr(pio, "_WRITE_ROWS", 64)
+    assert g.edge_count > 64 and g.edge_count % 64
+    write_edge_list(g, tmp_path / "e.tsv")
+    expected = "".join(f"{u}\t{v}\t{w!r}\n" for u, v, w in g.edges)
+    assert (tmp_path / "e.tsv").read_bytes() == expected.encode("utf-8")
 
 
 def test_karate_fixture_loads_with_paper_dimensions():

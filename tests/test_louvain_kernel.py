@@ -81,32 +81,24 @@ def criterion_8_random_graphs():
     rng = random.Random(808)
     for _ in range(40):
         nodes, edges, opinions, k = random_graph_spec(rng, max_nodes=8)
-        yield LabeledGraph(edges, opinions, num_opinions=k), LouvainConfig(
-            seed=rng.randrange(10_000)
-        )
+        yield LabeledGraph(edges, opinions, num_opinions=k), rng.randrange(10_000)
         for _ in nodes:  # the draws criterion 8 makes for its random partition
             rng.randrange(2)
 
 
 CASES = {
-    "karate": lambda: ((load_karate(), LouvainConfig(seed=s)) for s in range(100)),
+    "karate": lambda: ((load_karate(), s) for s in range(100)),
     "golden-sbm": lambda: (
-        (generate_sbm(SbmConfig(20, 250, 0.05, 0.001, seed=7))[0], LouvainConfig(seed=s))
+        (generate_sbm(SbmConfig(20, 250, 0.05, 0.001, seed=7))[0], s)
         for s in (42, 43, 44)
     ),
-    "bridged-cliques": lambda: ((bridged_cliques(), LouvainConfig(seed=s)) for s in range(100)),
+    "bridged-cliques": lambda: ((bridged_cliques(), s) for s in range(100)),
     "criterion-8-random": criterion_8_random_graphs,
-    "karate-resolutions": lambda: (
-        (load_karate(), LouvainConfig(seed=s, resolution=r, min_modularity_gain=g))
-        for s in range(5)
-        for r in (0.3, 2.0)
-        for g in (1e-7, 1e-3)
-    ),
 }
 
 
-def assert_kernel_matches_python(graph, config):
-    args = (graph.adjacency(), graph.total_weight, config)
+def assert_kernel_matches_python(graph, seed):
+    args = (graph.adjacency(), graph.total_weight, seed)
     got, k, records = _native.louvain_kernel()(*args)
     want, want_k, want_records = community._louvain_python(*args)
     # the int64 assignment, community count and every (level, q) record all ==
@@ -118,14 +110,14 @@ def assert_kernel_matches_python(graph, config):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_kernel_matches_the_python_oracle(kernel_cache, case):
     assert _native.louvain_kernel() is not None
-    for graph, config in CASES[case]():
-        assert_kernel_matches_python(graph, config)
+    for graph, seed in CASES[case]():
+        assert_kernel_matches_python(graph, seed)
 
 
 def test_records_beyond_the_first_buffer_are_kept(kernel_cache, monkeypatch):
     assert _native.louvain_kernel() is not None
     monkeypatch.setattr(_native, "PASS_RECORDS", 1)
-    assert_kernel_matches_python(load_karate(), LouvainConfig(seed=3))
+    assert_kernel_matches_python(load_karate(), 3)
 
 
 def unwritable_cache(monkeypatch, tmp_path):
