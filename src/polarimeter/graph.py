@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import copy
 import numbers
+from array import array
 from dataclasses import dataclass
-from typing import Collection, Hashable, Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -61,101 +62,95 @@ def _node_order(ids: Sequence[NodeId]) -> list[int]:
     return sorted(range(len(ids)), key=lambda i: _node_key(ids[i]))
 
 
-def _label_array(
-    nodes: tuple[NodeId, ...],
-    node_set: Collection[NodeId],
-    opinions: Mapping[NodeId, int],
-    num_opinions: int | None,
-) -> tuple[np.ndarray, int]:
-    """Check one label per node and return the labels in node order, with
-    the opinion count (inferred from the labels when None)."""
+def _opinion_array(nodes, labels, num_opinions) -> tuple[np.ndarray, int]:
+    """``labels``, one opinion per node of ``nodes``, as a new int64 array,
+    with the opinion count (the largest label plus one, at least 2, when
+    None). A label outside [0, count) is a ValueError naming the first such
+    node in ``nodes`` order."""
+    try:
+        labels = np.array(labels, dtype=np.int64)
+    except OverflowError:  # a Python int beyond int64
+        u, o = next((u, o) for u, o in zip(nodes, labels) if not -(2**63) <= o < 2**63)
+        raise ValueError(f"opinion {o} of node {u!r} does not fit in int64") from None
+    if labels.shape != (len(nodes),):
+        raise ValueError(f"{labels.size} labels for {len(nodes)} nodes")
     if num_opinions is None:
-        top = max((int(o) for o in opinions.values()), default=0)
-        num_opinions = max(2, top + 1)
+        num_opinions = max(2, int(labels.max()) + 1)
     if num_opinions < 2:
         raise ValueError(f"num_opinions must be >= 2, got {num_opinions}")
-    for u in opinions:
-        if u not in node_set:
-            raise ValueError(f"label for node {u!r}, which is not in the graph")
-
-    labels = []
-    for u in nodes:
-        if u not in opinions:
-            raise ValueError(f"node {u!r} has no opinion label")
-        o = int(opinions[u])
-        if not 0 <= o < num_opinions:
-            raise ValueError(f"opinion {o} of node {u!r} outside [0, {num_opinions})")
-        labels.append(o)
-    return np.array(labels, dtype=np.int64), int(num_opinions)
+    bad = np.flatnonzero((labels < 0) | (labels >= num_opinions))
+    if len(bad):
+        i = int(bad[0])
+        raise ValueError(
+            f"opinion {labels[i]} of node {nodes[i]!r} outside [0, {num_opinions})"
+        )
+    return labels, int(num_opinions)
 
 
 class LabeledGraph:
     """Undirected weighted graph with one discrete opinion label per node.
 
-    Construction merges duplicate and reversed edge entries by summing their
+    Construction merges duplicate and reversed edge rows by summing their
     weights. Self-loops, weights outside [MIN_WEIGHT, MAX_WEIGHT] (NaN and
     infinities included) and a total weight above MAX_WEIGHT are rejected;
     callers that need drop-with-warning semantics (file loaders, retweet
-    ingestion) filter before constructing. Nodes are the union of edge
-    endpoints and label keys, so label-only nodes survive as isolated nodes.
+    ingestion) filter before constructing. Every node carries a label, so
+    a node in no edge row is an isolated node.
     """
 
     def __init__(
-        self,
-        edges: Iterable[tuple[NodeId, NodeId, float]],
-        opinions: Mapping[NodeId, int],
-        num_opinions: int | None = None,
+        self, ids: Sequence[NodeId], ends, weights, labels, num_opinions=None
     ):
-        node_set = set(opinions)
-        ends: list[NodeId] = []
-        weights: list[float] = []
-        for u, v, w in edges:
-            if u == v:
-                raise ValueError(f"self-loop on node {u!r}")
-            w = float(w)
-            if not MIN_WEIGHT <= w <= MAX_WEIGHT:
-                raise ValueError(
-                    f"non-positive, non-finite or out-of-range weight {w} on "
-                    f"edge ({u!r}, {v!r}); weights must lie in "
-                    f"[{MIN_WEIGHT}, {MAX_WEIGHT}]"
-                )
-            ends += (u, v)
-            weights.append(w)
-        node_set.update(ends)
-
-        ids = list(node_set)
-        nodes = tuple(map(ids.__getitem__, _node_order(ids)))
-        index = dict(zip(nodes, range(len(nodes))))
-        labels, num_opinions = _label_array(nodes, index, opinions, num_opinions)
-        ends = np.fromiter(map(index.__getitem__, ends), np.int64, len(ends))
-        # the float list goes before the layout allocates: a graph load peaks here
-        weights = np.array(weights)
-        self._lay_out(nodes, ends, weights, labels, num_opinions)
-
-    def _lay_out(
-        self,
-        nodes: tuple[NodeId, ...],
-        ends: np.ndarray,
-        weights: np.ndarray,
-        labels: np.ndarray,
-        num_opinions: int,
-    ) -> None:
-        """Store a graph given by node indices: ``ends`` holds each row's two
-        indices into ``nodes`` (interleaved, no self-loops), ``weights`` one
-        valid weight per row, ``labels`` one opinion per node. Every
-        constructor ends here."""
-        if not len(weights):
+        """The graph over the distinct node ``ids``, in any order: ``ends``
+        holds each edge row's two integer indices into ``ids``, interleaved,
+        ``weights`` one weight per row, and ``labels`` one opinion per id.
+        The ids are put in node order here."""
+        n = len(ids)
+        if len(set(ids)) != n:
+            raise ValueError("node ids are not distinct")
+        ends = np.asarray(ends)
+        weights = np.asarray(weights, dtype=np.float64)
+        if ends.ndim != 1 or weights.ndim != 1 or ends.size != 2 * weights.size:
+            raise ValueError(
+                f"{ends.size} edge ends for {weights.size} weights; "
+                "need two ends per weight"
+            )
+        if not weights.size:
             raise ValueError("graph has no edges")
-        self.nodes = nodes
-        self.num_opinions = int(num_opinions)
+        if ends.dtype.kind not in "iu":
+            raise ValueError(f"edge ends must be integer indices, got {ends.dtype}")
+        if ends.min() < 0 or ends.max() >= n:
+            raise ValueError(f"edge end index outside [0, {n})")
+        ends = ends.astype(np.int64, copy=False)
+        loops = ends[0::2] == ends[1::2]
+        in_range = (weights >= MIN_WEIGHT) & (weights <= MAX_WEIGHT)
+        bad = np.flatnonzero(loops | ~in_range)
+        if len(bad):
+            j = int(bad[0])
+            u, v = ids[ends[2 * j]], ids[ends[2 * j + 1]]
+            if loops[j]:
+                raise ValueError(f"self-loop on node {u!r}")
+            raise ValueError(
+                f"non-positive, non-finite or out-of-range weight {float(weights[j])} "
+                f"on edge ({u!r}, {v!r}); weights must lie in "
+                f"[{MIN_WEIGHT}, {MAX_WEIGHT}]"
+            )
+        labels, self.num_opinions = _opinion_array(ids, labels, num_opinions)
+
+        order = _node_order(ids)
+        self.nodes = tuple(map(ids.__getitem__, order))
+        if any(i != j for i, j in enumerate(order)):  # move indices to node positions
+            rank = np.empty(n, dtype=np.int64)
+            rank[order] = np.arange(n)
+            ends, labels = rank[ends], labels[order]
         self._labels = labels
         # rows merge on their (low, high) index pair: bincount adds each
         # pair's weights in input order, and np.unique sorts the pairs into
         # edge_arrays() order, so the sum below is that view's sum
-        n = len(nodes)
         low, high = np.sort(ends.reshape(-1, 2), axis=1).T
         upper, inverse = np.unique(low * n + high, return_inverse=True)
         w = np.bincount(inverse, weights=weights)
+        del ends, low, high, inverse  # the CSR sort below sets the peak
         self.total_weight = total = float(w.sum())
         if not total <= MAX_WEIGHT:
             raise ValueError(f"total edge weight {total} exceeds {MAX_WEIGHT}")
@@ -171,6 +166,27 @@ class LabeledGraph:
         indptr = np.searchsorted(key, np.arange(n + 1) * n)
         key %= n
         self._csr = (indptr, key, w.take(order, mode="wrap"))
+
+    @classmethod
+    def from_edges(
+        cls,
+        edges: Iterable[tuple[NodeId, NodeId, float]],
+        opinions: Mapping[NodeId, int],
+        num_opinions: int | None = None,
+    ) -> "LabeledGraph":
+        """The graph of ``(u, v, weight)`` node-id rows with an opinion per
+        node id. The nodes are the labeled ids: an edge end without a label
+        is a ValueError naming the first in row order, and a label-only id
+        is an isolated node."""
+        index = dict(zip(opinions, range(len(opinions))))
+        ends, weights = array("q"), array("d")
+        for u, v, w in edges:
+            for node in (u, v):
+                if (i := index.get(node)) is None:
+                    raise ValueError(f"node {node!r} has no opinion label")
+                ends.append(i)
+            weights.append(float(w))
+        return cls(list(opinions), ends, weights, list(opinions.values()), num_opinions)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -190,9 +206,15 @@ class LabeledGraph:
         Nodes, the CSR triple and the edge arrays are shared, not copied;
         only the labels are new.
         """
-        return self._with_labels(
-            *_label_array(self.nodes, set(self.nodes), opinions, num_opinions)
-        )
+        known = set(self.nodes)
+        for u in opinions:
+            if u not in known:
+                raise ValueError(f"label for node {u!r}, which is not in the graph")
+        try:
+            labels = [opinions[u] for u in self.nodes]
+        except KeyError as exc:
+            raise ValueError(f"node {exc.args[0]!r} has no opinion label") from None
+        return self._with_labels(*_opinion_array(self.nodes, labels, num_opinions))
 
     def _with_labels(self, labels: np.ndarray, num_opinions: int) -> "LabeledGraph":
         """Copy sharing this graph's structure, with valid node-order ``labels``."""

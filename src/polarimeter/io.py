@@ -9,8 +9,10 @@ fixed key order, reals with 6 decimal places in reports, ``\\n`` newlines.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import logging
+from array import array
 from importlib import resources
 from typing import TYPE_CHECKING, Iterator, TextIO
 
@@ -44,19 +46,25 @@ def _stripped_lines(path) -> Iterator[tuple[int, str]]:
         raise InputError(str(exc), path=path) from exc
 
 
-def _data_rows(path) -> list[tuple[int, str]]:
-    """(line_number, stripped_text) for non-comment, non-blank lines."""
-    return [row for row in _stripped_lines(path) if not row[1].startswith("#")]
-
-
-def _detect_separator(path, rows: list[tuple[int, str]]) -> str:
-    lineno, first = rows[0]
-    if "\t" in first:
-        return "\t"
-    if "," in first:
-        return ","
-    raise InputError(
-        "cannot detect separator (expected tab or comma)", path=path, line=lineno
+def _split_rows(path, empty: str) -> tuple[str, Iterator[tuple[int, list[str]]]]:
+    """The separator of a tab- or comma-separated file, detected from its
+    first data row, and its data rows (not blank, not ``#`` comments) as
+    ``(line_number, stripped fields)``, streamed from that same first row
+    on, so a bad row raises when it is reached. A file with no data rows is
+    an `InputError` with the message ``empty``."""
+    rows = (row for row in _stripped_lines(path) if not row[1].startswith("#"))
+    first = next(rows, None)
+    if first is None:
+        raise InputError(empty, path=path)
+    lineno, line = first
+    sep = "\t" if "\t" in line else "," if "," in line else None
+    if sep is None:
+        raise InputError(
+            "cannot detect separator (expected tab or comma)", path=path, line=lineno
+        )
+    return sep, (
+        (lineno, [f.strip() for f in line.split(sep)])
+        for lineno, line in itertools.chain([first], rows)
     )
 
 
@@ -68,18 +76,18 @@ def load_graph(edge_file, label_file) -> LabeledGraph:
     dropped with a counted warning. Label rows are ``u <sep> opinion_index``,
     every index below the number of labeled nodes. Nodes appearing only in
     the label file become isolated nodes. A node in the edge file without a
-    label, a weight outside [MIN_WEIGHT, MAX_WEIGHT], a merged total weight
-    above MAX_WEIGHT, or an empty edge set is a hard error.
+    label (the first in row order is named), a weight outside [MIN_WEIGHT,
+    MAX_WEIGHT], a merged total weight above MAX_WEIGHT, or an empty edge
+    set is a hard error.
     """
-    edge_rows = _data_rows(edge_file)
-    if not edge_rows:
-        raise InputError("edge file contains no edges", path=edge_file)
-    sep = _detect_separator(edge_file, edge_rows)
-
-    edges: list[tuple[str, str, float]] = []
+    sep, rows = _split_rows(edge_file, "edge file contains no edges")
+    # node ids interned to their first appearance; int64/float64 buffers,
+    # which numpy reads without a copy
+    index: dict[str, int] = {}
+    intern = index.setdefault
+    ends, weights = array("q"), array("d")
     self_loops = 0
-    for lineno, line in edge_rows:
-        fields = [f.strip() for f in line.split(sep)]
+    for lineno, fields in rows:
         if len(fields) not in (2, 3):
             raise InputError(
                 f"expected 'u{sep}v[{sep}w]', got {len(fields)} fields",
@@ -108,37 +116,35 @@ def load_graph(edge_file, label_file) -> LabeledGraph:
         if u == v:
             self_loops += 1
             continue
-        edges.append((u, v, w))
+        ends.append(intern(u, len(index)))
+        ends.append(intern(v, len(index)))
+        weights.append(w)
     if self_loops:
         logger.warning("%s: dropped %d self-loop edge row(s)", edge_file, self_loops)
-    if not edges:
+    if not weights:
         raise InputError("edge file contains no usable edges", path=edge_file)
 
     opinions = _load_labels(label_file)
-
-    for u, v, _ in edges:
-        for node in (u, v):
-            if node not in opinions:
-                raise InputError(
-                    f"node {node!r} from edge file has no label", path=label_file
-                )
+    for node in index:
+        if node not in opinions:
+            raise InputError(
+                f"node {node!r} from edge file has no label", path=label_file
+            )
+    for node in opinions:
+        intern(node, len(index))
 
     try:
-        return LabeledGraph(edges, opinions)
+        return LabeledGraph(list(index), ends, weights, list(map(opinions.get, index)))
     except ValueError as exc:
         # rows and labels are checked above; what is left is the total weight
         raise InputError(str(exc), path=edge_file) from None
 
 
 def _load_labels(label_file) -> dict[str, int]:
-    rows = _data_rows(label_file)
-    if not rows:
-        raise InputError("label file is empty", path=label_file)
-    sep = _detect_separator(label_file, rows)
+    sep, rows = _split_rows(label_file, "label file is empty")
     opinions: dict[str, int] = {}
     top, top_line = 0, 0  # the largest index, which sizes the census, and its line
-    for lineno, line in rows:
-        fields = [f.strip() for f in line.split(sep)]
+    for lineno, fields in rows:
         if len(fields) != 2:
             raise InputError(
                 f"expected 'node{sep}opinion', got {len(fields)} fields",

@@ -19,7 +19,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .errors import InputError
-from .graph import LabeledGraph, _node_order
+from .graph import LabeledGraph
 from .io import _stripped_lines
 
 logger = logging.getLogger(__name__)
@@ -222,16 +222,5 @@ def _retweet_network(rows) -> LabeledGraph:
         raise InputError("no retweet edges in record set")
 
     _, opinion = _opinions(counts)
-    order = _node_order(users)
-    rank = np.empty(len(users), dtype=np.int64)
-    rank[order] = np.arange(len(users))
-    graph = LabeledGraph.__new__(LabeledGraph)
     # one unit row per event: the layout sums them into exact counts
-    graph._lay_out(
-        tuple(map(users.__getitem__, order)),
-        rank[ends],
-        np.ones(len(ends) // 2),
-        opinion[order],
-        num_opinions=3,
-    )
-    return graph
+    return LabeledGraph(users, ends, np.ones(len(ends) // 2), opinion, num_opinions=3)

@@ -111,10 +111,10 @@ def generate_sbm(config: SbmConfig) -> tuple[LabeledGraph, Partition]:
                 pairs.append(np.stack([u + a * size, v + b * size], axis=1))
 
     ends = np.concatenate(pairs).ravel()
+    del pairs  # the blocks' rows go before the layout allocates
     total = config.blocks * size
-    graph = LabeledGraph.__new__(LabeledGraph)
     labels = np.zeros(total, dtype=np.int64)
-    graph._lay_out(tuple(range(total)), ends, np.ones(len(ends) // 2), labels, 2)
+    graph = LabeledGraph(range(total), ends, np.ones(len(ends) // 2), labels, 2)
     blocks = np.arange(total) // size
     return graph, Partition.__new__(Partition)._hold(graph.nodes, blocks, config.blocks)
 

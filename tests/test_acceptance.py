@@ -53,7 +53,7 @@ RATIO_GRID = [0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
 
 def test_criterion_1_formula_oracle():
     """4-node hand computation: P_W = 1.0, P_B = 0.0, P = 2/3, all +-1e-12."""
-    g = LabeledGraph(
+    g = LabeledGraph.from_edges(
         [(0, 1, 1.0), (2, 3, 1.0), (1, 2, 1.0)],
         {0: 0, 1: 0, 2: 1, 3: 1},
     )
@@ -71,7 +71,7 @@ def test_criterion_2_brute_force_equivalence():
     for _ in range(200):
         nodes, edges, opinions, k = random_graph_spec(rng, max_nodes=8,
                                                       max_opinions=3)
-        g = LabeledGraph(edges, opinions, num_opinions=k)
+        g = LabeledGraph.from_edges(edges, opinions, num_opinions=k)
         scaled = scale_weights(g, census(g))
         for blocks in all_partitions(nodes):
             assignment = {}
@@ -91,7 +91,7 @@ def test_criterion_3_boundary_invariants():
     rng = random.Random(303)
     for _ in range(100):
         nodes, edges, opinions, k = random_graph_spec(rng, max_nodes=10)
-        g = LabeledGraph(edges, {u: 0 for u in nodes}, num_opinions=2)
+        g = LabeledGraph.from_edges(edges, {u: 0 for u in nodes}, num_opinions=2)
         report = analyze(g, LouvainConfig(seed=rng.randrange(1000)), runs=1)
         assert report.polarization_mean == 1.0
 
@@ -108,7 +108,7 @@ def test_criterion_3_boundary_invariants():
             )
         labels = {f"l{i}": 0 for i in range(left)}
         labels.update({f"r{i}": 1 for i in range(right)})
-        g = LabeledGraph(edges, labels, num_opinions=2)
+        g = LabeledGraph.from_edges(edges, labels, num_opinions=2)
         report = analyze(g, LouvainConfig(seed=rng.randrange(1000)), runs=1)
         assert report.polarization_mean == 0.0
 
@@ -258,7 +258,7 @@ def test_criterion_8_louvain_sanity():
             for j in range(i + 1, 5):
                 edges.append((base + i, base + j, 1.0))
     edges.append((4, 5, 1.0))
-    g = LabeledGraph(edges, {i: 0 for i in range(10)}, num_opinions=2)
+    g = LabeledGraph.from_edges(edges, {i: 0 for i in range(10)}, num_opinions=2)
     for seed in range(100):
         p = louvain(g, LouvainConfig(seed=seed))
         assert p.k == 2
@@ -269,7 +269,7 @@ def test_criterion_8_louvain_sanity():
     rng = random.Random(808)
     for _ in range(40):
         nodes, edges, opinions, k = random_graph_spec(rng, max_nodes=8)
-        g = LabeledGraph(edges, opinions, num_opinions=k)
+        g = LabeledGraph.from_edges(edges, opinions, num_opinions=k)
         found = louvain(g, LouvainConfig(seed=rng.randrange(10_000)))
         assert modularity(g, found) == pytest.approx(
             brute_force_modularity(nodes, edges, found.assignment), abs=1e-9

@@ -31,7 +31,7 @@ def two_cliques(size=5):
                 edges.append((base + i, base + j, 1.0))
     edges.append((size - 1, size, 1.0))
     labels = {i: 0 for i in range(2 * size)}
-    return LabeledGraph(edges, labels, num_opinions=2)
+    return LabeledGraph.from_edges(edges, labels, num_opinions=2)
 
 
 def ring_of_cliques(cliques=4, size=4):
@@ -43,7 +43,7 @@ def ring_of_cliques(cliques=4, size=4):
             for j in range(i + 1, size):
                 edges.append((base + i, base + j, 1.0))
         edges.append((base + size - 1, ((c + 1) * size) % n, 1.0))
-    return LabeledGraph(edges, {i: 0 for i in range(n)}, num_opinions=2)
+    return LabeledGraph.from_edges(edges, {i: 0 for i in range(n)}, num_opinions=2)
 
 
 def as_dict_partition(graph, blocks):
@@ -65,7 +65,7 @@ def test_config_holds_only_the_seed():
 
 
 def test_partition_validate():
-    g = LabeledGraph([("a", "b", 1.0), ("c", "d", 1.0)],
+    g = LabeledGraph.from_edges([("a", "b", 1.0), ("c", "d", 1.0)],
                      {"a": 0, "b": 0, "c": 0, "d": 0})
     p = Partition(assignment={"a": 0, "b": 0, "c": 1, "d": 1}, k=2)
     p.validate(g)
@@ -100,7 +100,7 @@ def test_mapping_partition_in_any_key_order_equals_the_array_partition():
 
 
 def test_partition_array_follows_graph_node_order():
-    g = LabeledGraph([("b", "a", 1.0), ("c", "d", 1.0)],
+    g = LabeledGraph.from_edges([("b", "a", 1.0), ("c", "d", 1.0)],
                      {"a": 0, "b": 0, "c": 0, "d": 0})
     p = Partition(assignment={"d": 0, "c": 0, "b": 1, "a": 1}, k=2)
     assert p.array(g).tolist() == [1, 1, 0, 0]
@@ -111,13 +111,13 @@ def test_partition_array_follows_graph_node_order():
 def test_modularity_two_disjoint_triangles_is_half():
     edges = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0),
              (3, 4, 1.0), (4, 5, 1.0), (3, 5, 1.0)]
-    g = LabeledGraph(edges, {i: 0 for i in range(6)}, num_opinions=2)
+    g = LabeledGraph.from_edges(edges, {i: 0 for i in range(6)}, num_opinions=2)
     p = Partition(assignment={0: 0, 1: 0, 2: 0, 3: 1, 4: 1, 5: 1}, k=2)
     assert modularity(g, p) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_modularity_single_community_is_zero():
-    g = LabeledGraph([(0, 1, 1.0), (1, 2, 1.0)], {i: 0 for i in range(3)})
+    g = LabeledGraph.from_edges([(0, 1, 1.0), (1, 2, 1.0)], {i: 0 for i in range(3)})
     p = Partition(assignment={0: 0, 1: 0, 2: 0}, k=1)
     assert modularity(g, p) == pytest.approx(0.0, abs=1e-12)
 
@@ -126,7 +126,7 @@ def test_modularity_matches_brute_force_on_random_graphs():
     rng = random.Random(11)
     for _ in range(60):
         nodes, edges, opinions, k = random_graph_spec(rng)
-        g = LabeledGraph(edges, opinions, num_opinions=k)
+        g = LabeledGraph.from_edges(edges, opinions, num_opinions=k)
         assignment = {u: rng.randrange(3) for u in nodes}
         cids = sorted(set(assignment.values()))
         remap = {c: i for i, c in enumerate(cids)}
@@ -138,7 +138,7 @@ def test_modularity_matches_brute_force_on_random_graphs():
 
 
 def test_modularity_requires_full_coverage():
-    g = LabeledGraph([(0, 1, 1.0)], {0: 0, 1: 0})
+    g = LabeledGraph.from_edges([(0, 1, 1.0)], {0: 0, 1: 0})
     with pytest.raises(ValueError):
         modularity(g, Partition(assignment={0: 0}, k=1))
 
@@ -165,7 +165,7 @@ def test_louvain_partition_is_valid_and_densely_numbered():
     rng = random.Random(23)
     for _ in range(30):
         nodes, edges, opinions, k = random_graph_spec(rng)
-        g = LabeledGraph(edges, opinions, num_opinions=k)
+        g = LabeledGraph.from_edges(edges, opinions, num_opinions=k)
         p = louvain(g, LouvainConfig(seed=rng.randrange(1000)))
         p.validate(g)
         assert set(p.assignment.values()) == set(range(p.k))
@@ -175,7 +175,7 @@ def test_louvain_never_beats_exhaustive_search_and_matches_scorer():
     rng = random.Random(5)
     for _ in range(8):
         nodes, edges, opinions, k = random_graph_spec(rng, max_nodes=7)
-        g = LabeledGraph(edges, opinions, num_opinions=k)
+        g = LabeledGraph.from_edges(edges, opinions, num_opinions=k)
         p = louvain(g, LouvainConfig(seed=1))
         q_found = modularity(g, p)
         assert q_found == pytest.approx(
@@ -189,7 +189,7 @@ def test_louvain_never_beats_exhaustive_search_and_matches_scorer():
 
 
 def test_isolated_nodes_end_up_in_singleton_communities():
-    g = LabeledGraph([(0, 1, 1.0)], {0: 0, 1: 0, 2: 0, 3: 0})
+    g = LabeledGraph.from_edges([(0, 1, 1.0)], {0: 0, 1: 0, 2: 0, 3: 0})
     p = louvain(g, LouvainConfig(seed=0))
     assert p.assignment[2] != p.assignment[3]
     assert {p.assignment[2], p.assignment[3]} & {p.assignment[0], p.assignment[1]} == set()
@@ -220,6 +220,6 @@ def test_final_internal_q_matches_public_scorer():
 def test_weights_steer_the_partition():
     # Star weights pull node 4 into whichever side holds the heavy edge.
     edges = [(0, 1, 10.0), (2, 3, 10.0), (1, 2, 1.0), (3, 4, 10.0), (0, 4, 0.1)]
-    g = LabeledGraph(edges, {i: 0 for i in range(5)})
+    g = LabeledGraph.from_edges(edges, {i: 0 for i in range(5)})
     p = louvain(g, LouvainConfig(seed=0))
     assert p.assignment[3] == p.assignment[4]

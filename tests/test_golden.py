@@ -152,6 +152,6 @@ def test_weighted_random_graph_modularity_values():
     # totals change bits when the edges are added in another order
     rng = random.Random(5)
     rows = [(*rng.sample(range(300), 2), rng.random() + 0.01) for _ in range(900)]
-    graph = LabeledGraph(rows, {u: 0 for u in range(300)})
+    graph = LabeledGraph.from_edges(rows, {u: 0 for u in range(300)})
     values = [modularity(graph, louvain(graph, LouvainConfig(seed=s))) for s in range(3)]
     assert values == [0.5065903104905737, 0.5076809234183836, 0.5069911147256968]

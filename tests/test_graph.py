@@ -8,7 +8,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from polarimeter import LabeledGraph, census
@@ -16,94 +16,94 @@ from polarimeter.graph import _node_key, _node_order
 
 
 def test_merges_duplicate_and_reversed_edges():
-    g = LabeledGraph([("a", "b", 1.0), ("b", "a", 2.0)], {"a": 0, "b": 1})
+    g = LabeledGraph.from_edges([("a", "b", 1.0), ("b", "a", 2.0)], {"a": 0, "b": 1})
     assert g.edge_count == 1
     assert g.edges == (("a", "b", 3.0),)
 
 
 def test_merges_reversed_edges_between_a_bool_and_its_string_form():
-    g = LabeledGraph([(True, "True", 1.0), ("True", True, 1.0)], {True: 0, "True": 1})
+    g = LabeledGraph.from_edges([(True, "True", 1.0), ("True", True, 1.0)], {True: 0, "True": 1})
     assert g.edge_count == 1
     assert g.edges == ((True, "True", 2.0),)
 
 
 def test_merges_reversed_edges_between_a_bool_and_the_int_it_equals():
-    g = LabeledGraph([(True, 2, 1.0), (2, 1, 1.0)], {True: 0, 2: 1})
+    g = LabeledGraph.from_edges([(True, 2, 1.0), (2, 1, 1.0)], {True: 0, 2: 1})
     assert g.edge_count == 1
     assert g.edges == ((True, 2, 2.0),)
 
 
 @pytest.mark.parametrize("one", [1.0, np.int64(1)], ids=["float", "numpy-int"])
 def test_merges_reversed_edges_between_an_int_equal_and_the_int(one):
-    g = LabeledGraph([(one, 2, 1.0), (2, 1, 1.0)], {1: 0, 2: 1})
+    g = LabeledGraph.from_edges([(one, 2, 1.0), (2, 1, 1.0)], {1: 0, 2: 1})
     assert g.edge_count == 1
     assert g.edges == ((1, 2, 2.0),)
 
 
 def test_rejects_self_loops():
     with pytest.raises(ValueError, match="self-loop"):
-        LabeledGraph([("a", "a", 1.0)], {"a": 0, "b": 1})
+        LabeledGraph.from_edges([("a", "a", 1.0)], {"a": 0, "b": 1})
 
 
 def test_rejects_nonpositive_weights():
     for weight in (0.0, -1.0, math.nan, math.inf, -math.inf, 1e-200, 1e160):
         with pytest.raises(ValueError, match="weight"):
-            LabeledGraph([("a", "b", weight)], {"a": 0, "b": 1})
+            LabeledGraph.from_edges([("a", "b", weight)], {"a": 0, "b": 1})
 
 
 def test_rejects_total_weight_above_the_bound():
     edges = [("a", "b", 1e150), ("b", "a", 1e150), ("b", "c", 1.0)]
     with pytest.raises(ValueError, match="total edge weight"):
-        LabeledGraph(edges, {"a": 0, "b": 1, "c": 0})
-    LabeledGraph([("a", "b", 1e150)], {"a": 0, "b": 1})
-    LabeledGraph([("a", "b", 1e-150)], {"a": 0, "b": 1})
+        LabeledGraph.from_edges(edges, {"a": 0, "b": 1, "c": 0})
+    LabeledGraph.from_edges([("a", "b", 1e150)], {"a": 0, "b": 1})
+    LabeledGraph.from_edges([("a", "b", 1e-150)], {"a": 0, "b": 1})
 
 
 def test_rejects_empty_edge_set():
     with pytest.raises(ValueError):
-        LabeledGraph([], {"a": 0})
+        LabeledGraph.from_edges([], {"a": 0})
 
 
 def test_rejects_missing_label_naming_the_node():
     with pytest.raises(ValueError, match="b"):
-        LabeledGraph([("a", "b", 1.0)], {"a": 0})
+        LabeledGraph.from_edges([("a", "b", 1.0)], {"a": 0})
 
 
 def test_rejects_opinion_out_of_range():
     with pytest.raises(ValueError):
-        LabeledGraph([("a", "b", 1.0)], {"a": 0, "b": 2}, num_opinions=2)
+        LabeledGraph.from_edges([("a", "b", 1.0)], {"a": 0, "b": 2}, num_opinions=2)
     with pytest.raises(ValueError):
-        LabeledGraph([("a", "b", 1.0)], {"a": -1, "b": 0})
+        LabeledGraph.from_edges([("a", "b", 1.0)], {"a": -1, "b": 0})
 
 
 def test_rejects_fewer_than_two_opinion_slots():
     with pytest.raises(ValueError):
-        LabeledGraph([("a", "b", 1.0)], {"a": 0, "b": 0}, num_opinions=1)
+        LabeledGraph.from_edges([("a", "b", 1.0)], {"a": 0, "b": 0}, num_opinions=1)
 
 
 def test_num_opinions_defaults_to_max_label_plus_one():
-    g = LabeledGraph([("a", "b", 1.0)], {"a": 0, "b": 4})
+    g = LabeledGraph.from_edges([("a", "b", 1.0)], {"a": 0, "b": 4})
     assert g.num_opinions == 5
-    g2 = LabeledGraph([("a", "b", 1.0)], {"a": 0, "b": 0})
+    g2 = LabeledGraph.from_edges([("a", "b", 1.0)], {"a": 0, "b": 0})
     assert g2.num_opinions == 2
 
 
 def test_nodes_are_sorted_ints_before_strings():
-    g = LabeledGraph(
+    g = LabeledGraph.from_edges(
         [("x", 2, 1.0), (10, 2, 1.0)], {"x": 0, 2: 1, 10: 0}
     )
     assert g.nodes == (2, 10, "x")
 
 
 def test_label_only_nodes_become_isolated():
-    g = LabeledGraph([("a", "b", 1.0)], {"a": 0, "b": 1, "c": 1})
+    g = LabeledGraph.from_edges([("a", "b", 1.0)], {"a": 0, "b": 1, "c": 1})
     assert g.nodes == ("a", "b", "c")
     assert g.node_count == 3
     assert g.edge_count == 1
 
 
 def test_edges_sorted_by_node_order():
-    g = LabeledGraph(
+    g = LabeledGraph.from_edges(
         [("c", "d", 1.0), ("a", "d", 1.0), ("a", "b", 1.0)],
         {"a": 0, "b": 0, "c": 1, "d": 1},
     )
@@ -111,7 +111,7 @@ def test_edges_sorted_by_node_order():
 
 
 def test_total_weight_sums_merged_edges():
-    g = LabeledGraph(
+    g = LabeledGraph.from_edges(
         [("a", "b", 1.5), ("b", "a", 0.5), ("b", "c", 2.0)],
         {"a": 0, "b": 0, "c": 1},
     )
@@ -122,7 +122,7 @@ def test_total_weight_is_the_edge_array_sum_bit_for_bit():
     rng = random.Random(9)
     pairs = [(rng.randrange(200), rng.randrange(200)) for _ in range(900)]
     edges = [(u, v, rng.random() + 0.1) for u, v in pairs if u != v]
-    g = LabeledGraph(edges, {i: i % 3 for i in range(200)})
+    g = LabeledGraph.from_edges(edges, {i: i % 3 for i in range(200)})
     assert g.total_weight == float(g.edge_arrays()[2].sum())
 
 
@@ -146,7 +146,7 @@ def test_merged_weights_are_bit_exact(seed):
         rows.append((u, v, rng.choice(weights)))
         if rng.random() < 0.5:
             rows.append((v, u, rng.choice(weights)))
-    g = LabeledGraph(rows, {u: u % 2 for u in range(12)})
+    g = LabeledGraph.from_edges(rows, {u: u % 2 for u in range(12)})
     digest = hashlib.sha256()
     for array in g.adjacency():
         digest.update(array.tobytes())
@@ -155,7 +155,7 @@ def test_merged_weights_are_bit_exact(seed):
 
 
 def test_adjacency_is_symmetric_and_weighted():
-    g = LabeledGraph([("b", "c", 3.0), ("a", "b", 2.0)], {"a": 0, "b": 0, "c": 1})
+    g = LabeledGraph.from_edges([("b", "c", 3.0), ("a", "b", 2.0)], {"a": 0, "b": 0, "c": 1})
     indptr, indices, weights = g.adjacency()
     assert [a.dtype for a in g.adjacency()] == [np.int64, np.int64, np.float64]
     ia, ib, ic = (g.nodes.index(x) for x in "abc")
@@ -173,7 +173,7 @@ def test_edge_views_agree_with_the_csr_rows():
     rng = random.Random(5)
     pairs = [(rng.randrange(30), rng.randrange(30)) for _ in range(80)]
     edges = [(u, v, rng.random() + 0.5) for u, v in pairs if u != v]
-    g = LabeledGraph(edges, {i: i % 2 for i in range(30)})
+    g = LabeledGraph.from_edges(edges, {i: i % 2 for i in range(30)})
     indptr, indices, weights = g.adjacency()
     assert indptr[-1] == 2 * g.edge_count
     rows = np.repeat(np.arange(g.node_count), np.diff(indptr))
@@ -192,7 +192,7 @@ def test_edge_views_agree_with_the_csr_rows():
 def test_edge_arrays_are_stored_once_read_only_and_equal_the_csr_view():
     rng = random.Random(11)
     rows = [(*rng.sample(range(40), 2), rng.random() + 0.01) for _ in range(150)]
-    g = LabeledGraph(rows, {u: u % 3 for u in range(40)})
+    g = LabeledGraph.from_edges(rows, {u: u % 3 for u in range(40)})
     arrays = g.edge_arrays()
     assert g.edge_arrays() is arrays
     for array in arrays:
@@ -209,7 +209,7 @@ def test_edge_arrays_are_stored_once_read_only_and_equal_the_csr_view():
 
 
 def test_replace_labels_keeps_structure():
-    g = LabeledGraph([("a", "b", 1.0)], {"a": 0, "b": 1})
+    g = LabeledGraph.from_edges([("a", "b", 1.0)], {"a": 0, "b": 1})
     g2 = g.replace_labels({"a": 2, "b": 2}, num_opinions=3)
     assert g2.edges == g.edges
     assert g2.opinions == {"a": 2, "b": 2}
@@ -218,7 +218,7 @@ def test_replace_labels_keeps_structure():
 
 
 def test_replace_labels_shares_the_structure():
-    g = LabeledGraph([("a", "b", 1.0), ("b", "c", 2.0)], {"a": 0, "b": 1, "c": 1})
+    g = LabeledGraph.from_edges([("a", "b", 1.0), ("b", "c", 2.0)], {"a": 0, "b": 1, "c": 1})
     g2 = g.replace_labels({"a": 1, "b": 1, "c": 0})
     assert g2.adjacency() is g.adjacency()
     for ours, theirs in zip(g2.adjacency(), g.adjacency()):
@@ -230,7 +230,7 @@ def test_replace_labels_shares_the_structure():
 
 
 def test_replace_labels_validates_like_the_constructor():
-    g = LabeledGraph([("a", "b", 1.0)], {"a": 0, "b": 1})
+    g = LabeledGraph.from_edges([("a", "b", 1.0)], {"a": 0, "b": 1})
     with pytest.raises(ValueError, match="'z'"):
         g.replace_labels({"a": 0, "b": 1, "z": 0})
     with pytest.raises(ValueError, match="'b'"):
@@ -241,8 +241,64 @@ def test_replace_labels_validates_like_the_constructor():
         g.replace_labels({"a": 0, "b": 0}, num_opinions=1)
 
 
+@pytest.mark.parametrize("build", ["from_edges", "replace_labels"])
+def test_label_beyond_int64_is_a_value_error_naming_the_node(build):
+    opinions = {"a": 0, "b": 10**20}
+    with pytest.raises(ValueError, match="'b'"):
+        if build == "from_edges":
+            LabeledGraph.from_edges([("a", "b", 1.0)], opinions)
+        else:
+            LabeledGraph.from_edges([("a", "b", 1.0)], {"a": 0, "b": 1}).replace_labels(
+                opinions
+            )
+
+
+def test_array_constructor_puts_ids_in_node_order():
+    g = LabeledGraph(["c", "a", "b"], np.array([0, 1, 2, 1]), [1.0, 2.0], [1, 0, 1])
+    assert g.nodes == ("a", "b", "c")
+    assert g.edges == (("a", "b", 2.0), ("a", "c", 1.0))
+    assert g.opinions == {"a": 0, "b": 1, "c": 1}
+
+
+# (ids, ends, weights, labels, num_opinions) -> the message each must raise
+BAD_ARRAYS = {
+    "self-loop": ((["a", "b"], [1, 1], [1.0], [0, 1], None), "self-loop on node 'b'"),
+    "zero weight": ((["a", "b"], [0, 1], [0.0], [0, 1], None), "weight 0.0 on edge"),
+    "nan weight": ((["a", "b"], [0, 1], [math.nan], [0, 1], None), "weight nan on"),
+    "index past the end": ((["a", "b"], [0, 2], [1.0], [0, 1], None), "outside"),
+    "negative index": ((["a", "b", "c"], [0, -1], [1.0], [0, 1, 0], None), "outside"),
+    "uint64 index": (
+        (["a", "b"], np.array([0, 2**64 - 1], np.uint64), [1.0], [0, 1], None),
+        "outside",
+    ),
+    "index beyond int64": ((["a", "b"], [0, 2**70], [1.0], [0, 1], None), "integer"),
+    "float indices": ((["a", "b"], [0.0, 1.0], [1.0], [0, 1], None), "integer"),
+    "odd ends": ((["a", "b"], [0, 1, 0], [1.0], [0, 1], None), "two ends per weight"),
+    "ends for two rows": ((["a", "b"], [0, 1, 1, 0], [1.0], [0, 1], None), "two ends"),
+    "2-d ends": ((["a", "b"], [[0, 1]], [1.0], [0, 1], None), "two ends per weight"),
+    "no edges": ((["a", "b"], [], [], [0, 1], None), "no edges"),
+    "short labels": ((["a", "b"], [0, 1], [1.0], [0], None), "1 labels for 2 nodes"),
+    "label too big": ((["a", "b"], [0, 1], [1.0], [0, 2], 2), "opinion 2 of node 'b'"),
+    "negative label": ((["a", "b"], [0, 1], [1.0], [-1, 0], None), "node 'a'"),
+    "label beyond int64": ((["a", "b"], [0, 1], [1.0], [0, 10**20], None), "node 'b'"),
+    "one opinion": ((["a", "b"], [0, 1], [1.0], [0, 0], 1), "num_opinions"),
+    "repeated id": ((["a", "b", "a"], [0, 1], [1.0], [0, 1, 0], None), "not distinct"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ARRAYS))
+def test_array_constructor_rejects_bad_input_with_value_error(case):
+    args, message = BAD_ARRAYS[case]
+    try:
+        LabeledGraph(*args)
+    except ValueError as exc:
+        assert message in str(exc)
+    else:
+        pytest.fail(f"{case}: no error")
+
+
 def test_census_counts_include_isolated_nodes():
-    g = LabeledGraph([("a", "b", 1.0)], {"a": 0, "b": 1, "c": 1, "d": 1})
+    g = LabeledGraph.from_edges([("a", "b", 1.0)], {"a": 0, "b": 1, "c": 1, "d": 1})
     c = census(g)
     assert c.counts == (1, 3)
     assert c.total == 4
@@ -250,7 +306,7 @@ def test_census_counts_include_isolated_nodes():
 
 
 def test_census_degenerate_single_opinion():
-    g = LabeledGraph([("a", "b", 1.0), ("b", "c", 1.0)], {"a": 0, "b": 0, "c": 0},
+    g = LabeledGraph.from_edges([("a", "b", 1.0), ("b", "c", 1.0)], {"a": 0, "b": 0, "c": 0},
                      num_opinions=3)
     c = census(g)
     assert c.counts == (3, 0, 0)
@@ -264,14 +320,14 @@ def test_census_fractions_sum_to_one_on_random_graphs():
         k = rng.randint(2, 5)
         opinions = {i: rng.randrange(k) for i in range(n)}
         edges = [(i, (i + 1) % n, 1.0) for i in range(n - 1)]
-        g = LabeledGraph(edges, opinions, num_opinions=k)
+        g = LabeledGraph.from_edges(edges, opinions, num_opinions=k)
         assert math.fsum(census(g).fractions) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_example_fractions_thirteen_and_nine_of_twenty_two():
     opinions = {i: (0 if i < 13 else 1) for i in range(22)}
     edges = [(i, i + 1, 1.0) for i in range(21)]
-    g = LabeledGraph(edges, opinions)
+    g = LabeledGraph.from_edges(edges, opinions)
     c = census(g)
     assert c.fractions[0] == pytest.approx(13 / 22)
     assert c.fractions[1] == pytest.approx(9 / 22)
@@ -281,14 +337,14 @@ def test_edge_input_order_never_matters():
     rng = random.Random(3)
     edges = [("a", "b", 1.0), ("b", "c", 2.0), ("c", "d", 0.5), ("a", "d", 1.5)]
     labels = {"a": 0, "b": 1, "c": 0, "d": 1}
-    ref = LabeledGraph(edges, labels)
+    ref = LabeledGraph.from_edges(edges, labels)
     for _ in range(10):
         shuffled = edges[:]
         rng.shuffle(shuffled)
         flipped = [
             (v, u, w) if rng.random() < 0.5 else (u, v, w) for u, v, w in shuffled
         ]
-        assert LabeledGraph(flipped, labels).edges == ref.edges
+        assert LabeledGraph.from_edges(flipped, labels).edges == ref.edges
 
 
 NODE_IDS = st.one_of(
@@ -315,3 +371,42 @@ def test_node_order_is_the_node_key_order(ids):
     want = sorted(ids, key=_node_key)
     assert len(got) == len(want)
     assert all(a is b for a, b in zip(got, want))
+
+
+@given(
+    NODE_IDS.filter(lambda ids: len(ids) >= 2),
+    st.lists(
+        st.tuples(
+            st.integers(0, 99), st.integers(0, 99), st.sampled_from([0.1, 1 / 3, 2.5])
+        ),
+        min_size=1,
+        max_size=20,
+    ),
+    st.data(),
+)
+def test_array_constructor_equals_from_edges_for_any_id_order(ids, rows, data):
+    ids = list(ids)
+    n = len(ids)
+    rows = [(a % n, b % n, w) for a, b, w in rows if a % n != b % n]
+    assume(rows)
+    labels = [i % 3 for i in range(n)]
+    want = LabeledGraph.from_edges(
+        [(ids[a], ids[b], w) for a, b, w in rows], dict(zip(ids, labels))
+    )
+    perm = data.draw(st.permutations(range(n)))
+    position = {old: new for new, old in enumerate(perm)}
+    got = LabeledGraph(
+        [ids[i] for i in perm],
+        np.array([position[x] for a, b, _ in rows for x in (a, b)], dtype=np.int64),
+        [w for _, _, w in rows],
+        [labels[i] for i in perm],
+    )
+    assert len(got.nodes) == len(want.nodes)
+    assert all(a is b for a, b in zip(got.nodes, want.nodes))
+    assert got.num_opinions == want.num_opinions
+    for ours, theirs in zip(
+        (*got.edge_arrays(), *got.adjacency(), got.opinion_array()),
+        (*want.edge_arrays(), *want.adjacency(), want.opinion_array()),
+    ):
+        assert ours.dtype == theirs.dtype
+        assert ours.tobytes() == theirs.tobytes()

@@ -84,6 +84,23 @@ def test_missing_label_for_edge_node_is_hard_error(tmp_path):
         load_graph(edges, labels)
 
 
+def test_missing_label_names_the_first_unlabeled_node_in_row_order(tmp_path):
+    # 'z' comes first in the rows, 'b' first in node order
+    edges = write(tmp_path / "e.tsv", "m\tz\t1\na\tb\t1\n")
+    labels = write(tmp_path / "l.tsv", "m\t0\na\t1\n")
+    with pytest.raises(InputError, match="node 'z' from edge file has no label"):
+        load_graph(edges, labels)
+
+
+def test_first_bad_row_in_file_order_wins(tmp_path):
+    # a 4-field row on line 2 is reached before the bad byte on line 3
+    epath = tmp_path / "e.tsv"
+    epath.write_bytes(b"a\tb\t1\na\tb\t1\t1\nb\tc\xff\t1\n")
+    labels = write(tmp_path / "l.tsv", "a\t0\nb\t0\nc\t0\n")
+    with pytest.raises(InputError, match=r"e\.tsv:2: expected 'u\tv\[\tw\]'"):
+        load_graph(str(epath), labels)
+
+
 def test_bad_weight_error_names_file_and_line(tmp_path):
     edges = write(tmp_path / "e.tsv", "a\tb\t1\nb\tc\tfast\n")
     labels = write(tmp_path / "l.tsv", "a\t0\nb\t0\nc\t0\n")
@@ -146,7 +163,7 @@ def test_row_order_does_not_change_the_graph(tmp_path):
 
 
 def test_write_then_load_round_trips(tmp_path):
-    g = LabeledGraph(
+    g = LabeledGraph.from_edges(
         [("a", "b", 1.25), ("b", "c", 0.3), ("a", "c", 2.0)],
         {"a": 0, "b": 1, "c": 2},
     )
@@ -165,7 +182,7 @@ def test_edge_list_written_in_slices_has_the_rows_of_graph_edges(tmp_path, monke
     rng = random.Random(5)
     rows = [(*(f"u{x}" for x in rng.sample(range(300), 2)), rng.random() + 0.01)
             for _ in range(900)]
-    g = LabeledGraph(rows, {f"u{x}": 0 for x in range(300)})
+    g = LabeledGraph.from_edges(rows, {f"u{x}": 0 for x in range(300)})
     monkeypatch.setattr(pio, "_WRITE_ROWS", 64)
     assert g.edge_count > 64 and g.edge_count % 64
     write_edge_list(g, tmp_path / "e.tsv")
@@ -183,7 +200,7 @@ def test_karate_fixture_loads_with_paper_dimensions():
 
 @pytest.fixture
 def small_report():
-    g = LabeledGraph([("a", "b", 1.0), ("c", "d", 1.0)],
+    g = LabeledGraph.from_edges([("a", "b", 1.0), ("c", "d", 1.0)],
                      {"a": 0, "b": 0, "c": 1, "d": 1})
     return analyze(g, LouvainConfig(seed=5), runs=4)
 

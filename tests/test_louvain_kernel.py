@@ -73,7 +73,7 @@ def test_second_process_loads_the_cache_without_building(kernel_cache, tmp_path)
 
 def bridged_cliques():
     edges = [(b + i, b + j, 1.0) for b in (0, 5) for i in range(5) for j in range(i + 1, 5)]
-    return LabeledGraph(edges + [(4, 5, 1.0)], {i: 0 for i in range(10)}, num_opinions=2)
+    return LabeledGraph.from_edges(edges + [(4, 5, 1.0)], {i: 0 for i in range(10)}, num_opinions=2)
 
 
 def criterion_8_random_graphs():
@@ -81,7 +81,7 @@ def criterion_8_random_graphs():
     rng = random.Random(808)
     for _ in range(40):
         nodes, edges, opinions, k = random_graph_spec(rng, max_nodes=8)
-        yield LabeledGraph(edges, opinions, num_opinions=k), rng.randrange(10_000)
+        yield LabeledGraph.from_edges(edges, opinions, num_opinions=k), rng.randrange(10_000)
         for _ in nodes:  # the draws criterion 8 makes for its random partition
             rng.randrange(2)
 

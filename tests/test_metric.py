@@ -23,7 +23,7 @@ from oracles import naive_polarization, random_graph_spec
 
 
 def make_graph(edges, opinions, k=None):
-    return LabeledGraph(edges, opinions, num_opinions=k)
+    return LabeledGraph.from_edges(edges, opinions, num_opinions=k)
 
 
 def partition_of(mapping):

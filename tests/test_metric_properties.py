@@ -47,7 +47,7 @@ def scored_inputs(draw):
 
 
 def score(rows, opinions, k, partition):
-    g = LabeledGraph(rows, opinions, num_opinions=k)
+    g = LabeledGraph.from_edges(rows, opinions, num_opinions=k)
     return score_partition(g, scale_weights(g, census(g)), partition)
 
 
@@ -55,7 +55,7 @@ def score(rows, opinions, k, partition):
 @given(scored_inputs())
 def test_four_masses_sum_to_scaled_total(inputs):
     rows, opinions, k, partition = inputs
-    g = LabeledGraph(rows, opinions, num_opinions=k)
+    g = LabeledGraph.from_edges(rows, opinions, num_opinions=k)
     scaled = scale_weights(g, census(g))
     masses = accumulate(g, scaled, partition)
     assert masses.shape == (4,)
@@ -101,10 +101,10 @@ def test_reports_ignore_power_of_two_weight_scaling(inputs, exponent):
     in_range = all(MIN_WEIGHT <= w <= MAX_WEIGHT for w in weights)
     if not (in_range and sum(weights) <= MAX_WEIGHT):
         with pytest.raises(ValueError):
-            LabeledGraph(scaled, opinions, num_opinions=k)
+            LabeledGraph.from_edges(scaled, opinions, num_opinions=k)
         return
     config = LouvainConfig(seed=exponent)
-    want = analyze(LabeledGraph(rows, opinions, num_opinions=k), config, runs=2)
-    got = analyze(LabeledGraph(scaled, opinions, num_opinions=k), config, runs=2)
+    want = analyze(LabeledGraph.from_edges(rows, opinions, num_opinions=k), config, runs=2)
+    got = analyze(LabeledGraph.from_edges(scaled, opinions, num_opinions=k), config, runs=2)
     assert got == want
     assert report_json(got) == report_json(want)

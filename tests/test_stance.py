@@ -398,7 +398,7 @@ def test_stance_pipeline_matches_the_plain_loop_oracle(records):
             build_retweet_network(records)
         return
     opinions = {user: opinion for user, (_, opinion) in want_scores.items()}
-    want = LabeledGraph(rows, opinions, num_opinions=3)
+    want = LabeledGraph.from_edges(rows, opinions, num_opinions=3)
     assert_same_graph(build_retweet_network(records), want)
     assert_same_graph(build_retweet_network(r for r in records), want)
 

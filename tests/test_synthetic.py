@@ -31,7 +31,7 @@ from polarimeter.synthetic import _round_half_up
 
 
 def chain_graph(n):
-    return LabeledGraph(
+    return LabeledGraph.from_edges(
         [(i, i + 1, 1.0) for i in range(n - 1)], {i: 0 for i in range(n)}
     )
 
@@ -108,7 +108,7 @@ def test_relabel_non_dominant_nodes_avoid_the_dominant_opinion():
 
 
 def test_relabel_singleton_community_gets_dominant_label():
-    g = LabeledGraph([(0, 1, 1.0)], {0: 0, 1: 0, 2: 0})
+    g = LabeledGraph.from_edges([(0, 1, 1.0)], {0: 0, 1: 0, 2: 0})
     part = Partition(assignment={0: 0, 1: 0, 2: 1}, k=2)
     for seed in range(10):
         out = relabel(g, part, SyntheticLabelConfig(0.4, num_opinions=3, seed=seed))
@@ -123,7 +123,7 @@ def relabel_case(raw, extra=(), louvain_seed=None):
     nodes = [f"n{i}" for i in range(len(raw))]
     rows = [(i, i + 1) for i in range(len(raw) - 1)]
     rows += [(a, b) for a, b in extra if a != b]
-    graph = LabeledGraph([(nodes[a], nodes[b], 1.0) for a, b in rows],
+    graph = LabeledGraph.from_edges([(nodes[a], nodes[b], 1.0) for a, b in rows],
                          {u: 0 for u in nodes})
     if louvain_seed is not None:
         return graph, louvain(graph, LouvainConfig(seed=louvain_seed))
