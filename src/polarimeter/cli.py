@@ -24,7 +24,7 @@ from .io import (
     write_sweep_csv,
 )
 from .metric import analyze
-from .stance import OPINION_NAMES, _iter_stance_rows, _retweet_network
+from .stance import OPINION_NAMES, _iter_stance_rows, build_retweet_network
 from .synthetic import SbmConfig, generate_sbm, sweep
 
 DEFAULT_RUNS = 100
@@ -280,7 +280,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_build_network(args) -> int:
     # the archive streams into the build: no list of its records is kept
-    graph = _retweet_network(_iter_stance_rows(args.records))
+    graph = build_retweet_network(_iter_stance_rows(args.records))
     prefix = args.out
     write_edge_list(graph, prefix + ".edges.tsv")
     write_labels(graph, prefix + ".labels.tsv")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import copy
 import numbers
+import operator
 from array import array
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
@@ -48,32 +49,39 @@ def _node_key(node: NodeId):
 
 def _node_order(ids: Sequence[NodeId]) -> list[int]:
     """Positions of the distinct ``ids`` in node order, the order of
-    ``sorted(ids, key=_node_key)``. When every id is a plain int or a plain
-    str, that is the sorted ints followed by the sorted strs, which plain
-    comparisons give without building a key per id."""
+    ``sorted(ids, key=_node_key)``. When every id is a plain int, or every id
+    a plain str, plain comparisons give that order without building a key
+    per id."""
     key = ids.__getitem__
     kinds = set(map(type, ids))
     if kinds <= {int} or kinds <= {str}:
         return sorted(range(len(ids)), key=key)
-    if kinds == {int, str}:
-        ints = [i for i, u in enumerate(ids) if type(u) is int]
-        strs = [i for i, u in enumerate(ids) if type(u) is str]
-        return sorted(ints, key=key) + sorted(strs, key=key)
     return sorted(range(len(ids)), key=lambda i: _node_key(ids[i]))
 
 
 def _opinion_array(nodes, labels, num_opinions) -> tuple[np.ndarray, int]:
     """``labels``, one opinion per node of ``nodes``, as a new int64 array,
     with the opinion count (the largest label plus one, at least 2, when
-    None). A label outside [0, count) is a ValueError naming the first such
-    node in ``nodes`` order."""
-    try:
-        labels = np.array(labels, dtype=np.int64)
-    except OverflowError:  # a Python int beyond int64
-        u, o = next((u, o) for u, o in zip(nodes, labels) if not -(2**63) <= o < 2**63)
-        raise ValueError(f"opinion {o} of node {u!r} does not fit in int64") from None
-    if labels.shape != (len(nodes),):
-        raise ValueError(f"{labels.size} labels for {len(nodes)} nodes")
+    None). A label must be an integer, as ``operator.index`` takes it (an
+    int, a bool, a numpy integer); a label that is not, or that lies beyond
+    int64 or outside [0, count), is a ValueError naming the first such node
+    in ``nodes`` order."""
+    given = np.asarray(labels)
+    if given.shape != (len(nodes),):
+        raise ValueError(f"{given.size} labels for {len(nodes)} nodes")
+    if np.can_cast(given.dtype, np.int64):  # an integer array: no per-label check
+        labels = given.astype(np.int64)
+    else:  # a non-integer label, or an int beyond int64, is among them
+        ints = []
+        for u, o in zip(nodes, np.asarray(labels, dtype=object).tolist()):
+            try:
+                o = operator.index(o)
+            except TypeError:
+                raise ValueError(f"opinion {o!r} of node {u!r} is not an integer") from None
+            if not -(2**63) <= o < 2**63:
+                raise ValueError(f"opinion {o} of node {u!r} does not fit in int64")
+            ints.append(o)
+        labels = np.array(ints, dtype=np.int64)
     if num_opinions is None:
         num_opinions = max(2, int(labels.max()) + 1)
     if num_opinions < 2:

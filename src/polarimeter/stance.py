@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import json
 import logging
+import sys
 from array import array
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -34,9 +34,10 @@ OPINION_NAMES = ("against", "neutral", "favor")
 SCORE_THRESHOLD = 0.2
 
 
-@dataclass(frozen=True)
-class StanceRecord:
-    """One original tweet: its author, stance, and retweeter user ids."""
+class StanceRecord(NamedTuple):
+    """One original tweet: its author, stance, and retweeter user ids. It is
+    the row that the archive reader yields, so any ``(tweet_id, author,
+    stance, retweeters)`` tuple will do where records are taken."""
 
     tweet_id: str
     author: str
@@ -50,18 +51,15 @@ def read_stance_records(path) -> list[StanceRecord]:
     Empty or whitespace retweeter ids are dropped with a per-row warning;
     malformed rows and duplicate tweet ids are hard errors naming the line.
     """
-    return [
-        StanceRecord(tweet_id, author, STANCES[slot], retweeters)
-        for tweet_id, author, slot, retweeters in _iter_stance_rows(path)
-    ]
+    return list(map(StanceRecord._make, _iter_stance_rows(path)))
 
 
-def _iter_stance_rows(path) -> Iterator[tuple[str, str, int, tuple[str, ...]]]:
-    """The validated rows of an archive, one ``(tweet_id, author,
-    stance_slot, retweeters)`` tuple per record, with the author and the
-    retweeters stripped and the empty retweeters dropped. Each row's warnings
-    are logged as it is read, the total once the archive is exhausted, and a
-    bad row raises when it is reached.
+def _iter_stance_rows(path) -> Iterator[tuple[str, str, str, tuple[str, ...]]]:
+    """The validated rows of an archive, one ``(tweet_id, author, stance,
+    retweeters)`` tuple per record, with the author and the retweeters
+    stripped and the empty retweeters dropped. Each row's warnings are
+    logged as it is read, the total once the archive is exhausted, and a bad
+    row raises when it is reached.
 
     A line is decoded with the C scanner and accepted only when its one
     value ends where the line ends; any other outcome decodes the line again
@@ -69,8 +67,7 @@ def _iter_stance_rows(path) -> Iterator[tuple[str, str, int, tuple[str, ...]]]:
     types, so ``type(x) is str`` is the string check.
     """
     scan = json.JSONDecoder().scan_once
-    slot_of = _SLOTS.get
-    strip = str.strip
+    strip, intern = str.strip, sys.intern
     seen_ids: set[str] = set()
     dropped = 0
     for lineno, line in _stripped_lines(path):
@@ -90,8 +87,7 @@ def _iter_stance_rows(path) -> Iterator[tuple[str, str, int, tuple[str, ...]]]:
         if type(author) is not str or not (author := author.strip()):
             raise InputError("missing or empty 'author'", path=path, line=lineno)
         stance = obj.get("stance")
-        slot = slot_of(stance) if type(stance) is str else None
-        if slot is None:
+        if type(stance) is not str or stance not in _SLOTS:
             raise InputError(
                 f"stance must be one of {STANCES}, got {stance!r}",
                 path=path,
@@ -116,7 +112,7 @@ def _iter_stance_rows(path) -> Iterator[tuple[str, str, int, tuple[str, ...]]]:
                     dropped += 1
                     logger.warning("%s:%d: empty retweeter id skipped", path, lineno)
             kept = tuple(filter(None, kept))
-        yield tweet_id, author, slot, kept
+        yield tweet_id, author, intern(stance), kept  # one copy per stance
     if dropped:
         logger.warning("%s: skipped %d empty retweeter id(s) in total", path, dropped)
 
@@ -136,24 +132,18 @@ def _loads(line: str, path, lineno: int):
         ) from None
 
 
-def _rows(records: Iterable[StanceRecord]):
-    """`StanceRecord`s as the rows `_iter_stance_rows` yields."""
-    return (
-        (r.tweet_id, r.author, STANCES.index(r.stance), r.retweeters) for r in records
-    )
-
-
-def _tally(rows) -> tuple[list[str], np.ndarray, np.ndarray, int]:
-    """One pass over ``(tweet_id, author, stance_slot, retweeters)`` rows,
+def _tally(records) -> tuple[list[str], np.ndarray, np.ndarray, int]:
+    """One pass over ``(tweet_id, author, stance, retweeters)`` records,
     with every user id interned to the index of its first appearance (author
-    before retweeters, in row order).
+    before retweeters, in record order).
 
     Returns the users in index order; their ``[favor, against, neutral]``
     item counts as an (n, 3) array (authoring a tweet is one item for the
     author, every retweet event one for the retweeter, with the inherited
     stance); the ``(author, retweeter)`` index pairs of the non-self retweet
     events, flattened; and the number of self-retweet events. Empty
-    retweeter ids, which hand-built records may hold, are skipped.
+    retweeter ids, which hand-built records may hold, are skipped, and a
+    stance not in `STANCES` is a ValueError naming the record.
     """
     index: dict[str, int] = {}
     intern = index.setdefault
@@ -161,7 +151,13 @@ def _tally(rows) -> tuple[list[str], np.ndarray, np.ndarray, int]:
     items = array("q")  # user * 3 + stance slot, one per stance item
     ends = array("q")
     self_retweets = 0
-    for _, author, slot, retweeters in rows:
+    for tweet_id, author, stance, retweeters in records:
+        try:
+            slot = _SLOTS[stance]
+        except (KeyError, TypeError):  # TypeError: an unhashable stance
+            raise ValueError(
+                f"record {tweet_id!r}: stance must be one of {STANCES}, got {stance!r}"
+            ) from None
         author = intern(author, len(index))
         items.append(author * 3 + slot)
         for retweeter in retweeters:
@@ -199,7 +195,7 @@ def score_users(records: Iterable[StanceRecord]) -> dict[str, tuple[float, int]]
     Authoring a tweet counts once for its author; every retweet event counts
     once for the retweeter with the inherited stance.
     """
-    users, counts, _, _ = _tally(_rows(records))
+    users, counts, _, _ = _tally(records)
     score, opinion = _opinions(counts)
     return dict(zip(users, zip(score.tolist(), opinion.tolist())))
 
@@ -209,13 +205,7 @@ def build_retweet_network(records: Iterable[StanceRecord]) -> LabeledGraph:
     two users in either direction. Self-retweets are dropped (counted);
     authors nobody retweeted remain as isolated nodes. The records are read
     once, so a one-shot iterator will do."""
-    return _retweet_network(_rows(records))
-
-
-def _retweet_network(rows) -> LabeledGraph:
-    """`build_retweet_network` of ``(tweet_id, author, stance_slot,
-    retweeters)`` rows."""
-    users, counts, ends, self_retweets = _tally(rows)
+    users, counts, ends, self_retweets = _tally(records)
     if self_retweets:
         logger.warning("dropped %d self-retweet event(s)", self_retweets)
     if not len(ends):

@@ -199,7 +199,7 @@ def naive_stance_rows(path):
     order, empty retweeters dropped one at a time.
 
     Lines end at ``\\n`` and are stripped; blank ones are skipped. Returns
-    ``(rows, warnings, error)``: one ``(tweet_id, author, stance_slot,
+    ``(rows, warnings, error)``: one ``(tweet_id, author, stance,
     retweeters)`` tuple per record before the first bad line, the warning
     messages in order, and ``(message, line_number)`` for that bad line, or
     None. The total of dropped retweeters is warned only for an archive that
@@ -248,7 +248,7 @@ def naive_stance_rows(path):
             else:
                 dropped += 1
                 warnings.append(f"{path}:{lineno}: empty retweeter id skipped")
-        rows.append((tweet_id, author.strip(), stances.index(stance), tuple(kept)))
+        rows.append((tweet_id, author.strip(), stance, tuple(kept)))
     if dropped:
         warnings.append(f"{path}: skipped {dropped} empty retweeter id(s) in total")
     return rows, warnings, None

@@ -112,8 +112,9 @@ def test_build_network_output_bytes(capsys, tmp_path, monkeypatch):
 
 
 def test_build_network_files_equal_the_library_path(capsys, tmp_path, monkeypatch):
-    # the CLI streams validated rows into the build; the library path builds
-    # StanceRecords first: both must write the same bytes
+    # the CLI streams the archive's rows into build_retweet_network; the
+    # library path lists them as StanceRecords first: both must write the
+    # same bytes
     write_archive(tmp_path / "archive.jsonl", records=2000, users=300, seed=29)
     monkeypatch.chdir(tmp_path)
     assert main(["build-network", "--records", "archive.jsonl", "--out", "cli"]) == 0

@@ -253,6 +253,19 @@ def test_label_beyond_int64_is_a_value_error_naming_the_node(build):
             )
 
 
+@pytest.mark.parametrize("label", [1.5, 1.0, None, "1"])
+def test_from_edges_rejects_a_non_integer_label_naming_the_node(label):
+    with pytest.raises(ValueError, match=f"opinion {label!r} of node 'b' is not an integer"):
+        LabeledGraph.from_edges([("a", "b", 1.0)], {"a": 0, "b": label})
+
+
+def test_integer_labels_of_any_integer_type_are_accepted():
+    for labels in ([0, True], [np.int32(0), np.uint64(1)], np.array([0, 1], np.uint8)):
+        g = LabeledGraph(["a", "b"], [0, 1], [1.0], labels)
+        assert g.opinion_array().dtype == np.int64
+        assert g.opinions == {"a": 0, "b": 1}
+
+
 def test_array_constructor_puts_ids_in_node_order():
     g = LabeledGraph(["c", "a", "b"], np.array([0, 1, 2, 1]), [1.0, 2.0], [1, 0, 1])
     assert g.nodes == ("a", "b", "c")
@@ -281,6 +294,14 @@ BAD_ARRAYS = {
     "label too big": ((["a", "b"], [0, 1], [1.0], [0, 2], 2), "opinion 2 of node 'b'"),
     "negative label": ((["a", "b"], [0, 1], [1.0], [-1, 0], None), "node 'a'"),
     "label beyond int64": ((["a", "b"], [0, 1], [1.0], [0, 10**20], None), "node 'b'"),
+    "fractional label": ((["a", "b"], [0, 1], [1.0], [0, 1.5], None), "node 'b'"),
+    "float label": ((["a", "b"], [0, 1], [1.0], [0, 1.0], None), "1.0 of node 'b'"),
+    "float label array": (
+        (["a", "b"], [0, 1], [1.0], np.array([0.0, 1.0]), None),
+        "0.0 of node 'a' is not an integer",
+    ),
+    "None label": ((["a", "b"], [0, 1], [1.0], [0, None], None), "None of node 'b'"),
+    "str label": ((["a", "b"], [0, 1], [1.0], ["1", 0], None), "'1' of node 'a'"),
     "one opinion": ((["a", "b"], [0, 1], [1.0], [0, 0], 1), "num_opinions"),
     "repeated id": ((["a", "b", "a"], [0, 1], [1.0], [0, 1, 0], None), "not distinct"),
 }

@@ -6,7 +6,6 @@ import json
 import logging
 import os
 import tempfile
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -336,6 +335,13 @@ def test_hand_built_empty_retweeters_are_skipped():
     assert list(score_users(records)) == ["a", "b"]
 
 
+@pytest.mark.parametrize("build", [build_retweet_network, score_users])
+def test_hand_built_unknown_stance_is_a_value_error_naming_the_record(build):
+    records = [rec("t0", "a", "favor", ["b"]), rec("t1", "a", "maybe", ["b"])]
+    with pytest.raises(ValueError, match="'t1'.*'maybe'"):
+        build(records)
+
+
 def test_total_edge_weight_equals_non_self_retweet_events():
     records = [
         rec("1", "a", "favor", ["b", "c", "a"]),
@@ -404,7 +410,7 @@ def test_stance_pipeline_matches_the_plain_loop_oracle(records):
 
     # the same archive without its edges
     edgeless = [
-        replace(r, retweeters=tuple(x for x in r.retweeters if x in ("", r.author)))
+        r._replace(retweeters=tuple(x for x in r.retweeters if x in ("", r.author)))
         for r in records
     ]
     with pytest.raises(InputError, match="no retweet edges"):
