@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .community import LouvainConfig, Partition, louvain, modularity
 from .errors import InputError
-from .graph import LabeledGraph, OpinionCensus, census
+from .graph import LabeledGraph, census
 from .io import (
     load_graph,
     load_karate,
@@ -56,7 +56,6 @@ __all__ = [
     "LabeledGraph",
     "LouvainConfig",
     "OPINION_NAMES",
-    "OpinionCensus",
     "Partition",
     "PolarizationReport",
     "STANCES",

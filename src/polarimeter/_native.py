@@ -30,8 +30,8 @@ COMPILERS = ("gcc", "cc")
 # no fast-math and no FMA contraction: every float operation rounds as it
 # does in CPython, which keeps partitions bit-identical to the Python path
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-# the kernel draws random.shuffle's numbers from single 32-bit MT19937
-# outputs, which covers graphs of fewer nodes than this
+# the kernel takes each of random.shuffle's draws from one 32-bit MT19937
+# output, which covers graphs of fewer nodes than this
 NODE_LIMIT = 2**31
 # room for per-pass records; a run with more passes runs again with more
 PASS_RECORDS = 256

@@ -53,11 +53,6 @@ class Partition:
         self._nodes, self._communities, self.k = nodes, communities, int(k)
         return self
 
-    @property
-    def assignment(self) -> dict[NodeId, int]:
-        """Community per node id, in node order. Built on each access."""
-        return dict(zip(self._nodes, self._communities.tolist()))
-
     def array(self, graph: LabeledGraph) -> np.ndarray:
         """The stored array; a ValueError unless the nodes are ``graph.nodes``."""
         if self._nodes is not graph.nodes and self._nodes != graph.nodes:
@@ -72,11 +67,6 @@ class Partition:
         comm = self.array(graph)
         if comm.min() < 0 or comm.max() != self.k - 1 or not np.bincount(comm).all():
             raise ValueError(f"community ids not contiguous 0..{self.k - 1}")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Partition):
-            return NotImplemented
-        return self.k == other.k and self.assignment == other.assignment
 
 
 def modularity(graph: LabeledGraph, partition: Partition) -> float:

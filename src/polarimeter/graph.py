@@ -10,16 +10,14 @@ Edges are laid out once, at construction, as a symmetric CSR triple over
 those node indices: ``indptr`` (int64, one offset per node plus one),
 ``indices`` (int64) and ``weights`` (float64), each row's neighbours in
 ascending index order; and as the read-only edge arrays ``(iu, iv, weight)``,
-one entry per edge. The node-id edge triples are derived on request.
+one entry per edge.
 """
 
 from __future__ import annotations
 
 import copy
-import numbers
 import operator
 from array import array
-from dataclasses import dataclass
 from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -33,17 +31,11 @@ MAX_WEIGHT = 1e150
 
 
 def _node_key(node: NodeId):
-    # ints sort numerically, everything else by string form; mixed inputs
-    # stay deterministic because the type tag leads, and the type name
-    # breaks ties between equal string forms (1.5 and "1.5"). A value equal
-    # to an int (a bool, a numpy integer, 1.0) keys as that int, because
-    # Python takes it and the int as one node. Plain ints and strs, the
-    # common ids, skip the slower abstract-type check.
-    if isinstance(node, int) or not isinstance(node, str) and (
-        isinstance(node, numbers.Integral)
-        or isinstance(node, float) and node.is_integer()
-    ):
-        return (0, int(node))
+    # ints (bools included) sort numerically, everything else by string
+    # form; mixed inputs stay deterministic because the type tag leads, and
+    # the type name breaks ties between equal string forms (1.5 and "1.5")
+    if isinstance(node, int):
+        return (0, node)
     return (1, str(node), type(node).__name__)
 
 
@@ -206,24 +198,6 @@ class LabeledGraph:
     def edge_count(self) -> int:
         return len(self._csr[1]) // 2
 
-    def replace_labels(
-        self, opinions: Mapping[NodeId, int], num_opinions: int | None = None
-    ) -> "LabeledGraph":
-        """Copy with fresh opinion labels that shares this graph's structure.
-
-        Nodes, the CSR triple and the edge arrays are shared, not copied;
-        only the labels are new.
-        """
-        known = set(self.nodes)
-        for u in opinions:
-            if u not in known:
-                raise ValueError(f"label for node {u!r}, which is not in the graph")
-        try:
-            labels = [opinions[u] for u in self.nodes]
-        except KeyError as exc:
-            raise ValueError(f"node {exc.args[0]!r} has no opinion label") from None
-        return self._with_labels(*_opinion_array(self.nodes, labels, num_opinions))
-
     def _with_labels(self, labels: np.ndarray, num_opinions: int) -> "LabeledGraph":
         """Copy sharing this graph's structure, with valid node-order ``labels``."""
         relabeled = copy.copy(self)
@@ -246,13 +220,6 @@ class LabeledGraph:
         return self._edges
 
     @property
-    def edges(self) -> tuple[tuple[NodeId, NodeId, float], ...]:
-        """Edges as ``(u, v, weight)`` node-id triples, in ``edge_arrays``
-        order. Built on each access."""
-        iu, iv, w = (a.tolist() for a in self.edge_arrays())
-        return tuple((self.nodes[a], self.nodes[b], x) for a, b, x in zip(iu, iv, w))
-
-    @property
     def opinions(self) -> dict[NodeId, int]:
         """Opinion per node id, in ``nodes`` order. Built on each access."""
         return dict(zip(self.nodes, self._labels.tolist()))
@@ -268,19 +235,7 @@ class LabeledGraph:
         )
 
 
-@dataclass(frozen=True)
-class OpinionCensus:
-    """Node counts per opinion value, over the full node set."""
-
-    counts: tuple[int, ...]
-    total: int
-
-    @property
-    def fractions(self) -> tuple[float, ...]:
-        return tuple(c / self.total for c in self.counts)
-
-
-def census(graph: LabeledGraph) -> OpinionCensus:
-    """Count nodes per opinion, isolated nodes included."""
-    counts = np.bincount(graph.opinion_array(), minlength=graph.num_opinions)
-    return OpinionCensus(counts=tuple(counts.tolist()), total=graph.node_count)
+def census(graph: LabeledGraph) -> np.ndarray:
+    """Node count per opinion, isolated nodes included: an int64 array of
+    length ``graph.num_opinions``."""
+    return np.bincount(graph.opinion_array(), minlength=graph.num_opinions)

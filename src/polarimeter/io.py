@@ -205,7 +205,7 @@ def _open_out(path) -> Iterator[TextIO]:
 
 
 def write_edge_list(graph: LabeledGraph, path) -> None:
-    """Tab-separated ``u v w`` rows in ``graph.edges`` order, full precision."""
+    """Tab-separated ``u v w`` rows in ``edge_arrays()`` order, full precision."""
     nodes, arrays = graph.nodes, graph.edge_arrays()
     with _open_out(path) as fh:
         for i in range(0, len(arrays[0]), _WRITE_ROWS):

@@ -17,14 +17,15 @@ from typing import Iterable
 import numpy as np
 
 from .community import LouvainConfig, Partition, louvain_runs
-from .graph import LabeledGraph, OpinionCensus, census
+from .graph import LabeledGraph, census
 
 
-def scale_weights(graph: LabeledGraph, counts: OpinionCensus) -> np.ndarray:
+def scale_weights(graph: LabeledGraph, counts: np.ndarray) -> np.ndarray:
     """Scale each edge weight by the mean population fraction of its endpoint
     opinions, so edges of minority opinions contribute proportionally less.
-    The result is aligned with ``graph.edge_arrays()``."""
-    fractions = np.asarray(counts.fractions, dtype=np.float64)
+    ``counts`` is the node count per opinion, as `census` gives it. The
+    result is aligned with ``graph.edge_arrays()``."""
+    fractions = counts / graph.node_count
     eu, ev, ew = graph.edge_arrays()
     opinion = graph.opinion_array()
     return 0.5 * (fractions[opinion[eu]] + fractions[opinion[ev]]) * ew

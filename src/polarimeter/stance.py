@@ -142,8 +142,10 @@ def _tally(records) -> tuple[list[str], np.ndarray, np.ndarray, int]:
     author, every retweet event one for the retweeter, with the inherited
     stance); the ``(author, retweeter)`` index pairs of the non-self retweet
     events, flattened; and the number of self-retweet events. Empty
-    retweeter ids, which hand-built records may hold, are skipped, and a
-    stance not in `STANCES` is a ValueError naming the record.
+    retweeter ids, which hand-built records may hold, are skipped. A stance
+    not in `STANCES`, an author that is not a non-empty str and a str of
+    retweeters (which would be read as one id per character) are each a
+    ValueError naming the record.
     """
     index: dict[str, int] = {}
     intern = index.setdefault
@@ -158,6 +160,15 @@ def _tally(records) -> tuple[list[str], np.ndarray, np.ndarray, int]:
             raise ValueError(
                 f"record {tweet_id!r}: stance must be one of {STANCES}, got {stance!r}"
             ) from None
+        if type(author) is not str or not author:
+            raise ValueError(
+                f"record {tweet_id!r}: author must be a non-empty str, got {author!r}"
+            )
+        if type(retweeters) is str:
+            raise ValueError(
+                f"record {tweet_id!r}: retweeters must be a collection of ids, "
+                f"not the str {retweeters!r}"
+            )
         author = intern(author, len(index))
         items.append(author * 3 + slot)
         for retweeter in retweeters:

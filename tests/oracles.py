@@ -252,3 +252,16 @@ def naive_stance_rows(path):
     if dropped:
         warnings.append(f"{path}: skipped {dropped} empty retweeter id(s) in total")
     return rows, warnings, None
+
+
+def edge_triples(g):
+    """The edges of graph ``g`` as ``(u, v, weight)`` node-id tuples, in
+    ``g.edge_arrays()`` order."""
+    iu, iv, w = (a.tolist() for a in g.edge_arrays())
+    return tuple((g.nodes[a], g.nodes[b], x) for a, b, x in zip(iu, iv, w))
+
+
+def communities_of(g, p):
+    """The community of each node of graph ``g`` under partition ``p``, as a
+    node-id dict in ``g.nodes`` order."""
+    return dict(zip(g.nodes, p.array(g).tolist()))

@@ -19,7 +19,12 @@ from polarimeter import (
     scale_weights,
     score_partition,
 )
-from oracles import all_partitions, brute_force_modularity, random_graph_spec
+from oracles import (
+    all_partitions,
+    brute_force_modularity,
+    communities_of,
+    random_graph_spec,
+)
 
 
 def two_cliques(size=5):
@@ -69,7 +74,7 @@ def test_partition_validate():
                      {"a": 0, "b": 0, "c": 0, "d": 0})
     p = Partition(assignment={"a": 0, "b": 0, "c": 1, "d": 1}, k=2)
     p.validate(g)
-    assert p.assignment == {"a": 0, "b": 0, "c": 1, "d": 1}
+    assert communities_of(g, p) == {"a": 0, "b": 0, "c": 1, "d": 1}
     with pytest.raises(ValueError):
         Partition(assignment={"a": 0}, k=1).validate(g)
     for ids, k in [((0, 0, 2, 2), 2), ((0, 0, 1, 1), 3), ((-1, 0, 1, 1), 2)]:
@@ -90,7 +95,7 @@ def test_mapping_partition_in_any_key_order_equals_the_array_partition():
     g = relabel(base, louvain(base, LouvainConfig(seed=4)),
                 SyntheticLabelConfig(dom_ratio=0.7, num_opinions=3, seed=5))
     found = louvain(g, LouvainConfig(seed=6))
-    items = list(found.assignment.items())
+    items = list(communities_of(g, found).items())
     random.Random(8).shuffle(items)
     mapped = Partition(assignment=dict(items), k=found.k)
     assert mapped.array(g).tolist() == found.array(g).tolist()
@@ -133,7 +138,7 @@ def test_modularity_matches_brute_force_on_random_graphs():
         p = Partition(assignment={u: remap[c] for u, c in assignment.items()},
                       k=len(cids))
         assert modularity(g, p) == pytest.approx(
-            brute_force_modularity(nodes, edges, p.assignment), abs=1e-9
+            brute_force_modularity(nodes, edges, communities_of(g, p)), abs=1e-9
         )
 
 
@@ -148,8 +153,9 @@ def test_louvain_recovers_two_cliques():
     for seed in range(20):
         p = louvain(g, LouvainConfig(seed=seed))
         assert p.k == 2
-        left = {p.assignment[i] for i in range(5)}
-        right = {p.assignment[i] for i in range(5, 10)}
+        c = communities_of(g, p)
+        left = {c[i] for i in range(5)}
+        right = {c[i] for i in range(5, 10)}
         assert len(left) == 1 and len(right) == 1 and left != right
 
 
@@ -157,7 +163,7 @@ def test_louvain_is_deterministic_per_seed():
     g = ring_of_cliques()
     a = louvain(g, LouvainConfig(seed=9))
     b = louvain(g, LouvainConfig(seed=9))
-    assert a.assignment == b.assignment
+    assert communities_of(g, a) == communities_of(g, b)
     assert a.k == b.k
 
 
@@ -168,7 +174,7 @@ def test_louvain_partition_is_valid_and_densely_numbered():
         g = LabeledGraph.from_edges(edges, opinions, num_opinions=k)
         p = louvain(g, LouvainConfig(seed=rng.randrange(1000)))
         p.validate(g)
-        assert set(p.assignment.values()) == set(range(p.k))
+        assert set(communities_of(g, p).values()) == set(range(p.k))
 
 
 def test_louvain_never_beats_exhaustive_search_and_matches_scorer():
@@ -179,7 +185,7 @@ def test_louvain_never_beats_exhaustive_search_and_matches_scorer():
         p = louvain(g, LouvainConfig(seed=1))
         q_found = modularity(g, p)
         assert q_found == pytest.approx(
-            brute_force_modularity(nodes, edges, p.assignment), abs=1e-9
+            brute_force_modularity(nodes, edges, communities_of(g, p)), abs=1e-9
         )
         best = max(
             modularity(g, as_dict_partition(g, blocks))
@@ -191,8 +197,9 @@ def test_louvain_never_beats_exhaustive_search_and_matches_scorer():
 def test_isolated_nodes_end_up_in_singleton_communities():
     g = LabeledGraph.from_edges([(0, 1, 1.0)], {0: 0, 1: 0, 2: 0, 3: 0})
     p = louvain(g, LouvainConfig(seed=0))
-    assert p.assignment[2] != p.assignment[3]
-    assert {p.assignment[2], p.assignment[3]} & {p.assignment[0], p.assignment[1]} == set()
+    c = communities_of(g, p)
+    assert c[2] != c[3]
+    assert {c[2], c[3]} & {c[0], c[1]} == set()
 
 
 def test_pass_hook_reports_monotone_modularity():
@@ -222,4 +229,5 @@ def test_weights_steer_the_partition():
     edges = [(0, 1, 10.0), (2, 3, 10.0), (1, 2, 1.0), (3, 4, 10.0), (0, 4, 0.1)]
     g = LabeledGraph.from_edges(edges, {i: 0 for i in range(5)})
     p = louvain(g, LouvainConfig(seed=0))
-    assert p.assignment[3] == p.assignment[4]
+    c = communities_of(g, p)
+    assert c[3] == c[4]

@@ -11,7 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_retweet_rows, naive_score_users, naive_stance_rows
+from oracles import (
+    edge_triples,
+    naive_retweet_rows,
+    naive_score_users,
+    naive_stance_rows,
+)
 from polarimeter import (
     InputError,
     LabeledGraph,
@@ -286,14 +291,14 @@ def test_edge_weight_counts_events_in_both_directions():
         rec("2", "b", "favor", ["a"]),
     ]
     g = build_retweet_network(records)
-    assert g.edges == (("a", "b", 3.0),)
+    assert edge_triples(g) == (("a", "b", 3.0),)
 
 
 def test_self_retweets_dropped_with_warning(caplog):
     records = [rec("1", "a", "favor", ["a", "b"])]
     with caplog.at_level(logging.WARNING, logger="polarimeter.stance"):
         g = build_retweet_network(records)
-    assert g.edges == (("a", "b", 1.0),)
+    assert edge_triples(g) == (("a", "b", 1.0),)
     assert "self-retweet" in caplog.text
 
 
@@ -331,15 +336,23 @@ def test_network_uses_three_opinion_slots_with_fixed_mapping():
 
 def test_hand_built_empty_retweeters_are_skipped():
     records = [rec("1", "a", "favor", ["", "b", ""])]
-    assert build_retweet_network(records).edges == (("a", "b", 1.0),)
+    assert edge_triples(build_retweet_network(records)) == (("a", "b", 1.0),)
     assert list(score_users(records)) == ["a", "b"]
 
 
 @pytest.mark.parametrize("build", [build_retweet_network, score_users])
 def test_hand_built_unknown_stance_is_a_value_error_naming_the_record(build):
-    records = [rec("t0", "a", "favor", ["b"]), rec("t1", "a", "maybe", ["b"])]
-    with pytest.raises(ValueError, match="'t1'.*'maybe'"):
-        build(records)
+    bad = {
+        "'maybe'": rec("t1", "a", "maybe", ["b"]),
+        "author must be a non-empty str, got ''": rec("t1", "", "favor", ["b"]),
+        "author must be a non-empty str, got None": rec("t1", None, "favor", ["b"]),
+        "retweeters must be a collection of ids, not the str 'bob'": StanceRecord(
+            "t1", "a", "favor", "bob"
+        ),
+    }
+    for message, record in bad.items():
+        with pytest.raises(ValueError, match=f"'t1'.*{message}"):
+            build([rec("t0", "a", "favor", ["b"]), record])
 
 
 def test_total_edge_weight_equals_non_self_retweet_events():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_relabel
+from oracles import communities_of, edge_triples, naive_relabel
 from polarimeter import (
     LabeledGraph,
     LouvainConfig,
@@ -46,10 +46,10 @@ def blocks_partition(sizes):
     return Partition(assignment=assignment, k=len(sizes))
 
 
-def blocks_of(part):
-    """Node ids grouped by community id."""
+def blocks_of(g, part):
+    """Node ids of graph ``g`` grouped by community id."""
     blocks = [[] for _ in range(part.k)]
-    for node, cid in part.assignment.items():
+    for node, cid in communities_of(g, part).items():
         blocks[cid].append(node)
     return blocks
 
@@ -82,7 +82,7 @@ def test_relabel_full_dominance_gives_uniform_communities():
     g = chain_graph(12)
     part = blocks_partition([6, 6])
     out = relabel(g, part, SyntheticLabelConfig(dom_ratio=1.0, num_opinions=4, seed=3))
-    for block in blocks_of(part):
+    for block in blocks_of(g, part):
         labels = {out.opinions[u] for u in block}
         assert len(labels) == 1
     assert out.num_opinions == 4
@@ -146,7 +146,7 @@ def relabel_cases(draw):
 
 def assert_relabel_matches_oracle(graph, partition, config):
     got = relabel(graph, partition, config).opinions
-    want = naive_relabel(graph.nodes, partition.assignment, partition.k,
+    want = naive_relabel(graph.nodes, communities_of(graph, partition), partition.k,
                          config.dom_ratio, config.num_opinions, config.seed)
     assert got == want
 
@@ -190,7 +190,7 @@ def test_relabel_keeps_structure():
     g = chain_graph(8)
     part = blocks_partition([4, 4])
     out = relabel(g, part, SyntheticLabelConfig(dom_ratio=0.5, num_opinions=2, seed=2))
-    assert out.edges == g.edges
+    assert edge_triples(out) == edge_triples(g)
     assert out.nodes == g.nodes
 
 
@@ -199,7 +199,7 @@ def test_sbm_dimensions_and_planted_partition():
                                      p_out=0.01, seed=11))
     assert g.node_count == 100
     assert part.k == 4
-    assert all(part.assignment[i] == i // 25 for i in range(100))
+    assert communities_of(g, part) == {i: i // 25 for i in range(100)}
     assert g.num_opinions == 2
     assert set(g.opinions.values()) == {0}
 
@@ -208,20 +208,22 @@ def test_sbm_is_deterministic_per_seed():
     cfg = SbmConfig(blocks=3, nodes_per_block=20, p_in=0.3, p_out=0.02, seed=5)
     g1, _ = generate_sbm(cfg)
     g2, _ = generate_sbm(cfg)
-    assert g1.edges == g2.edges
+    assert edge_triples(g1) == edge_triples(g2)
 
 
 def test_sbm_zero_cross_probability_keeps_blocks_disconnected():
     g, part = generate_sbm(SbmConfig(blocks=3, nodes_per_block=15, p_in=0.5,
                                      p_out=0.0, seed=2))
-    for u, v, _ in g.edges:
-        assert part.assignment[u] == part.assignment[v]
+    planted = communities_of(g, part)
+    for u, v, _ in edge_triples(g):
+        assert planted[u] == planted[v]
 
 
 def test_sbm_density_tracks_probabilities():
     g, part = generate_sbm(SbmConfig(blocks=2, nodes_per_block=100, p_in=0.2,
                                      p_out=0.01, seed=13))
-    intra = sum(1 for u, v, _ in g.edges if part.assignment[u] == part.assignment[v])
+    planted = communities_of(g, part)
+    intra = sum(1 for u, v, _ in edge_triples(g) if planted[u] == planted[v])
     inter = g.edge_count - intra
     assert intra == pytest.approx(2 * 0.2 * 100 * 99 / 2, rel=0.15)
     assert inter == pytest.approx(0.01 * 100 * 100, rel=0.5)
@@ -232,8 +234,9 @@ def test_louvain_recovers_planted_blocks():
                                      p_out=0.005, seed=21))
     found = louvain(g, LouvainConfig(seed=0))
     assert found.k == 5
-    for block in blocks_of(part):
-        assert len({found.assignment[u] for u in block}) == 1
+    c = communities_of(g, found)
+    for block in blocks_of(g, part):
+        assert len({c[u] for u in block}) == 1
 
 
 def sweep_fixture():
