@@ -60,6 +60,11 @@ class Partition:
             for u in graph.nodes:
                 if u not in known:
                     raise ValueError(f"node {u!r} missing from partition")
+            if len(known) == len(graph.nodes):  # equal ids that sort apart
+                raise ValueError(
+                    "partition holds the graph's nodes in another order, "
+                    "because its ids are of other types"
+                )
             raise ValueError("partition holds nodes that are not in the graph")
         return self._communities
 

@@ -9,7 +9,6 @@ fixed key order, reals with 6 decimal places in reports, ``\\n`` newlines.
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import logging
 from array import array
@@ -46,48 +45,48 @@ def _stripped_lines(path) -> Iterator[tuple[int, str]]:
         raise InputError(str(exc), path=path) from exc
 
 
-def _split_rows(path, empty: str) -> tuple[str, Iterator[tuple[int, list[str]]]]:
-    """The separator of a tab- or comma-separated file, detected from its
-    first data row, and its data rows (not blank, not ``#`` comments) as
-    ``(line_number, stripped fields)``, streamed from that same first row
-    on, so a bad row raises when it is reached. A file with no data rows is
-    an `InputError` with the message ``empty``."""
-    rows = (row for row in _stripped_lines(path) if not row[1].startswith("#"))
-    first = next(rows, None)
-    if first is None:
-        raise InputError(empty, path=path)
-    lineno, line = first
-    sep = "\t" if "\t" in line else "," if "," in line else None
+def _split_rows(path, empty: str) -> Iterator[tuple[int, str, list[str]]]:
+    """The data rows (not blank, not ``#`` comments) of a tab- or
+    comma-separated file as ``(line_number, separator, stripped fields)``,
+    streamed, so a bad row raises when it is reached. The separator is
+    detected from the first data row. A file with no data rows is an
+    `InputError` with the message ``empty``."""
+    sep = None
+    for lineno, line in _stripped_lines(path):
+        if line.startswith("#"):
+            continue
+        if sep is None:
+            sep = "\t" if "\t" in line else "," if "," in line else None
+            if sep is None:
+                raise InputError(
+                    "cannot detect separator (expected tab or comma)",
+                    path=path,
+                    line=lineno,
+                )
+        yield lineno, sep, [f.strip() for f in line.split(sep)]
     if sep is None:
-        raise InputError(
-            "cannot detect separator (expected tab or comma)", path=path, line=lineno
-        )
-    return sep, (
-        (lineno, [f.strip() for f in line.split(sep)])
-        for lineno, line in itertools.chain([first], rows)
-    )
+        raise InputError(empty, path=path)
 
 
 def load_graph(edge_file, label_file) -> LabeledGraph:
     """Load a labeled graph from an edge-list file and an opinion-label file.
 
-    Edge rows are ``u <sep> v [<sep> weight]`` with weight defaulting to 1.0;
-    duplicate and reversed rows are merged by summing, self-loop rows are
-    dropped with a counted warning. Label rows are ``u <sep> opinion_index``,
-    every index below the number of labeled nodes. Nodes appearing only in
-    the label file become isolated nodes. A node in the edge file without a
-    label (the first in row order is named), a weight outside [MIN_WEIGHT,
+    The label file is read first. Label rows are ``u <sep> opinion_index``,
+    every index below the number of labeled nodes; the labeled ids are the
+    nodes, so one in no edge row is an isolated node. Edge rows are ``u <sep>
+    v [<sep> weight]`` with weight defaulting to 1.0; duplicate and reversed
+    rows are merged by summing, self-loop rows are dropped with a counted
+    warning. An edge end without a label, a weight outside [MIN_WEIGHT,
     MAX_WEIGHT], a merged total weight above MAX_WEIGHT, or an empty edge
-    set is a hard error.
+    set is a hard error. Every row error names its ``path:line``, and the
+    first bad row wins: the label file's before the edge file's.
     """
-    sep, rows = _split_rows(edge_file, "edge file contains no edges")
-    # node ids interned to their first appearance; int64/float64 buffers,
-    # which numpy reads without a copy
-    index: dict[str, int] = {}
-    intern = index.setdefault
+    opinions = _load_labels(label_file)
+    index = dict(zip(opinions, range(len(opinions))))
+    # int64/float64 buffers, which numpy reads without a copy
     ends, weights = array("q"), array("d")
     self_loops = 0
-    for lineno, fields in rows:
+    for lineno, sep, fields in _split_rows(edge_file, "edge file contains no edges"):
         if len(fields) not in (2, 3):
             raise InputError(
                 f"expected 'u{sep}v[{sep}w]', got {len(fields)} fields",
@@ -116,35 +115,31 @@ def load_graph(edge_file, label_file) -> LabeledGraph:
         if u == v:
             self_loops += 1
             continue
-        ends.append(intern(u, len(index)))
-        ends.append(intern(v, len(index)))
+        for node in (u, v):
+            if (i := index.get(node)) is None:
+                raise InputError(
+                    f"node {node!r} from edge file has no label",
+                    path=edge_file,
+                    line=lineno,
+                )
+            ends.append(i)
         weights.append(w)
     if self_loops:
         logger.warning("%s: dropped %d self-loop edge row(s)", edge_file, self_loops)
     if not weights:
         raise InputError("edge file contains no usable edges", path=edge_file)
 
-    opinions = _load_labels(label_file)
-    for node in index:
-        if node not in opinions:
-            raise InputError(
-                f"node {node!r} from edge file has no label", path=label_file
-            )
-    for node in opinions:
-        intern(node, len(index))
-
     try:
-        return LabeledGraph(list(index), ends, weights, list(map(opinions.get, index)))
+        return LabeledGraph(list(opinions), ends, weights, list(opinions.values()))
     except ValueError as exc:
         # rows and labels are checked above; what is left is the total weight
         raise InputError(str(exc), path=edge_file) from None
 
 
 def _load_labels(label_file) -> dict[str, int]:
-    sep, rows = _split_rows(label_file, "label file is empty")
     opinions: dict[str, int] = {}
     top, top_line = 0, 0  # the largest index, which sizes the census, and its line
-    for lineno, fields in rows:
+    for lineno, sep, fields in _split_rows(label_file, "label file is empty"):
         if len(fields) != 2:
             raise InputError(
                 f"expected 'node{sep}opinion', got {len(fields)} fields",

@@ -49,7 +49,8 @@ def read_stance_records(path) -> list[StanceRecord]:
     """Parse a JSON-lines archive of stance-labeled tweet records.
 
     Empty or whitespace retweeter ids are dropped with a per-row warning;
-    malformed rows and duplicate tweet ids are hard errors naming the line.
+    malformed rows, duplicate tweet ids and user ids that the graph files
+    cannot hold are hard errors naming the line.
     """
     return list(map(StanceRecord._make, _iter_stance_rows(path)))
 
@@ -64,7 +65,9 @@ def _iter_stance_rows(path) -> Iterator[tuple[str, str, str, tuple[str, ...]]]:
     A line is decoded with the C scanner and accepted only when its one
     value ends where the line ends; any other outcome decodes the line again
     with ``json.loads``, whose result or error stands. JSON gives exact
-    types, so ``type(x) is str`` is the string check.
+    types, so ``type(x) is str`` is the string check. A user id that the
+    graph files cannot hold (see `_check_ids`) can come only from a raw
+    ``#`` or a ``\\`` escape, so only lines holding one are checked.
     """
     scan = json.JSONDecoder().scan_once
     strip, intern = str.strip, sys.intern
@@ -102,6 +105,8 @@ def _iter_stance_rows(path) -> Iterator[tuple[str, str, str, tuple[str, ...]]]:
             raise InputError(
                 "'retweeters' must be a list of strings", path=path, line=lineno
             )
+        if "#" in line or "\\" in line:
+            _check_ids(author, kept, path, lineno)
         if tweet_id in seen_ids:
             raise InputError(f"duplicate tweet_id {tweet_id!r}", path=path, line=lineno)
         seen_ids.add(tweet_id)
@@ -115,6 +120,29 @@ def _iter_stance_rows(path) -> Iterator[tuple[str, str, str, tuple[str, ...]]]:
         yield tweet_id, author, intern(stance), kept  # one copy per stance
     if dropped:
         logger.warning("%s: skipped %d empty retweeter id(s) in total", path, dropped)
+
+
+def _check_ids(author: str, retweeters: tuple[str, ...], path, lineno: int) -> None:
+    """An `InputError` at the line for the first stripped user id, author
+    first, that the graph files cannot hold: a leading ``#`` reads back as a
+    comment, a tab or a newline breaks its row, and a lone surrogate cannot
+    be encoded as UTF-8."""
+    for role, user in (("author", author), *(("retweeter", r) for r in retweeters)):
+        if user.startswith("#"):
+            fault = "starts with '#'"
+        elif "\t" in user or "\n" in user:
+            fault = "holds a tab or a newline"
+        else:
+            try:
+                user.encode("utf-8")
+                continue
+            except UnicodeEncodeError:
+                fault = "cannot be encoded as UTF-8"
+        raise InputError(
+            f"{role} id {user!r} {fault}, so the graph files cannot hold it",
+            path=path,
+            line=lineno,
+        )
 
 
 def _loads(line: str, path, lineno: int):

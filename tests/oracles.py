@@ -196,7 +196,9 @@ def naive_relabel(nodes, communities, k, dom_ratio, num_opinions, seed):
 def naive_stance_rows(path):
     """The rows, warnings and first error of a stance archive, read by the
     plain loop: ``json.loads`` per line, ``isinstance`` checks in a fixed
-    order, empty retweeters dropped one at a time.
+    order, every user id checked for what the graph files cannot hold (a
+    leading ``#``, a tab or newline, a surrogate code point), empty
+    retweeters dropped one at a time.
 
     Lines end at ``\\n`` and are stripped; blank ones are skipped. Returns
     ``(rows, warnings, error)``: one ``(tweet_id, author, stance,
@@ -238,6 +240,19 @@ def naive_stance_rows(path):
             isinstance(r, str) for r in retweeters
         ):
             return rows, warnings, ("'retweeters' must be a list of strings", lineno)
+        for role, user in [("author", author)] + [("retweeter", r) for r in retweeters]:
+            user = user.strip()
+            if user.startswith("#"):
+                fault = "starts with '#'"
+            elif "\t" in user or "\n" in user:
+                fault = "holds a tab or a newline"
+            elif any(0xD800 <= ord(c) <= 0xDFFF for c in user):
+                fault = "cannot be encoded as UTF-8"
+            else:
+                continue
+            return rows, warnings, (
+                f"{role} id {user!r} {fault}, so the graph files cannot hold it", lineno
+            )
         if tweet_id in seen:
             return rows, warnings, (f"duplicate tweet_id {tweet_id!r}", lineno)
         seen.add(tweet_id)

@@ -437,6 +437,27 @@ def test_build_network_bad_last_line_exits_one_before_writing(tmp_path):
         assert not (tmp_path / name).exists()
 
 
+def test_build_network_id_that_analyze_would_read_as_a_comment_exits_one(tmp_path):
+    # '#zed' rows would read back as comments: analyze would score 3 nodes
+    archive = tmp_path / "tweets.jsonl"
+    rows = [
+        {"tweet_id": "1", "author": "a", "stance": "favor", "retweeters": ["b"]},
+        {"tweet_id": "2", "author": "#zed", "stance": "against", "retweeters": ["a", "b"]},
+        {"tweet_id": "3", "author": "b", "stance": "neutral", "retweeters": ["c"]},
+        {"tweet_id": "4", "author": "#zed", "stance": "favor", "retweeters": ["c"]},
+        {"tweet_id": "5", "author": "#zed", "stance": "favor", "retweeters": ["a"]},
+    ]
+    archive.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    proc = _build_network_subprocess(tmp_path, archive)
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        f"error: {archive}:2: author id '#zed' starts with '#', "
+        "so the graph files cannot hold it\n"
+    )
+    assert proc.stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tweets.jsonl"]
+
+
 def test_build_network_warnings_keep_their_order(tmp_path):
     archive = tmp_path / "tweets.jsonl"
     rows = [

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import random
 
+import numpy as np
 import pytest
 
 from polarimeter import (
@@ -109,8 +110,18 @@ def test_partition_array_follows_graph_node_order():
                      {"a": 0, "b": 0, "c": 0, "d": 0})
     p = Partition(assignment={"d": 0, "c": 0, "b": 1, "a": 1}, k=2)
     assert p.array(g).tolist() == [1, 1, 0, 0]
-    with pytest.raises(ValueError, match="node 'c' missing from partition"):
-        Partition(assignment={"a": 0, "b": 0, "d": 0}, k=1).array(g)
+    ints = LabeledGraph.from_edges([(2, 10, 1.0)], {2: 0, 10: 1})
+    for graph, assignment, message in [
+        (g, {"a": 0, "b": 0, "d": 0}, "node 'c' missing from partition"),
+        (g, {"a": 0, "b": 0, "c": 0, "d": 0, "e": 0},
+         "partition holds nodes that are not in the graph"),
+        # equal keys, but numpy ints sort by string form after the ints
+        (ints, {np.int64(2): 0, np.int64(10): 0},
+         "partition holds the graph's nodes in another order, "
+         "because its ids are of other types"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            Partition(assignment=assignment, k=1).array(graph)
 
 
 def test_modularity_two_disjoint_triangles_is_half():

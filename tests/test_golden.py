@@ -1,4 +1,4 @@
-"""Golden outputs: report bytes, per-run values, modularity values and
+"""Golden outputs: report and sweep bytes, per-run values, modularity values and
 build-network files fixed at a known-good commit. They pin the Louvain partitions and the
 retweet network, so a change to the graph layout, the optimizer's summation
 order or the stance counting that moves any of them fails here."""
@@ -109,6 +109,64 @@ def test_build_network_output_bytes(capsys, tmp_path, monkeypatch):
         "net.labels.tsv": "70780c5e597c80ea356d42e53f16be85f3a3503df06f2d229447a1c31b88d5d6",
         "net.names.json": "fdaeb5961da0c4527be36fd14f02c800a05c3f391f001cc84a30fdb41ed4807a",
     }
+
+
+BUILT_NETWORK_RUNS_5_SEED_42 = """\
+{
+  "graph": {
+    "nodes": 211,
+    "edges": 3645
+  },
+  "num_opinions": 3,
+  "runs": 5,
+  "seed": 42,
+  "p_within": {
+    "mean": 0.685905,
+    "std": 0.014881
+  },
+  "p_between": {
+    "mean": 0.655087,
+    "std": 0.004941
+  },
+  "polarization": {
+    "mean": 0.662780,
+    "std": 0.000000,
+    "min": 0.662780,
+    "max": 0.662780
+  },
+  "communities": {
+    "mean": 68.600000
+  }
+}
+"""
+
+
+def test_analyze_report_bytes_on_the_built_network(capsys, tmp_path, monkeypatch):
+    # the paper's third experiment end to end: archive -> build-network ->
+    # load_graph -> analyze
+    write_archive(tmp_path / "archive.jsonl")
+    monkeypatch.chdir(tmp_path)
+    assert main(["build-network", "--records", "archive.jsonl", "--out", "net"]) == 0
+    capsys.readouterr()
+    argv = ["analyze", "--graph", "net.edges.tsv", "--labels", "net.labels.tsv"]
+    assert main([*argv, "--runs", "5", "--seed", "42"]) == 0
+    assert capsys.readouterr().out == BUILT_NETWORK_RUNS_5_SEED_42
+
+
+SWEEP_SBM_20X250_SEED_7 = """\
+num_opinions,dom_ratio,mean_p,std_p,runs
+2,0.400000,0.027373,0.000000,2
+2,1.000000,0.719538,0.000000,2
+5,0.400000,0.000000,0.000000,2
+5,1.000000,0.718534,0.000000,2
+"""
+
+
+def test_sweep_csv_bytes(capsys):
+    argv = ["sweep", "--sbm", "20x250", "--dom-ratios", "0.4,1.0",
+            "--num-opinions", "2,5", "--runs", "2", "--seed", "7"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == SWEEP_SBM_20X250_SEED_7
 
 
 def test_build_network_files_equal_the_library_path(capsys, tmp_path, monkeypatch):

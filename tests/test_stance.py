@@ -104,6 +104,38 @@ def test_retweeters_must_be_a_list_of_strings(tmp_path):
         read_stance_records(path)
 
 
+@pytest.mark.parametrize("user, fault", [
+    ("#zed", "starts with '#'"),
+    ("  #zed", "starts with '#'"),  # checked after the strip
+    ("a\tb", "holds a tab or a newline"),
+    ("a\nb", "holds a tab or a newline"),
+    ("\ud800", "cannot be encoded as UTF-8"),
+])
+@pytest.mark.parametrize("role", ["author", "retweeter"])
+def test_user_id_the_graph_files_cannot_hold_is_rejected_at_its_line(
+    tmp_path, role, user, fault
+):
+    ok = {"tweet_id": "1", "author": "u", "stance": "favor", "retweeters": ["v"]}
+    bad = {"tweet_id": "2", "author": "u", "stance": "favor", "retweeters": ["v", "w"]}
+    if role == "author":
+        bad["author"] = user
+    else:
+        bad["retweeters"][1] = user
+    path = write_records(tmp_path / "a.jsonl", [ok, bad])
+    with pytest.raises(InputError) as info:
+        read_stance_records(path)
+    assert str(info.value) == (
+        f"{path}:2: {role} id {user.strip()!r} {fault}, so the graph files cannot hold it"
+    )
+
+
+def test_ids_with_an_inner_hash_comma_or_return_are_kept(tmp_path):
+    row = {"tweet_id": "1", "author": "a#b", "stance": "favor",
+           "retweeters": ["c,d", "e\rf", "\u00e9#"]}
+    path = write_records(tmp_path / "a.jsonl", [row])
+    assert read_stance_records(path) == [rec("1", "a#b", "favor", ["c,d", "e\rf", "é#"])]
+
+
 def test_blank_retweeter_entries_dropped_with_warning(tmp_path, caplog):
     path = write_records(tmp_path / "a.jsonl", [
         {"tweet_id": "1", "author": "u", "stance": "favor",
@@ -159,6 +191,8 @@ ODD_LINES = st.sampled_from([
     '{"tweet_id": "9", "author": "a", "stance": NaN, "retweeters": []}',
     '{"tweet_id": 9, "author": "a", "stance": "favor", "retweeters": []}',
     '{"tweet_id": "9", "author": " ", "stance": "favor", "retweeters": []}',
+    '{"tweet_id": "9", "author": "a", "stance": "favor", "retweeters": ["\\ud800"]}',
+    '{"tweet_id": "9", "author": "\\u0023x", "stance": "favor", "retweeters": []}',
 ])
 # whitespace that str.strip removes, JSON's own and four kinds JSON rejects
 PADDING = st.text(st.sampled_from(" \t\r\xa0\u2028\x1c\x85"), max_size=3)
@@ -166,7 +200,7 @@ PADDING = st.text(st.sampled_from(" \t\r\xa0\u2028\x1c\x85"), max_size=3)
 
 @st.composite
 def archive_lines(draw):
-    users = st.sampled_from(["a", "b", " b ", "c", "é", "日本"])
+    users = st.sampled_from(["a", "b", " b ", "c", "é", "日本", "#x", "a\tb"])
     record = st.fixed_dictionaries({
         "tweet_id": st.sampled_from(["1", "2", "3", "4", "5", "6", "7", ""]),
         "author": users,
