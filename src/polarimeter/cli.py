@@ -173,7 +173,10 @@ def _parse_sbm(text: str, seed: int) -> SbmConfig:
             f"--sbm allows at most {_SBM_MAX_BLOCKS} blocks and "
             f"{_SBM_MAX_EDGES:,} expected edges, got {text!r}"
         )
-    return SbmConfig(blocks, per_block, SBM_P_IN, SBM_P_OUT, seed=seed)
+    try:
+        return SbmConfig(blocks, per_block, SBM_P_IN, SBM_P_OUT, seed=seed)
+    except ValueError as exc:  # the sizes and densities pass, so it is the seed
+        raise InputError(f"--seed {seed} with --sbm: {exc}") from None
 
 
 def _parse_grid(flag: str, text: str, cast, valid, bound: str) -> list:
@@ -182,7 +185,8 @@ def _parse_grid(flag: str, text: str, cast, valid, bound: str) -> list:
     Every value must pass ``valid``; ``bound`` describes the allowed values
     in the error. A range is monotone, so its two ends are checked before it
     is expanded: a ``stop`` past the bound fails at once, whatever count it
-    asks for.
+    asks for. A step below 1e-6 is refused, since the CSV prints six
+    decimals and could not tell its values apart.
     """
     text = text.strip()
     try:
@@ -197,6 +201,8 @@ def _parse_grid(flag: str, text: str, cast, valid, bound: str) -> list:
                 raise ValueError("too many ':' fields")
             if step <= 0 or stop < start:
                 raise ValueError("need stop >= start and step > 0")
+            if step < 1e-6:
+                raise ValueError("step below 1e-6, finer than six decimals")
             count = int((stop - start) / step + 1e-9) + 1
 
             def expand(ks):
@@ -246,10 +252,6 @@ def _cmd_sweep(args) -> int:
     ratios = _parse_grid(
         "--dom-ratios", args.dom_ratios, float, lambda r: 0.0 < r <= 1.0, "in (0, 1]"
     )
-    opinion_counts = _parse_grid(
-        "--num-opinions", args.num_opinions, int, lambda c: c >= 2, ">= 2"
-    )
-
     if args.sbm is not None:
         config = _parse_sbm(args.sbm, seed=args.seed)
         try:
@@ -261,6 +263,15 @@ def _cmd_sweep(args) -> int:
             raise InputError("sweep --graph also needs --labels")
         graph = load_graph(args.graph, args.labels)
         partition = None
+    # a census holds one count per opinion: the node count bounds the grid
+    nodes = graph.node_count
+    opinion_counts = _parse_grid(
+        "--num-opinions",
+        args.num_opinions,
+        int,
+        lambda c: 2 <= c <= nodes,
+        f"between 2 and the graph's {nodes} nodes",
+    )
 
     cells = sweep(
         graph,

@@ -13,6 +13,7 @@ selection go to the lowest community id.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import logging
 import os
@@ -29,6 +30,8 @@ from .graph import LabeledGraph, NodeId, _node_order
 logger = logging.getLogger(__name__)
 
 PassHook = Callable[[int, int, float], None]
+# runs submitted per worker thread ahead of the run yielded next
+_WINDOW = 2
 
 
 @dataclass(frozen=True)
@@ -107,7 +110,8 @@ def louvain(
     ``_native``), and otherwise in the pure-Python level loop below; both
     give bit-identical partitions and pass records.
     """
-    return _louvain(_kernel_for(graph), graph, config.seed, pass_hook)
+    kernel = _kernel_for(graph)
+    return _louvain(kernel, graph.adjacency(), graph, config.seed, pass_hook)
 
 
 def louvain_runs(
@@ -119,24 +123,44 @@ def louvain_runs(
     Louvain reads only the graph's structure, never its labels, so these
     partitions serve every labeling of that structure. The sequence is
     identical for any ``threads`` value: threads only run independent runs
-    side by side, never more of them than CPUs. They share the graph, and the
-    C kernel releases the GIL while it runs; the pure-Python fallback holds
-    the GIL, so whenever it runs instead, the runs go serially.
+    side by side, never more of them than CPUs, and at most ``_WINDOW`` runs
+    per thread are submitted ahead of the one yielded next. They share the
+    graph's CSR triple, laid out once per call, and the C kernel releases the
+    GIL while it runs; the pure-Python fallback holds the GIL, so whenever it
+    runs instead, the runs go serially.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
-    # the kernel is built or loaded here, before any thread starts
+    # the kernel and the CSR triple are made here, before any thread starts
     kernel = _kernel_for(graph)
+    adjacency = graph.adjacency()
 
     def run(index: int) -> Partition:
-        return _louvain(kernel, graph, config.seed + index)
+        return _louvain(kernel, adjacency, graph, config.seed + index)
 
     if threads > 1 and runs > 1 and kernel is not None:
         workers = min(threads, runs, os.cpu_count() or 1)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(run, range(runs))
+            yield from _in_order(pool, run, runs, _WINDOW * workers)
     else:
         yield from map(run, range(runs))
+
+
+def _in_order(pool, fn, count: int, window: int) -> Iterator:
+    """``fn(0)``, ..., ``fn(count - 1)`` run on ``pool`` and yielded in that
+    order, with at most ``window`` of them submitted and not yet yielded, so
+    a long run count holds a bounded number of futures and results."""
+    pending: collections.deque = collections.deque()
+    try:
+        for index in range(count):
+            if len(pending) == window:
+                yield pending.popleft().result()
+            pending.append(pool.submit(fn, index))
+        while pending:
+            yield pending.popleft().result()
+    finally:  # a consumer that stops early leaves no queued run behind
+        for future in pending:
+            future.cancel()
 
 
 def _kernel_for(graph: LabeledGraph):
@@ -151,12 +175,11 @@ def _kernel_for(graph: LabeledGraph):
     return kernel
 
 
-def _louvain(kernel, graph, seed, pass_hook=None) -> Partition:
-    """One run at ``seed`` on ``kernel``, or on the Python oracle when it is
-    None; the passes of each level are numbered from 0 for ``pass_hook``."""
-    dense, k, passes = (kernel or _louvain_python)(
-        graph.adjacency(), graph.total_weight, seed
-    )
+def _louvain(kernel, adjacency, graph, seed, pass_hook=None) -> Partition:
+    """One run at ``seed`` over ``graph``'s CSR triple ``adjacency`` on
+    ``kernel``, or on the Python oracle when it is None; the passes of each
+    level are numbered from 0 for ``pass_hook``."""
+    dense, k, passes = (kernel or _louvain_python)(adjacency, graph.total_weight, seed)
     if pass_hook is not None:
         for level, records in itertools.groupby(passes, key=lambda r: r[0]):
             for pass_index, (_, q) in enumerate(records):

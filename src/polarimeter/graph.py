@@ -6,11 +6,12 @@ loads, ints for generated graphs); internally nodes are numbered by a
 canonical sort, so the same logical graph always produces the same in-memory
 layout regardless of input row order.
 
-Edges are laid out once, at construction, as a symmetric CSR triple over
-those node indices: ``indptr`` (int64, one offset per node plus one),
-``indices`` (int64) and ``weights`` (float64), each row's neighbours in
-ascending index order; and as the read-only edge arrays ``(iu, iv, weight)``,
-one entry per edge.
+Edges are stored in one layout, built at construction over those node
+indices: the read-only edge arrays ``(iu, iv, weight)``, one entry per edge.
+The score reads them directly. Louvain reads the symmetric CSR triple that
+``adjacency()`` lays out from them on each call: ``indptr`` (int64, one
+offset per node plus one), ``indices`` (int64) and ``weights`` (float64),
+each row's neighbours in ascending index order.
 """
 
 from __future__ import annotations
@@ -95,7 +96,8 @@ class LabeledGraph:
     infinities included) and a total weight above MAX_WEIGHT are rejected;
     callers that need drop-with-warning semantics (file loaders, retweet
     ingestion) filter before constructing. Every node carries a label, so
-    a node in no edge row is an isolated node.
+    a node in no edge row is an isolated node. The graph stores its nodes,
+    labels, edge arrays, total weight and opinion count, nothing more.
     """
 
     def __init__(
@@ -150,7 +152,7 @@ class LabeledGraph:
         low, high = np.sort(ends.reshape(-1, 2), axis=1).T
         upper, inverse = np.unique(low * n + high, return_inverse=True)
         w = np.bincount(inverse, weights=weights)
-        del ends, low, high, inverse  # the CSR sort below sets the peak
+        del ends, low, high, inverse  # freed before the edge arrays are made
         self.total_weight = total = float(w.sum())
         if not total <= MAX_WEIGHT:
             raise ValueError(f"total edge weight {total} exceeds {MAX_WEIGHT}")
@@ -158,14 +160,6 @@ class LabeledGraph:
         for array in (iu, iv, w):
             array.setflags(write=False)
         self._edges = (iu, iv, w)
-        # entry j is edge j as (u, v), entry j + len(w) its mirror (v, u);
-        # sorting the row-major keys u * n + v lays out the CSR rows
-        key = np.concatenate([upper, iv * n + iu])
-        order = np.argsort(key)
-        key = key[order]
-        indptr = np.searchsorted(key, np.arange(n + 1) * n)
-        key %= n
-        self._csr = (indptr, key, w.take(order, mode="wrap"))
 
     @classmethod
     def from_edges(
@@ -196,7 +190,7 @@ class LabeledGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self._csr[1]) // 2
+        return len(self._edges[2])
 
     def _with_labels(self, labels: np.ndarray, num_opinions: int) -> "LabeledGraph":
         """Copy sharing this graph's structure, with valid node-order ``labels``."""
@@ -204,14 +198,23 @@ class LabeledGraph:
         relabeled._labels, relabeled.num_opinions = labels, int(num_opinions)
         return relabeled
 
-    # -- edge views (laid out once, at construction) -----------------------
+    # -- edge views --------------------------------------------------------
 
     def adjacency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The stored CSR triple ``(indptr, indices, weights)``: the
-        neighbours of node index i are ``indices[indptr[i]:indptr[i + 1]]``
-        in ascending order, with their weights alongside. Every edge appears
-        in both endpoint rows."""
-        return self._csr
+        """The symmetric CSR triple ``(indptr, indices, weights)``, laid out
+        from ``edge_arrays()`` on each call: the neighbours of node index i
+        are ``indices[indptr[i]:indptr[i + 1]]`` in ascending order, with
+        their weights alongside. Every edge appears in both endpoint rows."""
+        iu, iv, w = self._edges
+        n = len(self.nodes)
+        # entry j is edge j as (u, v), entry j + len(w) its mirror (v, u);
+        # sorting the row-major keys u * n + v lays out the CSR rows
+        key = np.concatenate([iu * n + iv, iv * n + iu])
+        order = np.argsort(key)
+        key = key[order]
+        indptr = np.searchsorted(key, np.arange(n + 1) * n)
+        key %= n
+        return indptr, key, w.take(order, mode="wrap")
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One entry per edge: ``(iu, iv, weight)`` with node indices

@@ -8,9 +8,11 @@ fixed key order, reals with 6 decimal places in reports, ``\\n`` newlines.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import json
 import logging
+import re
 from array import array
 from importlib import resources
 from typing import TYPE_CHECKING, Iterator, TextIO
@@ -199,8 +201,63 @@ def _open_out(path) -> Iterator[TextIO]:
         raise InputError(str(exc), path=path) from exc
 
 
+def _id_fault(text: str) -> str | None:
+    """Why an id written as ``text`` would not read back as itself from a
+    graph file, or None: the reader strips fields, skips ``#`` lines, splits
+    rows on tabs and newlines, and reads UTF-8."""
+    if not text or text != text.strip():
+        return "is empty or has surrounding whitespace"
+    if text.startswith("#"):
+        return "starts with '#'"
+    if "\t" in text or "\n" in text:
+        return "holds a tab or a newline"
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return "cannot be encoded as UTF-8"
+    return None
+
+
+# in "\n" + "\n".join(ids) + "\n": a "\n" followed by whitespace or "#" (an
+# id that is empty or starts with either) or preceded by whitespace (an id
+# that ends with it); a pattern led by a literal is scanned for quickly
+_BAD_ID_END = re.compile(r"\n(?:[\s#]|(?<=\s\n))")
+
+
+def _check_node_ids(graph: LabeledGraph) -> None:
+    """A ValueError naming the first node, in node order, whose id text (its
+    ``str``) `_id_fault` rejects or another node's id shares, since the graph
+    files would read back as another graph. Ids that are all ``str`` are
+    checked joined, in a few passes over one string: distinct ``str`` ids
+    have distinct texts. Other ids, or a failed check, take the per-id scan
+    that names the node."""
+    nodes = graph.nodes
+    try:
+        joined = "\n" + "\n".join(nodes) + "\n"
+        joined.encode("utf-8")
+    except (TypeError, UnicodeEncodeError):  # an id that is not a str; a surrogate
+        joined = ""
+    if (
+        joined.count("\n") == len(nodes) + 1  # no id holds a newline
+        and "\t" not in joined
+        and not _BAD_ID_END.search(joined)
+    ):
+        return
+    texts = list(map(str, nodes))
+    shared = {t for t, count in collections.Counter(texts).items() if count > 1}
+    for node, text in zip(nodes, texts):
+        fault = _id_fault(text) or ("is another node's too" if text in shared else None)
+        if fault:
+            raise ValueError(
+                f"node {node!r}: its text {text!r} {fault}, "
+                "so the graph files cannot hold it"
+            )
+
+
 def write_edge_list(graph: LabeledGraph, path) -> None:
-    """Tab-separated ``u v w`` rows in ``edge_arrays()`` order, full precision."""
+    """Tab-separated ``u v w`` rows in ``edge_arrays()`` order, full precision.
+    A node id the file cannot hold is a ValueError (see `_check_node_ids`)."""
+    _check_node_ids(graph)
     nodes, arrays = graph.nodes, graph.edge_arrays()
     with _open_out(path) as fh:
         for i in range(0, len(arrays[0]), _WRITE_ROWS):
@@ -210,6 +267,9 @@ def write_edge_list(graph: LabeledGraph, path) -> None:
 
 
 def write_labels(graph: LabeledGraph, path) -> None:
+    """Tab-separated ``u opinion`` rows in node order. A node id the file
+    cannot hold is a ValueError (see `_check_node_ids`)."""
+    _check_node_ids(graph)
     with _open_out(path) as fh:
         for u, o in zip(graph.nodes, graph.opinion_array().tolist()):
             fh.write(f"{u}\t{o}\n")

@@ -52,6 +52,8 @@ class SbmConfig:
             raise ValueError(
                 f"need 0 <= p_out < p_in <= 1, got p_in={self.p_in}, p_out={self.p_out}"
             )
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _round_half_up(x: float) -> int:

@@ -277,6 +277,55 @@ def test_sweep_grid_stop_past_the_bound_exits_before_expanding(capsys):
     assert time.perf_counter() - start < 1.0
 
 
+def test_sweep_num_opinions_above_the_node_count_exits_one(capsys):
+    # a census holds one count per opinion; 10**7 opinions on 20 nodes
+    # would allocate 160 MB for it
+    for grid in ("21", "2,21", "10000000"):
+        code, out, err = run(capsys, "sweep", "--sbm", "2x10", "--num-opinions", grid,
+                             "--runs", "1")
+        assert code == 1, grid
+        assert "--num-opinions values must be between 2 and the graph's 20 nodes" in err
+        assert out == ""
+    code, out, _ = run(capsys, "sweep", "--sbm", "2x10", "--num-opinions", "20",
+                       "--dom-ratios", "1.0", "--runs", "1")
+    assert code == 0
+    assert out.splitlines()[1].startswith("20,1.000000,")
+
+
+def test_sweep_num_opinions_range_past_the_node_count_exits_before_expanding(tmp_path):
+    # 2:1000000000 asks for about 10**9 values; only its ends may be built,
+    # and under the cap the expanded list could not be allocated
+    start = time.perf_counter()
+    proc = _cli_subprocess(tmp_path, "sweep", "--sbm", "2x10", "--num-opinions",
+                           "2:1000000000", "--runs", "1", ulimit_kib=2**20)
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "error: --num-opinions values must be between 2 and the graph's 20 nodes, "
+        "got 1000000000\n"
+    )
+    assert time.perf_counter() - start < 10.0
+
+
+def test_sweep_dom_ratio_step_finer_than_the_csv_exits_one(capsys):
+    # six decimals in the CSV: these five steps would print 0.500000 each time
+    code, out, err = run(capsys, "sweep", "--sbm", "2x10", "--dom-ratios",
+                         "0.5:0.5000005:0.0000001", "--runs", "1")
+    assert code == 1
+    assert "--dom-ratios" in err and "step below 1e-6" in err
+    assert out == ""
+    code, _, _ = run(capsys, "sweep", "--sbm", "2x10", "--dom-ratios",
+                     "0.5:0.500002:0.000001", "--num-opinions", "2", "--runs", "1")
+    assert code == 0
+
+
+def test_sweep_sbm_negative_seed_names_the_seed_flag(capsys):
+    code, out, err = run(capsys, "sweep", "--sbm", "2x50", "--seed", "-1",
+                         "--runs", "1")
+    assert code == 1
+    assert err == "error: --seed -1 with --sbm: seed must be >= 0, got -1\n"
+    assert out == ""
+
+
 def test_sweep_bad_sbm_syntax_exits_one(capsys):
     # the last three are well formed but past the size bound; unchecked, they
     # reach numpy and ask for GBs (the last is too large for a float, too)

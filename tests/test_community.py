@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,12 +16,14 @@ from polarimeter import (
     Partition,
     SyntheticLabelConfig,
     census,
+    load_karate,
     louvain,
     modularity,
     relabel,
     scale_weights,
     score_partition,
 )
+from polarimeter import community
 from oracles import (
     all_partitions,
     brute_force_modularity,
@@ -242,3 +246,55 @@ def test_weights_steer_the_partition():
     p = louvain(g, LouvainConfig(seed=0))
     c = communities_of(g, p)
     assert c[3] == c[4]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_louvain_runs_lay_out_the_csr_once_per_call(monkeypatch, threads):
+    graph = load_karate()
+    config = LouvainConfig(seed=4)
+    expected = [p.array(graph) for p in community.louvain_runs(graph, config, 5)]
+    calls = []
+    layout = graph.adjacency
+    monkeypatch.setattr(graph, "adjacency", lambda: calls.append(1) or layout())
+    got = list(community.louvain_runs(graph, config, 5, threads))
+    assert len(calls) == 1
+    assert all(np.array_equal(p.array(graph), e) for p, e in zip(got, expected))
+
+
+def test_threaded_runs_submit_a_bounded_window_ahead(monkeypatch):
+    """Executor.map would submit all 50 runs before the first is yielded;
+    here run 0 blocks until released, and the runs submitted by then stay
+    within the window."""
+    submitted, workers = [], []
+    release = threading.Event()
+
+    class CountingPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+        def submit(self, fn, *args):
+            submitted.append(args)
+            return super().submit(fn, *args)
+
+    def run(kernel, adjacency, graph, seed, pass_hook=None):
+        if seed == 0:
+            assert release.wait(timeout=10)
+        return seed
+
+    monkeypatch.setattr(community, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(community, "louvain_kernel", lambda: community._louvain_python)
+    monkeypatch.setattr(community.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(community, "_louvain", run)
+    runs = community.louvain_runs(load_karate(), LouvainConfig(seed=0), 50, threads=2)
+    timer = threading.Timer(0.2, release.set)
+    timer.start()
+    try:
+        assert next(runs) == 0
+        assert workers == [2]
+        assert len(submitted) <= community._WINDOW * 2
+        assert list(runs) == list(range(1, 50))
+    finally:
+        release.set()
+        timer.cancel()
+    assert len(submitted) == 50

@@ -6,6 +6,7 @@ import json
 import logging
 import os
 import random
+import re
 import tempfile
 
 import pytest
@@ -225,6 +226,64 @@ def test_write_then_load_round_trips(graph):
         assert got.dtype == want.dtype and (got == want).all()  # weights by ==
     assert (g2.opinion_array() == g.opinion_array()).all()
     assert g2.num_opinions == g.num_opinions
+
+
+@pytest.mark.parametrize("ids, bad, fault", [
+    (["#a", "b", "c"], "#a", "starts with '#'"),
+    (["b", " a", "c"], " a", "is empty or has surrounding whitespace"),
+    (["b", "a ", "c"], "a ", "is empty or has surrounding whitespace"),
+    (["b", "", "c"], "", "is empty or has surrounding whitespace"),
+    (["b", "a\tz", "c"], "a\tz", "holds a tab or a newline"),
+    (["b", "a\nz", "c"], "a\nz", "holds a tab or a newline"),
+    (["b", "\ud800", "c"], "\ud800", "cannot be encoded as UTF-8"),
+    (["b", "1", 1], 1, "is another node's too"),  # ints come first in node order
+    (["#z", "#y", "c"], "#y", "starts with '#'"),
+])
+@pytest.mark.parametrize("writer", [write_edge_list, write_labels])
+def test_writers_reject_an_id_that_would_not_read_back(
+    tmp_path, writer, ids, bad, fault
+):
+    g = LabeledGraph(ids, [0, 2, 1, 2], [1.0, 1.0], [0, 1, 1])
+    path = tmp_path / "out.tsv"
+    with pytest.raises(ValueError) as info:
+        writer(g, path)
+    assert str(info.value) == (
+        f"node {bad!r}: its text {str(bad)!r} {fault}, "
+        "so the graph files cannot hold it"
+    )
+    assert not path.exists()
+
+
+# ids built as prefix + core + suffix, mostly clean, each fault possible alone
+STR_IDS = st.tuples(
+    st.sampled_from(["", "", "", " ", "#", "\u2028"]),
+    st.sampled_from(["a", "b", "1", "a#b", "a b", "", "a\tb", "a\nb", "a\ud800"]),
+    st.sampled_from(["", "", "", " ", "\x1c"]),
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.lists(STR_IDS, min_size=2, max_size=6, unique=True),
+    st.lists(st.one_of(st.integers(0, 3), STR_IDS),
+             min_size=2, max_size=6, unique=True),
+))
+def test_node_text_check_agrees_with_the_per_id_rule(ids):
+    """The node-id check rejects exactly the graphs that the per-id rule and
+    the shared-text rule reject, and names the same first node, whether the
+    ids are all str (the joined check) or not."""
+    g = LabeledGraph(ids, [0, 1], [1.0], [0] * len(ids))
+    texts = [str(u) for u in g.nodes]
+    first = next(
+        (u for u, t in zip(g.nodes, texts)
+         if pio._id_fault(t) or texts.count(t) > 1),
+        None,
+    )
+    if first is None:
+        pio._check_node_ids(g)
+    else:
+        with pytest.raises(ValueError, match=f"^node {re.escape(repr(first))}:"):
+            pio._check_node_ids(g)
 
 
 def test_edge_list_written_in_slices_has_the_rows_of_graph_edges(tmp_path, monkeypatch):

@@ -76,6 +76,8 @@ def test_sbm_config_validation():
         SbmConfig(blocks=2, nodes_per_block=5, p_in=0.1, p_out=0.2)
     with pytest.raises(ValueError):
         SbmConfig(blocks=2, nodes_per_block=5, p_in=1.5, p_out=0.0)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        SbmConfig(blocks=2, nodes_per_block=5, p_in=0.5, p_out=0.0, seed=-1)
 
 
 def test_relabel_full_dominance_gives_uniform_communities():
