@@ -173,10 +173,9 @@ def _parse_sbm(text: str, seed: int) -> SbmConfig:
             f"--sbm allows at most {_SBM_MAX_BLOCKS} blocks and "
             f"{_SBM_MAX_EDGES:,} expected edges, got {text!r}"
         )
-    try:
-        return SbmConfig(blocks, per_block, SBM_P_IN, SBM_P_OUT, seed=seed)
-    except ValueError as exc:  # the sizes and densities pass, so it is the seed
-        raise InputError(f"--seed {seed} with --sbm: {exc}") from None
+    if seed < 0:
+        raise InputError(f"--seed {seed} with --sbm: seed must be >= 0, got {seed}")
+    return SbmConfig(blocks, per_block, SBM_P_IN, SBM_P_OUT, seed=seed)
 
 
 def _parse_grid(flag: str, text: str, cast, valid, bound: str) -> list:

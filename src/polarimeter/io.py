@@ -12,7 +12,6 @@ import collections
 import contextlib
 import json
 import logging
-import re
 from array import array
 from importlib import resources
 from typing import TYPE_CHECKING, Iterator, TextIO
@@ -218,31 +217,11 @@ def _id_fault(text: str) -> str | None:
     return None
 
 
-# in "\n" + "\n".join(ids) + "\n": a "\n" followed by whitespace or "#" (an
-# id that is empty or starts with either) or preceded by whitespace (an id
-# that ends with it); a pattern led by a literal is scanned for quickly
-_BAD_ID_END = re.compile(r"\n(?:[\s#]|(?<=\s\n))")
-
-
 def _check_node_ids(graph: LabeledGraph) -> None:
     """A ValueError naming the first node, in node order, whose id text (its
     ``str``) `_id_fault` rejects or another node's id shares, since the graph
-    files would read back as another graph. Ids that are all ``str`` are
-    checked joined, in a few passes over one string: distinct ``str`` ids
-    have distinct texts. Other ids, or a failed check, take the per-id scan
-    that names the node."""
+    files would read back as another graph."""
     nodes = graph.nodes
-    try:
-        joined = "\n" + "\n".join(nodes) + "\n"
-        joined.encode("utf-8")
-    except (TypeError, UnicodeEncodeError):  # an id that is not a str; a surrogate
-        joined = ""
-    if (
-        joined.count("\n") == len(nodes) + 1  # no id holds a newline
-        and "\t" not in joined
-        and not _BAD_ID_END.search(joined)
-    ):
-        return
     texts = list(map(str, nodes))
     shared = {t for t, count in collections.Counter(texts).items() if count > 1}
     for node, text in zip(nodes, texts):
