@@ -12,9 +12,10 @@ import collections
 import contextlib
 import json
 import logging
+import re
 from array import array
 from importlib import resources
-from typing import TYPE_CHECKING, Iterator, TextIO
+from typing import TYPE_CHECKING, Iterator, Sequence, TextIO
 
 from .errors import InputError
 from .graph import MAX_WEIGHT, MIN_WEIGHT, LabeledGraph
@@ -200,18 +201,28 @@ def _open_out(path) -> Iterator[TextIO]:
         raise InputError(str(exc), path=path) from exc
 
 
-def _id_fault(text: str) -> str | None:
-    """Why an id written as ``text`` would not read back as itself from a
-    graph file, or None: the reader strips fields, skips ``#`` lines, splits
-    rows on tabs and newlines, and reads UTF-8."""
-    if not text or text != text.strip():
-        return "is empty or has surrounding whitespace"
-    if text.startswith("#"):
-        return "starts with '#'"
-    if "\t" in text or "\n" in text:
+# in "\n" + "\n".join(ids) + "\n" with no "\n" inside an id: a "\n" followed
+# by whitespace or "#" (an id that is empty or starts with either) or preceded
+# by whitespace (an id that ends with it); a pattern led by a literal is
+# scanned for quickly. Regex ``\s`` and ``str.strip`` agree on whitespace.
+_BAD_ID_END = re.compile(r"\n(?:[\s#]|(?<=\s\n))")
+
+
+def _ids_fault(texts: Sequence[str]) -> str | None:
+    """Why an id in ``texts`` would not read back as itself from a graph
+    file, or None: the reader splits rows on tabs and newlines, skips ``#``
+    lines, strips fields and reads UTF-8. The ids are checked joined, in a
+    few passes over one string, so a graph's ids take one call and a single
+    id is checked as ``(text,)``."""
+    joined = "\n" + "\n".join(texts) + "\n"
+    if joined.count("\n") != len(texts) + 1 or "\t" in joined:
         return "holds a tab or a newline"
+    if bad := _BAD_ID_END.search(joined):
+        if bad[0] == "\n#":
+            return "starts with '#'"
+        return "is empty or has surrounding whitespace"
     try:
-        text.encode("utf-8")
+        joined.encode("utf-8")
     except UnicodeEncodeError:
         return "cannot be encoded as UTF-8"
     return None
@@ -219,13 +230,22 @@ def _id_fault(text: str) -> str | None:
 
 def _check_node_ids(graph: LabeledGraph) -> None:
     """A ValueError naming the first node, in node order, whose id text (its
-    ``str``) `_id_fault` rejects or another node's id shares, since the graph
-    files would read back as another graph."""
+    ``str``) `_ids_fault` rejects or another node's id shares, since the graph
+    files would read back as another graph. Distinct ``str`` ids have
+    distinct texts, so only a graph with other ids has its texts counted."""
     nodes = graph.nodes
-    texts = list(map(str, nodes))
-    shared = {t for t, count in collections.Counter(texts).items() if count > 1}
+    try:
+        fault = _ids_fault(nodes)
+    except TypeError:  # the join met an id that is not a str
+        texts = [str(u) for u in nodes]
+        shared = {t for t, count in collections.Counter(texts).items() if count > 1}
+        fault = shared or _ids_fault(texts)
+    else:
+        texts, shared = nodes, set()
+    if not fault:
+        return
     for node, text in zip(nodes, texts):
-        fault = _id_fault(text) or ("is another node's too" if text in shared else None)
+        fault = _ids_fault((text,)) or ("is another node's too" if text in shared else None)
         if fault:
             raise ValueError(
                 f"node {node!r}: its text {text!r} {fault}, "

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InputError
 from .graph import LabeledGraph
-from .io import _id_fault, _stripped_lines
+from .io import _ids_fault, _stripped_lines
 
 logger = logging.getLogger(__name__)
 
@@ -124,11 +124,11 @@ def _iter_stance_rows(path) -> Iterator[tuple[str, str, str, tuple[str, ...]]]:
 
 def _check_ids(author: str, retweeters: tuple[str, ...], path, lineno: int) -> None:
     """An `InputError` at the line for the first stripped, non-empty user id,
-    author first, that the graph files cannot hold (see `io._id_fault`): a
+    author first, that the graph files cannot hold (see `io._ids_fault`): a
     leading ``#`` reads back as a comment, a tab or a newline breaks its row,
     and a lone surrogate cannot be encoded as UTF-8."""
     for role, user in (("author", author), *(("retweeter", r) for r in retweeters)):
-        if user and (fault := _id_fault(user)):
+        if user and (fault := _ids_fault((user,))):
             raise InputError(
                 f"{role} id {user!r} {fault}, so the graph files cannot hold it",
                 path=path,

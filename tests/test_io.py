@@ -6,6 +6,7 @@ import json
 import logging
 import os
 import random
+import re
 import tempfile
 
 import pytest
@@ -276,6 +277,37 @@ def test_writers_reject_an_id_that_would_not_read_back(
         "so the graph files cannot hold it"
     )
     assert not path.exists()
+
+
+# ids built as prefix + core + suffix, mostly clean, each fault possible alone
+STR_IDS = st.tuples(
+    st.sampled_from(["", "", "", " ", "#", "\u2028"]),
+    st.sampled_from(["a", "b", "1", "a#b", "a b", "", "a\tb", "a\nb", "a\ud800"]),
+    st.sampled_from(["", "", "", " ", "\x1c"]),
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.lists(STR_IDS, min_size=2, max_size=6, unique=True),
+    st.lists(st.one_of(st.integers(0, 3), STR_IDS),
+             min_size=2, max_size=6, unique=True),
+))
+def test_node_ids_checked_at_once_fail_as_one_id_at_a_time(ids):
+    """A graph's ids, checked joined, are rejected exactly when one of them
+    alone is or two share a text, and the error names the first such node."""
+    g = LabeledGraph(ids, [0, 1], [1.0], [0] * len(ids))
+    texts = [str(u) for u in g.nodes]
+    first = next(
+        (u for u, t in zip(g.nodes, texts)
+         if pio._ids_fault((t,)) or texts.count(t) > 1),
+        None,
+    )
+    if first is None:
+        pio._check_node_ids(g)
+    else:
+        with pytest.raises(ValueError, match=f"^node {re.escape(repr(first))}:"):
+            pio._check_node_ids(g)
 
 
 def test_edge_list_written_in_slices_has_the_rows_of_graph_edges(tmp_path, monkeypatch):
