@@ -112,10 +112,7 @@ def _run(function, adjacency, m, seed):
 def _library() -> Path:
     """Path of the built library, compiling it first if the cache lacks it."""
     import hashlib
-    import shutil
-    import subprocess
     import sysconfig
-    import tempfile
 
     soabi = sysconfig.get_config_var("SOABI") or "unknown"
     key = hashlib.sha256(
@@ -125,6 +122,11 @@ def _library() -> Path:
     target = cache / "polarimeter" / f"_louvain-{soabi}-{key}.so"
     if target.exists():
         return target
+    # the build's modules, imported only when there is something to build
+    import shutil
+    import subprocess
+    import tempfile
+
     compiler = next(filter(None, map(shutil.which, COMPILERS)), None)
     if compiler is None:
         raise RuntimeError(f"no C compiler ({' or '.join(COMPILERS)}) on PATH")

@@ -12,10 +12,13 @@ import collections
 import contextlib
 import json
 import logging
+import math
+import operator
 import re
 from array import array
 from importlib import resources
-from typing import TYPE_CHECKING, Iterator, Sequence, TextIO
+from io import BytesIO
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence, TextIO
 
 from .errors import InputError
 from .graph import MAX_WEIGHT, MIN_WEIGHT, LabeledGraph
@@ -25,47 +28,119 @@ if TYPE_CHECKING:
 
 logger = logging.getLogger(__name__)
 _WRITE_ROWS = 65_536  # edge rows write_edge_list turns into Python objects at once
+_BLOCK_BYTES = 16_384  # bytes read at once, then completed to a whole line
+# per separator, the bytes a plain field is made of: neither it nor ASCII
+# whitespace (as ``str.strip`` has it). Deleting them from a block leaves
+# its separators, newlines and any other whitespace.
+_FIELD_BYTES = {
+    sep: bytes(c for c in range(256) if c > 127 or not (chr(c) == sep or chr(c).isspace()))
+    for sep in "\t,"
+}
 
 
-def _stripped_lines(path) -> Iterator[tuple[int, str]]:
-    """Yield (line_number, stripped_text) for the non-blank lines of a UTF-8
-    file, streamed; lines end at ``\\n`` only, as in JSON Lines. An unreadable
-    file, or bytes that are not UTF-8, is an `InputError` naming the path
-    (and for bad bytes the line)."""
+def _blocks(path) -> Iterator[tuple[int, bytes]]:
+    """``(line number of its first line, block)`` for the blocks of whole
+    lines a file is read in, of about `_BLOCK_BYTES` each. Every block ends
+    at a ``\\n`` but the last, when the file does not. An unreadable file is
+    an `InputError` naming the path."""
     try:
         with open(path, "rb") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                try:
-                    line = raw.decode("utf-8").strip()
-                except UnicodeDecodeError as exc:
-                    raise InputError(
-                        f"not UTF-8 ({exc.reason})", path=path, line=lineno
-                    ) from None
-                if line:
-                    yield lineno, line
+            lineno = 1
+            while block := fh.read(_BLOCK_BYTES):
+                if not block.endswith(b"\n"):
+                    block += fh.readline()
+                yield lineno, block
+                lineno += block.count(b"\n")
     except OSError as exc:
         raise InputError(str(exc), path=path) from exc
 
 
-def _split_rows(path, empty: str) -> Iterator[tuple[int, str, list[str]]]:
+def _lines(path, first: int, raw_lines) -> Iterator[tuple[int, str]]:
+    """(line_number, stripped_text) for the non-blank lines among
+    ``raw_lines``, bytes lines as a binary file yields them, the first being
+    line ``first`` of ``path``. Lines end at ``\\n`` only, as in JSON Lines.
+    Bytes that are not UTF-8 are an `InputError` naming the path and the
+    line."""
+    for lineno, raw in enumerate(raw_lines, start=first):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"not UTF-8 ({exc.reason})", path=path, line=lineno) from None
+        if line:
+            yield lineno, line
+
+
+def _stripped_lines(path) -> Iterator[tuple[int, str]]:
+    """(line_number, stripped_text) for the non-blank lines of a UTF-8 file,
+    streamed line by line (see `_lines`). An unreadable file is an
+    `InputError` naming the path."""
+    try:
+        with open(path, "rb") as fh:
+            yield from _lines(path, 1, fh)
+    except OSError as exc:
+        raise InputError(str(exc), path=path) from exc
+
+
+def _separator(line: str) -> str | None:
+    """The separator a file's first data row sets: tab if the row holds
+    one, else comma if it holds one."""
+    return "\t" if "\t" in line else "," if "," in line else None
+
+
+def _plain_cells(block: bytes, sep: str, width: int) -> list[str] | None:
+    """The fields of a plain block, row after row, or None for any other
+    block. A block is plain when it is ASCII, ends at a ``\\n``, holds no
+    whitespace but ``sep`` and ``\\n``, has no ``#`` line, and each of its
+    rows has ``width`` fields, none empty (so no line is blank). Then
+    `str.strip` changes no line and no field, so each field is the text the
+    row loop would read."""
+    if not block.isascii() or not block.endswith(b"\n"):
+        return None
+    pattern = (sep * (width - 1) + "\n").encode() * block.count(b"\n")
+    if block.translate(None, _FIELD_BYTES[sep]) != pattern:
+        return None
+    text = block.decode("ascii")
+    if text.startswith("#") or "\n#" in text:
+        return None
+    cells = text.replace("\n", sep).split(sep)
+    cells.pop()  # the empty text after the last "\n"
+    return cells if all(cells) else None
+
+
+def _split_rows(
+    path, empty: str, take_plain: Callable[[bytes, str, int], bool]
+) -> Iterator[tuple[int, str, list[str]]]:
     """The data rows (not blank, not ``#`` comments) of a tab- or
     comma-separated file as ``(line_number, separator, stripped fields)``,
     streamed, so a bad row raises when it is reached. The separator is
     detected from the first data row. A file with no data rows is an
-    `InputError` with the message ``empty``."""
+    `InputError` with the message ``empty``.
+
+    Each block of whole lines is first offered to ``take_plain(block, sep,
+    first_line)``, which reads the rows of a plain block (see
+    `_plain_cells`) itself and returns True when every one of them passes
+    the row checks. Only the rows of a block it refuses are yielded, so the
+    caller's row loop decides, raises and warns for every such row. A
+    plain block's first line is a data row, so until the separator is known
+    it is offered with the one its first line would set."""
     sep = None
-    for lineno, line in _stripped_lines(path):
-        if line.startswith("#"):
+    for first, block in _blocks(path):
+        guess = sep or _separator(block[: block.find(b"\n")].decode("latin-1"))
+        if guess and take_plain(block, guess, first):
+            sep = guess
             continue
-        if sep is None:
-            sep = "\t" if "\t" in line else "," if "," in line else None
+        for lineno, line in _lines(path, first, BytesIO(block)):
+            if line.startswith("#"):
+                continue
             if sep is None:
-                raise InputError(
-                    "cannot detect separator (expected tab or comma)",
-                    path=path,
-                    line=lineno,
-                )
-        yield lineno, sep, [f.strip() for f in line.split(sep)]
+                sep = _separator(line)
+                if sep is None:
+                    raise InputError(
+                        "cannot detect separator (expected tab or comma)",
+                        path=path,
+                        line=lineno,
+                    )
+            yield lineno, sep, [f.strip() for f in line.split(sep)]
     if sep is None:
         raise InputError(empty, path=path)
 
@@ -88,7 +163,32 @@ def load_graph(edge_file, label_file) -> LabeledGraph:
     # int64/float64 buffers, which numpy reads without a copy
     ends, weights = array("q"), array("d")
     self_loops = 0
-    for lineno, sep, fields in _split_rows(edge_file, "edge file contains no edges"):
+
+    def take_plain(block: bytes, sep: str, first: int) -> bool:
+        cells = _plain_cells(block, sep, 3)
+        if cells is None:
+            return False
+        try:
+            block_weights = list(map(float, cells[2::3]))
+        except ValueError:
+            return False
+        del cells[2::3]
+        block_ends = list(map(index.get, cells))
+        if not (
+            math.isfinite(sum(block_weights))  # no nan, so min and max hold
+            and MIN_WEIGHT <= min(block_weights)
+            and max(block_weights) <= MAX_WEIGHT
+            and None not in block_ends
+            and not any(map(operator.eq, block_ends[0::2], block_ends[1::2]))
+        ):
+            return False
+        ends.fromlist(block_ends)
+        weights.fromlist(block_weights)
+        return True
+
+    for lineno, sep, fields in _split_rows(
+        edge_file, "edge file contains no edges", take_plain
+    ):
         if len(fields) not in (2, 3):
             raise InputError(
                 f"expected 'u{sep}v[{sep}w]', got {len(fields)} fields",
@@ -141,7 +241,25 @@ def load_graph(edge_file, label_file) -> LabeledGraph:
 def _load_labels(label_file) -> dict[str, int]:
     opinions: dict[str, int] = {}
     top, top_line = 0, 0  # the largest index, which sizes the census, and its line
-    for lineno, sep, fields in _split_rows(label_file, "label file is empty"):
+
+    def take_plain(block: bytes, sep: str, first: int) -> bool:
+        nonlocal top, top_line
+        cells = _plain_cells(block, sep, 2)
+        if cells is None or not "".join(raws := cells[1::2]).isdigit():
+            return False
+        try:
+            block_opinions = list(map(int, raws))
+        except ValueError:  # more digits than int() converts
+            return False
+        fresh = dict(zip(cells[0::2], block_opinions))
+        if len(fresh) < len(block_opinions) or not opinions.keys().isdisjoint(fresh):
+            return False
+        opinions.update(fresh)
+        if (most := max(block_opinions)) > top:
+            top, top_line = most, first + block_opinions.index(most)
+        return True
+
+    for lineno, sep, fields in _split_rows(label_file, "label file is empty", take_plain):
         if len(fields) != 2:
             raise InputError(
                 f"expected 'node{sep}opinion', got {len(fields)} fields",

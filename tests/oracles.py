@@ -280,3 +280,122 @@ def communities_of(g, p):
     """The community of each node of graph ``g`` under partition ``p``, as a
     node-id dict in ``g.nodes`` order."""
     return dict(zip(g.nodes, p.array(g).tolist()))
+
+
+# the graph's weight bounds (graph.MIN_WEIGHT, graph.MAX_WEIGHT), restated
+MIN_WEIGHT, MAX_WEIGHT = 1e-150, 1e150
+
+
+class _FileError(Exception):
+    """The first error of naive_graph_files, as (message, path, line)."""
+
+
+def _naive_data_rows(path):
+    """The data rows of a graph file as ``(line_number, separator, stripped
+    fields)``: lines end at ``\\n``, each is decoded and stripped, and blank
+    and ``#`` lines are skipped; the first data row sets the separator."""
+    sep = None
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise _FileError(f"not UTF-8 ({exc.reason})", path, lineno) from None
+            if not line or line.startswith("#"):
+                continue
+            if sep is None:
+                if "\t" in line:
+                    sep = "\t"
+                elif "," in line:
+                    sep = ","
+                else:
+                    raise _FileError(
+                        "cannot detect separator (expected tab or comma)", path, lineno
+                    )
+            yield lineno, sep, [f.strip() for f in line.split(sep)]
+
+
+def naive_graph_files(edge_path, label_path):
+    """The graph ``load_graph`` reads from an edge file and a label file, by
+    a plain loop over their lines with the loader's row checks in its order.
+
+    Returns ``(graph, error, dropped)``. ``graph`` is ``(labels, edges)``:
+    the node-id-to-opinion dict and a dict from each ``(low, high)`` id pair
+    (ids ordered as text) to the weight its rows add up to in row order.
+    ``error`` is the first error as ``(message, path, line)``, with ``line``
+    None for a fault of a whole file; exactly one of the two is None.
+    ``dropped`` is the count of self-loop rows the loader warns about, which
+    it does once the edge file reads to its end (0: no warning).
+    """
+    try:
+        labels, top, top_line = {}, 0, 0
+        for lineno, sep, fields in _naive_data_rows(label_path):
+            where = (label_path, lineno)
+            if len(fields) != 2:
+                raise _FileError(
+                    f"expected 'node{sep}opinion', got {len(fields)} fields", *where
+                )
+            node, raw = fields
+            if not node:
+                raise _FileError("empty node identifier", *where)
+            try:
+                opinion = int(raw)
+            except ValueError:
+                raise _FileError(f"bad opinion index {raw!r}", *where) from None
+            if opinion < 0:
+                raise _FileError(f"negative opinion index {opinion}", *where)
+            if node in labels and labels[node] != opinion:
+                raise _FileError(f"conflicting labels for node {node!r}", *where)
+            labels[node] = opinion
+            if opinion > top:
+                top, top_line = opinion, lineno
+        if not labels:
+            raise _FileError("label file is empty", label_path, None)
+        if top >= len(labels):
+            raise _FileError(
+                f"opinion index {top} is not below the {len(labels)} labeled nodes",
+                label_path,
+                top_line,
+            )
+
+        edges, rows, dropped = {}, 0, 0
+        for lineno, sep, fields in _naive_data_rows(edge_path):
+            where = (edge_path, lineno)
+            rows += 1
+            if len(fields) not in (2, 3):
+                raise _FileError(
+                    f"expected 'u{sep}v[{sep}w]', got {len(fields)} fields", *where
+                )
+            u, v = fields[0], fields[1]
+            if not u or not v:
+                raise _FileError("empty node identifier", *where)
+            w = 1.0
+            if len(fields) == 3:
+                try:
+                    w = float(fields[2])
+                except ValueError:
+                    raise _FileError(f"bad weight {fields[2]!r}", *where) from None
+            if not MIN_WEIGHT <= w <= MAX_WEIGHT:
+                raise _FileError(
+                    f"non-positive, non-finite or out-of-range weight {fields[2]!r}; "
+                    f"weights must lie in [{MIN_WEIGHT}, {MAX_WEIGHT}]",
+                    *where,
+                )
+            if u == v:
+                dropped += 1
+                continue
+            for node in (u, v):
+                if node not in labels:
+                    raise _FileError(f"node {node!r} from edge file has no label", *where)
+            pair = (min(u, v), max(u, v))
+            edges[pair] = edges.get(pair, 0.0) + w
+        if not rows:
+            return None, ("edge file contains no edges", edge_path, None), 0
+        if not edges:
+            return None, ("edge file contains no usable edges", edge_path, None), dropped
+        total = sum(edges[pair] for pair in sorted(edges))
+        if not total <= MAX_WEIGHT:
+            return None, (f"total edge weight {total} exceeds {MAX_WEIGHT}", edge_path, None), dropped
+        return (labels, edges), None, dropped
+    except _FileError as exc:
+        return None, exc.args, 0

@@ -9,19 +9,24 @@ import random
 import re
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import edge_triples
+from oracles import edge_triples, naive_graph_files
 from polarimeter import io as pio
 from polarimeter import (
     InputError,
     LabeledGraph,
     LouvainConfig,
+    SbmConfig,
+    SyntheticLabelConfig,
     analyze,
+    generate_sbm,
     load_graph,
     load_karate,
+    relabel,
     report_csv,
     report_json,
     save_report,
@@ -320,6 +325,167 @@ def test_edge_list_written_in_slices_has_the_rows_of_graph_edges(tmp_path, monke
     write_edge_list(g, tmp_path / "e.tsv")
     expected = "".join(f"{u}\t{v}\t{w!r}\n" for u, v, w in edge_triples(g))
     assert (tmp_path / "e.tsv").read_bytes() == expected.encode("utf-8")
+
+
+# Graph-file rows for the block reader. Numeric ids let a misread column
+# still parse. Edge rows join the six edge ids; label rows give each id one
+# opinion and add label-only ids, so a repeated or conflicting label comes
+# only from a fault row. "<S>" is the file's separator and "\udcff" a byte
+# that is not UTF-8.
+EDGE_IDS = ("0", "1", "2", "10", "a", "b")
+OPINION_OF = {"0": 0, "1": 1, "2": 2, "10": 0, "a": 1, "b": 0}
+# the largest weight is 2**497, so totals past the bound add up exactly in
+# any order, and the total-weight message is the oracle's
+PLAIN_EDGE_ROWS = st.tuples(
+    st.sampled_from(EDGE_IDS),
+    st.sampled_from(EDGE_IDS),
+    st.sampled_from(["1", "2.5", "0.5", "3", repr(2.0**497)]),
+).filter(lambda row: row[0] != row[1]).map("<S>".join)
+PLAIN_LABEL_ROWS = st.tuples(
+    st.permutations(EDGE_IDS),
+    st.lists(st.integers(100, 199), max_size=30, unique=True),
+).flatmap(lambda ids: st.permutations(
+    [f"{u}<S>{OPINION_OF[u]}" for u in ids[0]] + [f"{i}<S>{i % 3}" for i in ids[1]]
+))
+# rows the block form must refuse, some of them fine for the row loop
+SHARED_FAULT_ROWS = [
+    "", "   ", "# note", "#a<S>1", "\udcff", "a<S>\udcff", "é<S>1", "a", "a<S>1<S>2<S>3",
+    " a<S>1", "a <S>1", "a<S> 1", "a<S>1\r", "<S>1", "a<S>",
+]
+LABEL_FAULT_ROWS = st.sampled_from(SHARED_FAULT_ROWS + [
+    "a<S>0", "a<S>1", "2<S>2", "1<S>-1", "b<S>1_0", "b<S>x", "0<S>+0", "c<S>40", "0<S>1" + "0" * 4400,
+])
+EDGE_FAULT_ROWS = st.sampled_from(SHARED_FAULT_ROWS + [
+    "a<S>b", "a<S>a<S>1", "z<S>z<S>1", "a<S>z<S>1", "z<S>a<S>1", "a<S>b<S>1_0",
+    "a<S>b<S>inf", "a<S>b<S>nan", "a<S>b<S>-1", "a<S>b<S>1e-151", "a<S>b<S>1e151",
+    "a<S>b<S>w", "1<S>2<S>1<S>1", "1<S>2\r", "a<S>b<S> 1",
+])
+
+
+@st.composite
+def graph_file(draw, rows, faults):
+    """One graph file's bytes: the ``rows`` with a few fault rows among
+    them, a tab or comma separator, and a final newline, none, or a last
+    line without one."""
+    rows = list(draw(rows))
+    for _ in range(draw(st.integers(0, 3))):
+        rows.insert(draw(st.integers(0, len(rows))), draw(faults))
+    text = "\n".join(rows) + draw(st.sampled_from(["\n", "", "\n0", "\n#"]))
+    return text.replace("<S>", draw(st.sampled_from("\t,"))).encode("utf-8", "surrogateescape")
+
+
+class _Messages(logging.Handler):
+    """The messages of the records it handles, in order."""
+
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def assert_loads_as_the_plain_loop(epath, lpath):
+    """load_graph gives the naive loop's graph, or its first error and
+    line, and the same warnings."""
+    want, error, dropped = naive_graph_files(epath, lpath)
+    logger, messages = logging.getLogger("polarimeter.io"), _Messages()
+    logger.addHandler(messages)
+    try:
+        g = load_graph(epath, lpath)
+    except InputError as exc:
+        assert error is not None, f"unexpected {exc}"
+        message, path, line = error
+        where = f"{path}:" if line is None else f"{path}:{line}:"
+        assert (str(exc), exc.path, exc.line) == (f"{where} {message}", path, line)
+    else:
+        assert error is None, f"no error; expected {error}"
+        assert g.opinions == want[0]
+        assert {(u, v): w for u, v, w in edge_triples(g)} == want[1]
+    finally:
+        logger.removeHandler(messages)
+    assert messages.messages == (
+        [f"{epath}: dropped {dropped} self-loop edge row(s)"] if dropped else []
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    graph_file(st.lists(PLAIN_EDGE_ROWS, min_size=1, max_size=30), EDGE_FAULT_ROWS),
+    graph_file(PLAIN_LABEL_ROWS, LABEL_FAULT_ROWS),
+    st.integers(8, 64),
+)
+@example(b"a\tb\t1\n\ta\t1\n1\t2\t1\n", b"a\t1\nb\t0\n1\t1\n2\t2\n", 8)
+# one block each: a weight over the bound; a label repeated in its block
+@example(b"0\t1\t1\na\tb\t1e151\n", b"a\t1\na\t0\n0\t0\n1\t1\n2\t2\n10\t0\nb\t0\n", 64)
+# a label repeated in a later block
+@example(b"0\t1\t1\n", b"a\t1\nb\t0\n0\t0\n1\t1\n2\t2\n10\t0\na\t0\n", 8)
+# one block each: a self-loop; the largest opinion, too large, on its third row
+@example(b"0\t1\t1\na\ta\t1\n", b"0\t0\n1\t1\nc\t40\n2\t2\n10\t0\na\t1\nb\t0\n", 64)
+def test_load_graph_reads_blocks_as_the_plain_loop_reads_rows(edges, labels, block):
+    """With blocks of a few dozen bytes, so that rows of every kind share
+    blocks and reach past block ends, load_graph reads the drawn files as
+    the naive loop does. Each drawn file is also read with a plain partner,
+    so a fault in one does not hide how the other is read."""
+    plain_edges = "0\t1\t1\n".encode()
+    plain_labels = "".join(f"{u}\t{o}\n" for u, o in OPINION_OF.items()).encode()
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pio, "_BLOCK_BYTES", block)
+        paths = {}
+        for name, data in [("e", edges), ("l", labels), ("pe", plain_edges),
+                           ("pl", plain_labels)]:
+            paths[name] = os.path.join(tmp, f"{name}.tsv")
+            with open(paths[name], "wb") as fh:
+                fh.write(data)
+        assert_loads_as_the_plain_loop(paths["e"], paths["l"])
+        assert_loads_as_the_plain_loop(paths["e"], paths["pl"])
+        assert_loads_as_the_plain_loop(paths["pe"], paths["l"])
+
+
+def rows_reaching_the_row_loop(monkeypatch):
+    """The blocks handed to the row loop, as (path, first line, block), and
+    a count of the lines it yields from them, filled as files are read."""
+    seen = {"blocks": [], "lines": 0}
+    lines = pio._lines
+
+    def counted(path, first, raw_lines):
+        block = raw_lines.getvalue()
+        seen["blocks"].append((str(path), first, block))
+        for item in lines(path, first, raw_lines):
+            seen["lines"] += 1
+            yield item
+
+    monkeypatch.setattr(pio, "_lines", counted)
+    return seen
+
+
+def test_written_graph_files_reach_no_row_loop(tmp_path, monkeypatch):
+    graph, planted = generate_sbm(SbmConfig(20, 250, 0.05, 0.001, seed=3))
+    g = relabel(graph, planted, SyntheticLabelConfig(0.8, 2, 3))
+    epath, lpath = tmp_path / "e.tsv", tmp_path / "l.tsv"
+    write_edge_list(g, epath)
+    write_labels(g, lpath)
+    seen = rows_reaching_the_row_loop(monkeypatch)
+    g2 = load_graph(epath, lpath)
+    assert seen == {"blocks": [], "lines": 0}
+
+    # one padded field: its block alone goes to the row loop, every row of it
+    rows = epath.read_bytes().split(b"\n")
+    rows[1000] = rows[1000].replace(b"\t", b" \t", 1)
+    epath.write_bytes(b"\n".join(rows))
+    padded = next(
+        (first, block) for first, block in pio._blocks(epath)
+        if first <= 1001 < first + block.count(b"\n")
+    )
+    g3 = load_graph(epath, lpath)
+    assert seen["blocks"] == [(str(epath), *padded)]
+    assert seen["lines"] == padded[1].count(b"\n")
+    assert 1 < seen["lines"] < len(rows) // 10
+    assert (g2.node_count, g2.edge_count) == (g.node_count, g.edge_count)
+    assert g3.nodes == g2.nodes
+    assert np.array_equal(g3.opinion_array(), g2.opinion_array())
+    for a, b in zip(g3.edge_arrays(), g2.edge_arrays()):
+        assert np.array_equal(a, b)
 
 
 def test_karate_fixture_loads_with_paper_dimensions():

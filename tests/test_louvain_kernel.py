@@ -74,7 +74,11 @@ def test_second_process_loads_the_cache_without_building(kernel_cache, tmp_path)
         PATH=str(tmp_path),  # no compiler: only the cached library can load
         PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
     )
-    code = "from polarimeter._native import louvain_kernel as k; assert k() is not None"
+    # and a cached kernel loads without the build's imports
+    code = (
+        "import sys; from polarimeter._native import louvain_kernel as k; "
+        "assert k() is not None; assert 'subprocess' not in sys.modules"
+    )
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
     assert list((kernel_cache / "polarimeter").iterdir()) == [library]
     assert library.stat().st_mtime_ns == built_at
