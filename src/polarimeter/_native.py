@@ -1,13 +1,15 @@
-"""Build and load the C Louvain kernel (``_louvain.c``) on first use.
+"""Build and load the C kernels on first use: Louvain (``_louvain.c``) and
+the stance-archive tally (``_archive.c``).
 
-The shared library is compiled once into ``$XDG_CACHE_HOME/polarimeter/``
-(default ``~/.cache/polarimeter/``), under a name keyed by the source hash,
-the Python ABI and the compiler flags, and loaded with ctypes. A build
+Each shared library is compiled once into ``$XDG_CACHE_HOME/polarimeter/``
+(default ``~/.cache/polarimeter/``), under a name keyed by its source's
+hash, the Python ABI and the compiler flags, and loaded with ctypes. A build
 writes to a temporary name and then renames it into place, so processes
-that build at the same time never load a partial file. When the kernel
-cannot be had (no ``gcc``/``cc`` on PATH, a failed build, an unwritable
-cache, an unknown ``random`` state layout), one warning is logged and
-callers use the pure-Python path, which gives identical results.
+that build at the same time never load a partial file. When a kernel cannot
+be had (no ``gcc``/``cc`` on PATH, a failed build, an unwritable cache, an
+unknown ``random`` state layout), one warning is logged and callers use the
+pure-Python path, which gives identical results. Importing this module
+builds and loads nothing.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 SOURCE = Path(__file__).with_name("_louvain.c")
+ARCHIVE_SOURCE = SOURCE.with_name("_archive.c")
 COMPILERS = ("gcc", "cc")
 # no fast-math and no FMA contraction: every float operation rounds as it
 # does in CPython, which keeps partitions bit-identical to the Python path
@@ -51,7 +54,7 @@ def louvain_kernel():
     try:
         if random.Random(0).getstate()[0] != 3:
             raise RuntimeError("unknown random.Random state version")
-        function = ctypes.CDLL(str(_library())).louvain_levels
+        function = ctypes.CDLL(str(_library(SOURCE))).louvain_levels
     except (OSError, RuntimeError) as exc:
         logger.warning("C Louvain kernel unavailable, using pure Python: %s", exc)
         return None
@@ -109,17 +112,78 @@ def _run(function, adjacency, m, seed):
     return assignment, k, list(zip(levels[:count].tolist(), qs[:count].tolist()))
 
 
-def _library() -> Path:
-    """Path of the built library, compiling it first if the cache lacks it."""
+@functools.cache
+def archive_kernel():
+    """A function tallying an archive from its blocks of whole lines in C,
+    or None after one warning when the kernel cannot be built or loaded.
+    Cached for the life of the process. The function returns what
+    ``stance._tally`` returns for the archive's rows, or None at the first
+    line that is not a plain record (see ``_archive.c``).
+    """
+    import ctypes
+
+    try:
+        library = ctypes.CDLL(str(_library(ARCHIVE_SOURCE)))
+    except (OSError, RuntimeError) as exc:
+        logger.warning("C archive kernel unavailable, using pure Python: %s", exc)
+        return None
+    i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    library.archive_new.argtypes = []
+    library.archive_new.restype = ctypes.c_void_p
+    library.archive_free.argtypes = [ctypes.c_void_p]
+    library.archive_free.restype = None
+    library.archive_feed.argtypes = [ctypes.c_void_p, ctypes.c_char_p, ctypes.c_int64]
+    library.archive_feed.restype = ctypes.c_int64
+    library.archive_sizes.argtypes = [ctypes.c_void_p, i64]
+    library.archive_sizes.restype = None
+    library.archive_result.argtypes = [
+        ctypes.c_void_p,
+        np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS"),  # ids (out)
+        i64,  # counts (out)
+        i64,  # ends (out)
+    ]
+    library.archive_result.restype = None
+    return functools.partial(_tally_blocks, library)
+
+
+def _tally_blocks(library, blocks):
+    """One tally of the ``blocks`` (bytes) on a loaded archive ``library``."""
+    state = library.archive_new()
+    if not state:
+        raise MemoryError("C archive kernel ran out of memory")
+    try:
+        for block in blocks:
+            status = library.archive_feed(state, block, len(block))
+            if status < 0:
+                raise MemoryError("C archive kernel ran out of memory")
+            if status == 0:
+                return None
+        sizes = np.empty(4, dtype=np.int64)
+        library.archive_sizes(state, sizes)
+        n, size, nends, self_retweets = sizes.tolist()
+        ids = np.empty(size, dtype=np.uint8)
+        counts = np.empty((n, 3), dtype=np.int64)
+        ends = np.empty(nends, dtype=np.int64)
+        library.archive_result(state, ids, counts, ends)
+    finally:
+        library.archive_free(state)
+    users = ids.tobytes().decode("ascii").split("\n")
+    users.pop()  # the empty text after the last "\n"
+    return users, counts, ends, self_retweets
+
+
+def _library(source: Path) -> Path:
+    """Path of the library built from ``source``, compiling it first if the
+    cache lacks it."""
     import hashlib
     import sysconfig
 
     soabi = sysconfig.get_config_var("SOABI") or "unknown"
     key = hashlib.sha256(
-        b"\0".join([SOURCE.read_bytes(), soabi.encode(), " ".join(FLAGS).encode()])
+        b"\0".join([source.read_bytes(), soabi.encode(), " ".join(FLAGS).encode()])
     ).hexdigest()[:16]
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
-    target = cache / "polarimeter" / f"_louvain-{soabi}-{key}.so"
+    target = cache / "polarimeter" / f"{source.stem}-{soabi}-{key}.so"
     if target.exists():
         return target
     # the build's modules, imported only when there is something to build
@@ -135,7 +199,7 @@ def _library() -> Path:
     os.close(fd)
     try:
         build = subprocess.run(
-            [compiler, *FLAGS, "-o", tmp, str(SOURCE), "-lm"],
+            [compiler, *FLAGS, "-o", tmp, str(source), "-lm"],
             capture_output=True,
             text=True,
         )

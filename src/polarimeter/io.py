@@ -8,6 +8,7 @@ fixed key order, reals with 6 decimal places in reports, ``\\n`` newlines.
 
 from __future__ import annotations
 
+import codecs
 import collections
 import contextlib
 import json
@@ -122,9 +123,12 @@ def _split_rows(
     the row checks. Only the rows of a block it refuses are yielded, so the
     caller's row loop decides, raises and warns for every such row. A
     plain block's first line is a data row, so until the separator is known
-    it is offered with the one its first line would set."""
+    it is offered with the one its first line would set. A UTF-8 byte-order
+    mark that starts the file is dropped: it is no part of the first id."""
     sep = None
     for first, block in _blocks(path):
+        if first == 1:
+            block = block.removeprefix(codecs.BOM_UTF8)
         guess = sep or _separator(block[: block.find(b"\n")].decode("latin-1"))
         if guess and take_plain(block, guess, first):
             sep = guess

@@ -12,15 +12,18 @@ from __future__ import annotations
 
 import json
 import logging
+import os
+import stat
 import sys
 from array import array
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
+from ._native import archive_kernel
 from .errors import InputError
 from .graph import LabeledGraph
-from .io import _ids_fault, _stripped_lines
+from .io import _blocks, _ids_fault, _stripped_lines
 
 logger = logging.getLogger(__name__)
 
@@ -204,6 +207,29 @@ def _tally(records) -> tuple[list[str], np.ndarray, np.ndarray, int]:
     return list(index), counts.reshape(-1, 3), ends, self_retweets
 
 
+def _archive_tally(path) -> tuple[list[str], np.ndarray, np.ndarray, int] | None:
+    """What ``_tally(_iter_stance_rows(path))`` returns, tallied by the C
+    kernel (see `_native.archive_kernel`) from the blocks `io._blocks` reads,
+    when every line of the archive is blank or a plain record (see
+    ``_archive.c``); such lines are ones the row loop reads without an error
+    or a warning. None for any other archive, for a path that is not a
+    regular file (a pipe cannot be read twice) and when the kernel cannot be
+    had: the row loop then reads the archive from its start, and raises and
+    warns as it does for every archive."""
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None
+    except (OSError, ValueError):  # ValueError: a NUL in the path
+        return None
+    tally = archive_kernel()
+    if tally is None:
+        return None
+    try:
+        return tally(block for _, block in _blocks(path))
+    except InputError:  # an unreadable file, which the row loop reports
+        return None
+
+
 def _opinions(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Score (favor - against) / (favor + against + neutral) per user, and
     its opinion: favor above +0.2, against below -0.2, neutral otherwise
@@ -235,7 +261,14 @@ def build_retweet_network(records: Iterable[StanceRecord]) -> LabeledGraph:
     two users in either direction. Self-retweets are dropped (counted);
     authors nobody retweeted remain as isolated nodes. The records are read
     once, so a one-shot iterator will do."""
-    users, counts, ends, self_retweets = _tally(records)
+    return _network(*_tally(records))
+
+
+def _network(
+    users: list[str], counts: np.ndarray, ends: np.ndarray, self_retweets: int
+) -> LabeledGraph:
+    """The retweet graph of a tally (see `_tally`), warning once for its
+    self-retweet events."""
     if self_retweets:
         logger.warning("dropped %d self-retweet event(s)", self_retweets)
     if not len(ends):

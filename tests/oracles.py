@@ -293,10 +293,13 @@ class _FileError(Exception):
 def _naive_data_rows(path):
     """The data rows of a graph file as ``(line_number, separator, stripped
     fields)``: lines end at ``\\n``, each is decoded and stripped, and blank
-    and ``#`` lines are skipped; the first data row sets the separator."""
+    and ``#`` lines are skipped; the first data row sets the separator. A
+    UTF-8 byte-order mark that starts the file is dropped."""
     sep = None
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if lineno == 1:
+                raw = raw.removeprefix(b"\xef\xbb\xbf")
             try:
                 line = raw.decode("utf-8").strip()
             except UnicodeDecodeError as exc:

@@ -397,6 +397,37 @@ def test_build_network_integer_beyond_the_digit_limit_exits_one(capsys, tmp_path
     assert out == ""
 
 
+@pytest.mark.parametrize("marked", ["labels", "edges"])
+def test_byte_order_mark_on_a_graph_file_is_dropped(capsys, tmp_path, marked):
+    texts = {"labels": "a\t0\nb\t1\n", "edges": "a\tb\t1\n"}
+    for name, text in texts.items():
+        (tmp_path / f"{name}.tsv").write_text(text, encoding="utf-8")
+        bom = "\ufeff" if name == marked else ""
+        (tmp_path / f"bom-{name}.tsv").write_text(bom + text, encoding="utf-8")
+
+    def analyze(prefix):
+        return run(capsys, "analyze", "--runs", "2",
+                   "--graph", str(tmp_path / f"{prefix}edges.tsv"),
+                   "--labels", str(tmp_path / f"{prefix}labels.tsv"))
+
+    want = analyze("")
+    assert want[0] == 0
+    assert analyze("bom-") == want
+
+
+def test_byte_order_mark_on_an_archive_is_invalid_json(capsys, tmp_path):
+    archive = tmp_path / "a.jsonl"
+    row = {"tweet_id": "1", "author": "a", "stance": "favor", "retweeters": ["b"]}
+    archive.write_text("\ufeff" + json.dumps(row) + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "build-network", "--records", str(archive),
+                         "--out", str(tmp_path / "net"))
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: {archive}:1: invalid JSON: Unexpected UTF-8 BOM "
+        "(decode using utf-8-sig)\n"
+    )
+
+
 @pytest.mark.parametrize("size", ["1x1", "2x1"])
 def test_sweep_sbm_without_edges_exits_one(capsys, size):
     code, out, err = run(capsys, "sweep", "--sbm", size, "--runs", "1")

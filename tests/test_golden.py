@@ -170,8 +170,9 @@ def test_sweep_csv_bytes(capsys):
 
 
 def test_build_network_files_equal_the_library_path(capsys, tmp_path, monkeypatch):
-    # the CLI streams the archive's rows into build_retweet_network; the
-    # library path lists them as StanceRecords first: both must write the
+    # the CLI tallies the archive in the kernel (the row loop when it
+    # refuses) and ends in build_retweet_network's graph step; the library
+    # path lists the records as StanceRecords first: both must write the
     # same bytes
     write_archive(tmp_path / "archive.jsonl", records=2000, users=300, seed=29)
     monkeypatch.chdir(tmp_path)

@@ -350,7 +350,7 @@ PLAIN_LABEL_ROWS = st.tuples(
 # rows the block form must refuse, some of them fine for the row loop
 SHARED_FAULT_ROWS = [
     "", "   ", "# note", "#a<S>1", "\udcff", "a<S>\udcff", "é<S>1", "a", "a<S>1<S>2<S>3",
-    " a<S>1", "a <S>1", "a<S> 1", "a<S>1\r", "<S>1", "a<S>",
+    " a<S>1", "a <S>1", "a<S> 1", "a<S>1\r", "<S>1", "a<S>", "\ufeffa<S>1",
 ]
 LABEL_FAULT_ROWS = st.sampled_from(SHARED_FAULT_ROWS + [
     "a<S>0", "a<S>1", "2<S>2", "1<S>-1", "b<S>1_0", "b<S>x", "0<S>+0", "c<S>40", "0<S>1" + "0" * 4400,
@@ -365,12 +365,13 @@ EDGE_FAULT_ROWS = st.sampled_from(SHARED_FAULT_ROWS + [
 @st.composite
 def graph_file(draw, rows, faults):
     """One graph file's bytes: the ``rows`` with a few fault rows among
-    them, a tab or comma separator, and a final newline, none, or a last
-    line without one."""
+    them, a tab or comma separator, a final newline, none, or a last line
+    without one, and maybe a byte-order mark or two before it all."""
     rows = list(draw(rows))
     for _ in range(draw(st.integers(0, 3))):
         rows.insert(draw(st.integers(0, len(rows))), draw(faults))
     text = "\n".join(rows) + draw(st.sampled_from(["\n", "", "\n0", "\n#"]))
+    text = draw(st.sampled_from(["", "\ufeff", "\ufeff\ufeff", "\ufeff\n"])) + text
     return text.replace("<S>", draw(st.sampled_from("\t,"))).encode("utf-8", "surrogateescape")
 
 

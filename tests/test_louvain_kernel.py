@@ -2,7 +2,9 @@
 oracle bit for bit (partitions and every pass record) under the same call,
 two threads can run it at once, and when it cannot be had or the graph is
 beyond it, one warning is logged and Python gives the same results, with the
-runs kept serial."""
+runs kept serial. The stance-archive kernel shares the build and the cache:
+a warm cache loads it without building, and when it cannot be had,
+build-network warns once and writes the same files."""
 
 from __future__ import annotations
 
@@ -11,6 +13,7 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -24,9 +27,15 @@ from polarimeter import (
     load_karate,
     louvain,
 )
-from polarimeter import _native, community
+from polarimeter import _native, build_retweet_network, community, read_stance_records
+from polarimeter.cli import main
 from oracles import random_graph_spec
+from test_archive_kernel import perfbench_fixtures
+from test_golden import write_archive
 from test_metric import RecordingPool
+
+# the child processes import the same package as this process, installed or not
+SRC = os.path.dirname(os.path.dirname(_native.__file__))
 
 
 def assert_same_partitions(graph, got, want):
@@ -38,50 +47,54 @@ def assert_same_partitions(graph, got, want):
         assert np.array_equal(a.array(graph), b.array(graph))
 
 
-@pytest.fixture(scope="module")
-def kernel_cache(tmp_path_factory):
-    """A cache directory the kernel is built into, in use for this module."""
-    cache = tmp_path_factory.mktemp("cache")
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("XDG_CACHE_HOME", str(cache))
-        _native.louvain_kernel.cache_clear()
-        yield cache
-    _native.louvain_kernel.cache_clear()
-
-
-@pytest.fixture
-def forget_kernel_after():
-    """Forget the kernel this test loads (or fails to) when it ends."""
-    yield
-    _native.louvain_kernel.cache_clear()
-
-
 def test_kernel_builds_and_loads_here(kernel_cache):
     assert _native.louvain_kernel() is not None
     built = sorted(p.name for p in (kernel_cache / "polarimeter").iterdir())
     assert len(built) == 1 and built[0].endswith(".so"), built
 
 
-def test_second_process_loads_the_cache_without_building(kernel_cache, tmp_path):
-    assert _native.louvain_kernel() is not None
-    (library,) = (kernel_cache / "polarimeter").iterdir()
-    built_at = library.stat().st_mtime_ns
-    # the child imports the same package as this process, installed or not
-    src = os.path.dirname(os.path.dirname(_native.__file__))
+def assert_second_process_loads_the_cache(kernel_cache, tmp_path, kernel):
+    """A fresh process finds the library of ``_native.<kernel>``, built
+    here, in the cache, and loads it without building anything."""
+    assert getattr(_native, kernel)() is not None
+    cached = sorted((kernel_cache / "polarimeter").iterdir())
+    built_at = [p.stat().st_mtime_ns for p in cached]
+    python_path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = dict(
         os.environ,
         XDG_CACHE_HOME=str(kernel_cache),
         PATH=str(tmp_path),  # no compiler: only the cached library can load
-        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        PYTHONPATH=python_path,
     )
     # and a cached kernel loads without the build's imports
     code = (
-        "import sys; from polarimeter._native import louvain_kernel as k; "
+        f"import sys; from polarimeter._native import {kernel} as k; "
         "assert k() is not None; assert 'subprocess' not in sys.modules"
     )
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
-    assert list((kernel_cache / "polarimeter").iterdir()) == [library]
-    assert library.stat().st_mtime_ns == built_at
+    assert sorted((kernel_cache / "polarimeter").iterdir()) == cached
+    assert [p.stat().st_mtime_ns for p in cached] == built_at
+
+
+def test_second_process_loads_the_cache_without_building(kernel_cache, tmp_path):
+    assert_second_process_loads_the_cache(kernel_cache, tmp_path, "louvain_kernel")
+
+
+def test_second_process_loads_the_archive_kernel_without_building(kernel_cache, tmp_path):
+    assert_second_process_loads_the_cache(kernel_cache, tmp_path, "archive_kernel")
+    assert len(list((kernel_cache / "polarimeter").glob("_archive-*.so"))) == 1
+
+
+def test_importing_the_cli_builds_and_loads_no_kernel(tmp_path):
+    python_path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=python_path)
+    code = (
+        "import polarimeter.cli; from polarimeter import _native; "
+        "assert _native.archive_kernel.cache_info().currsize == 0; "
+        "assert _native.louvain_kernel.cache_info().currsize == 0"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+    assert list(tmp_path.iterdir()) == []
 
 
 def bridged_cliques():
@@ -99,6 +112,20 @@ def criterion_8_random_graphs():
             rng.randrange(2)
 
 
+def retweet_network():
+    """The build output of the benchmark's stance archive at seed 7 with
+    6,000 records: 8,084 nodes, 6,080 edges and 572 isolated nodes, which no
+    other case has."""
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = os.path.join(tmp, "archive.jsonl")
+        perfbench_fixtures().write_stance_fixture(archive, 7, records=6_000)
+        graph = build_retweet_network(read_stance_records(archive))
+    iu, iv, _ = graph.edge_arrays()
+    degree = np.bincount(np.concatenate([iu, iv]), minlength=graph.node_count)
+    assert (graph.node_count, graph.edge_count, int((degree == 0).sum())) == (8084, 6080, 572)
+    return ((graph, s) for s in range(5))
+
+
 CASES = {
     "karate": lambda: ((load_karate(), s) for s in range(100)),
     "golden-sbm": lambda: (
@@ -107,6 +134,7 @@ CASES = {
     ),
     "bridged-cliques": lambda: ((bridged_cliques(), s) for s in range(100)),
     "criterion-8-random": criterion_8_random_graphs,
+    "retweet-network": retweet_network,
 }
 
 
@@ -166,6 +194,45 @@ def test_unavailable_kernel_warns_once_and_gives_the_same_results(
     assert "C Louvain kernel unavailable" in caplog.records[0].getMessage()
     assert_same_partitions(graph, got, expected)
     assert not list(tmp_path.glob("polarimeter/*"))  # no library, no temp file left
+
+
+def build_network(archive, directory, monkeypatch, capsys):
+    """Exit code, stdout and the three files of build-network on ``archive``,
+    run in ``directory``."""
+    directory.mkdir()
+    monkeypatch.chdir(directory)
+    code = main(["build-network", "--records", str(archive), "--out", "net"])
+    files = [(directory / f"net.{s}").read_bytes() for s in ("edges.tsv", "labels.tsv", "names.json")]
+    return code, capsys.readouterr().out, files
+
+
+@pytest.mark.parametrize("failure", sorted(FAILURES))
+def test_unavailable_archive_kernel_warns_once_and_writes_the_same_files(
+    kernel_cache, forget_kernel_after, monkeypatch, tmp_path, capsys, caplog, failure
+):
+    archive = tmp_path / "archive.jsonl"
+    write_archive(archive)
+    assert _native.archive_kernel() is not None
+    with caplog.at_level(logging.WARNING, logger="polarimeter"):
+        expected = build_network(archive, tmp_path / "kernel", monkeypatch, capsys)
+    expected_warnings = [r.getMessage() for r in caplog.records]
+    caplog.clear()
+
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    monkeypatch.setenv("XDG_CACHE_HOME", str(cache))  # an empty cache
+    FAILURES[failure](monkeypatch, cache)
+    _native.archive_kernel.cache_clear()
+    with caplog.at_level(logging.WARNING, logger="polarimeter"):
+        got = build_network(archive, tmp_path / "python", monkeypatch, capsys)
+
+    assert _native.archive_kernel() is None
+    warnings = [r.getMessage() for r in caplog.records]
+    assert warnings[0].startswith("C archive kernel unavailable, using pure Python: ")
+    assert warnings[1:] == expected_warnings == ["dropped 171 self-retweet event(s)"]
+    assert got == expected
+    assert expected[0] == 0
+    assert not list(cache.glob("polarimeter/*"))  # no library, no temp file left
 
 
 def test_graph_beyond_the_kernel_runs_in_python(kernel_cache, monkeypatch, caplog):
