@@ -10,7 +10,8 @@
      draws;
    - the best community is the highest score, ties going to the lowest id.
 
-   Build: cc -O2 -ffp-contract=off -shared -fPIC -o LIB _louvain.c -lm
+   Build (one library with _archive.c, as _native.py builds it):
+   cc -O2 -ffp-contract=off -shared -fPIC -o LIB _louvain.c _archive.c -lm
 */
 
 #include <math.h>

@@ -1,19 +1,21 @@
 """Build and load the C kernels on first use: Louvain (``_louvain.c``) and
-the stance-archive tally (``_archive.c``).
+the stance-archive tally (``_archive.c``), compiled into one library.
 
-Each shared library is compiled once into ``$XDG_CACHE_HOME/polarimeter/``
-(default ``~/.cache/polarimeter/``), under a name keyed by its source's
-hash, the Python ABI and the compiler flags, and loaded with ctypes. A build
-writes to a temporary name and then renames it into place, so processes
-that build at the same time never load a partial file. When a kernel cannot
-be had (no ``gcc``/``cc`` on PATH, a failed build, an unwritable cache, an
-unknown ``random`` state layout), one warning is logged and callers use the
-pure-Python path, which gives identical results. Importing this module
-builds and loads nothing.
+The library is compiled once into ``$XDG_CACHE_HOME/polarimeter/`` (default
+``~/.cache/polarimeter/``), under a name keyed by both sources' hash, the
+Python ABI and the compiler flags, and loaded with ctypes. A build writes to
+a temporary name and then renames it into place, so processes that build at
+the same time never load a partial file; it then deletes the builds for the
+same ABI beyond the `KEPT_BUILDS` most recent. When the library cannot be
+had (no ``gcc``/``cc`` on PATH, a failed build, an unwritable cache, an
+unknown ``random`` state layout), one warning is logged, both kernels are
+None and callers use the pure-Python paths, which give identical results.
+Importing this module builds and loads nothing.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import logging
 import os
@@ -27,8 +29,7 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
-SOURCE = Path(__file__).with_name("_louvain.c")
-ARCHIVE_SOURCE = SOURCE.with_name("_archive.c")
+SOURCES = tuple(Path(__file__).with_name(name) for name in ("_louvain.c", "_archive.c"))
 COMPILERS = ("gcc", "cc")
 # no fast-math and no FMA contraction: every float operation rounds as it
 # does in CPython, which keeps partitions bit-identical to the Python path
@@ -36,6 +37,11 @@ FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
 # the kernel takes each of random.shuffle's draws from one 32-bit MT19937
 # output, which covers graphs of fewer nodes than this
 NODE_LIMIT = 2**31
+# the most recent builds for one ABI that a new build leaves in the cache:
+# two versions timed side by side, and mutants built beside them, each load
+# their own library, and none may delete another's, which would recompile
+# inside a timed run
+KEPT_BUILDS = 4
 # room for per-pass records; a run with more passes runs again with more
 PASS_RECORDS = 256
 # a local-move pass or a level gaining no more modularity than this ends it
@@ -43,24 +49,22 @@ MIN_GAIN = 1e-7
 
 
 @functools.cache
-def louvain_kernel():
-    """A function running Louvain's whole level loop in C, or None after one
-    warning when the kernel cannot be built or loaded. Cached for the life
-    of the process. The function's arguments and results are those of the
-    pure-Python oracle, ``community._louvain_python``.
-    """
+def _kernels():
+    """The two kernel functions, Louvain's and the archive tally's, from the
+    one library, or (None, None) after one warning when it cannot be built
+    or loaded. Cached for the life of the process."""
     import ctypes
 
     try:
         if random.Random(0).getstate()[0] != 3:
             raise RuntimeError("unknown random.Random state version")
-        function = ctypes.CDLL(str(_library(SOURCE))).louvain_levels
+        library = ctypes.CDLL(str(_library()))
     except (OSError, RuntimeError) as exc:
-        logger.warning("C Louvain kernel unavailable, using pure Python: %s", exc)
-        return None
+        logger.warning("C kernels unavailable, using pure Python: %s", exc)
+        return None, None
     i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
     f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    function.argtypes = [
+    library.louvain_levels.argtypes = [
         ctypes.c_int64,  # n
         i64,  # indptr
         i64,  # indices
@@ -75,8 +79,41 @@ def louvain_kernel():
         f64,  # modularity per pass (out)
         i64,  # pass count (out, one entry)
     ]
-    function.restype = ctypes.c_int64
-    return functools.partial(_run, function)
+    library.louvain_levels.restype = ctypes.c_int64
+    library.archive_new.argtypes = []
+    library.archive_new.restype = ctypes.c_void_p
+    library.archive_free.argtypes = [ctypes.c_void_p]
+    library.archive_free.restype = None
+    library.archive_feed.argtypes = [ctypes.c_void_p, ctypes.c_char_p, ctypes.c_int64]
+    library.archive_feed.restype = ctypes.c_int64
+    library.archive_sizes.argtypes = [ctypes.c_void_p, i64]
+    library.archive_sizes.restype = None
+    library.archive_result.argtypes = [
+        ctypes.c_void_p,
+        np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS"),  # ids (out)
+        i64,  # counts (out)
+        i64,  # ends (out)
+    ]
+    library.archive_result.restype = None
+    return (
+        functools.partial(_run, library.louvain_levels),
+        functools.partial(_tally_blocks, library),
+    )
+
+
+def louvain_kernel():
+    """A function running Louvain's whole level loop in C, or None when the
+    library cannot be had. Its arguments and results are those of the
+    pure-Python oracle, ``community._louvain_python``."""
+    return _kernels()[0]
+
+
+def archive_kernel():
+    """A function tallying an archive from its blocks of whole lines in C,
+    or None when the library cannot be had. It returns what ``stance._tally``
+    returns for the archive's rows, or None at the first line that is not a
+    plain record (see ``_archive.c``)."""
+    return _kernels()[1]
 
 
 def _run(function, adjacency, m, seed):
@@ -112,40 +149,6 @@ def _run(function, adjacency, m, seed):
     return assignment, k, list(zip(levels[:count].tolist(), qs[:count].tolist()))
 
 
-@functools.cache
-def archive_kernel():
-    """A function tallying an archive from its blocks of whole lines in C,
-    or None after one warning when the kernel cannot be built or loaded.
-    Cached for the life of the process. The function returns what
-    ``stance._tally`` returns for the archive's rows, or None at the first
-    line that is not a plain record (see ``_archive.c``).
-    """
-    import ctypes
-
-    try:
-        library = ctypes.CDLL(str(_library(ARCHIVE_SOURCE)))
-    except (OSError, RuntimeError) as exc:
-        logger.warning("C archive kernel unavailable, using pure Python: %s", exc)
-        return None
-    i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-    library.archive_new.argtypes = []
-    library.archive_new.restype = ctypes.c_void_p
-    library.archive_free.argtypes = [ctypes.c_void_p]
-    library.archive_free.restype = None
-    library.archive_feed.argtypes = [ctypes.c_void_p, ctypes.c_char_p, ctypes.c_int64]
-    library.archive_feed.restype = ctypes.c_int64
-    library.archive_sizes.argtypes = [ctypes.c_void_p, i64]
-    library.archive_sizes.restype = None
-    library.archive_result.argtypes = [
-        ctypes.c_void_p,
-        np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS"),  # ids (out)
-        i64,  # counts (out)
-        i64,  # ends (out)
-    ]
-    library.archive_result.restype = None
-    return functools.partial(_tally_blocks, library)
-
-
 def _tally_blocks(library, blocks):
     """One tally of the ``blocks`` (bytes) on a loaded archive ``library``."""
     state = library.archive_new()
@@ -172,18 +175,19 @@ def _tally_blocks(library, blocks):
     return users, counts, ends, self_retweets
 
 
-def _library(source: Path) -> Path:
-    """Path of the library built from ``source``, compiling it first if the
+def _library() -> Path:
+    """Path of the library built from `SOURCES`, compiling it first if the
     cache lacks it."""
     import hashlib
     import sysconfig
 
     soabi = sysconfig.get_config_var("SOABI") or "unknown"
     key = hashlib.sha256(
-        b"\0".join([source.read_bytes(), soabi.encode(), " ".join(FLAGS).encode()])
+        b"\0".join([*(s.read_bytes() for s in SOURCES), soabi.encode(), " ".join(FLAGS).encode()])
     ).hexdigest()[:16]
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
-    target = cache / "polarimeter" / f"{source.stem}-{soabi}-{key}.so"
+    prefix = f"_kernels-{soabi}-"
+    target = cache / "polarimeter" / f"{prefix}{key}.so"
     if target.exists():
         return target
     # the build's modules, imported only when there is something to build
@@ -199,7 +203,7 @@ def _library(source: Path) -> Path:
     os.close(fd)
     try:
         build = subprocess.run(
-            [compiler, *FLAGS, "-o", tmp, str(source), "-lm"],
+            [compiler, *FLAGS, "-o", tmp, *map(str, SOURCES), "-lm"],
             capture_output=True,
             text=True,
         )
@@ -211,4 +215,9 @@ def _library(source: Path) -> Path:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    # another process may prune at the same time: then this one stops
+    with contextlib.suppress(OSError):
+        builds = sorted(target.parent.glob(f"{prefix}{'?' * len(key)}.so"), key=os.path.getmtime)
+        for old in builds[:-KEPT_BUILDS]:
+            old.unlink()
     return target

@@ -24,7 +24,7 @@ from .io import (
     write_sweep_csv,
 )
 from .metric import analyze
-from .stance import OPINION_NAMES, _archive_tally, _iter_stance_rows, _network, _tally
+from .stance import OPINION_NAMES, read_retweet_network
 from .synthetic import SbmConfig, generate_sbm, sweep
 
 DEFAULT_RUNS = 100
@@ -289,11 +289,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_build_network(args) -> int:
-    # an archive of plain records is tallied in C; any other streams through
-    # the row loop, which raises and warns for its lines. Neither keeps a
-    # list of the records.
-    path = args.records
-    graph = _network(*(_archive_tally(path) or _tally(_iter_stance_rows(path))))
+    graph = read_retweet_network(args.records)
     prefix = args.out
     write_edge_list(graph, prefix + ".edges.tsv")
     write_labels(graph, prefix + ".labels.tsv")

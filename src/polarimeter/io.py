@@ -18,7 +18,6 @@ import operator
 import re
 from array import array
 from importlib import resources
-from io import BytesIO
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence, TextIO
 
 from .errors import InputError
@@ -56,30 +55,21 @@ def _blocks(path) -> Iterator[tuple[int, bytes]]:
         raise InputError(str(exc), path=path) from exc
 
 
-def _lines(path, first: int, raw_lines) -> Iterator[tuple[int, str]]:
-    """(line_number, stripped_text) for the non-blank lines among
-    ``raw_lines``, bytes lines as a binary file yields them, the first being
-    line ``first`` of ``path``. Lines end at ``\\n`` only, as in JSON Lines.
-    Bytes that are not UTF-8 are an `InputError` naming the path and the
-    line."""
-    for lineno, raw in enumerate(raw_lines, start=first):
-        try:
-            line = raw.decode("utf-8").strip()
-        except UnicodeDecodeError as exc:
-            raise InputError(f"not UTF-8 ({exc.reason})", path=path, line=lineno) from None
-        if line:
-            yield lineno, line
-
-
-def _stripped_lines(path) -> Iterator[tuple[int, str]]:
-    """(line_number, stripped_text) for the non-blank lines of a UTF-8 file,
-    streamed line by line (see `_lines`). An unreadable file is an
-    `InputError` naming the path."""
+def _lines(path, first: int, block: bytes) -> Iterator[tuple[int, str]]:
+    """(line_number, stripped_text) for the non-blank lines of ``block``,
+    whole lines of ``path`` from line ``first``, decoded at once. Lines end
+    at ``\\n`` only, as in JSON Lines, and no UTF-8 sequence holds one. Bytes
+    that are not UTF-8 are an `InputError` naming the path and the line,
+    raised after the lines before it are yielded."""
     try:
-        with open(path, "rb") as fh:
-            yield from _lines(path, 1, fh)
-    except OSError as exc:
-        raise InputError(str(exc), path=path) from exc
+        text = block.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        yield from _lines(path, first, block[: block.rfind(b"\n", 0, exc.start) + 1])
+        lineno = first + block.count(b"\n", 0, exc.start)
+        raise InputError(f"not UTF-8 ({exc.reason})", path=path, line=lineno) from None
+    for lineno, line in enumerate(text.split("\n"), start=first):
+        if line := line.strip():
+            yield lineno, line
 
 
 def _separator(line: str) -> str | None:
@@ -133,7 +123,7 @@ def _split_rows(
         if guess and take_plain(block, guess, first):
             sep = guess
             continue
-        for lineno, line in _lines(path, first, BytesIO(block)):
+        for lineno, line in _lines(path, first, block):
             if line.startswith("#"):
                 continue
             if sep is None:

@@ -6,16 +6,24 @@ inherits the stance of the original tweet, so every user accumulates stance
 counts from tweets authored plus retweets made; the per-user score
 (favor - against) / (favor + against + neutral) is discretized at +/-0.2
 into a three-opinion labeling of the undirected retweet graph.
+
+`read_retweet_network` is the one entry point from an archive's path to its
+graph: it has the archive tallied by the C kernel when every line is plain,
+and by the row loop otherwise. Both read the blocks of whole lines that
+`io._blocks` gives, and an archive with no retweet edges is an error naming
+its path.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import os
 import stat
 import sys
 from array import array
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -23,7 +31,7 @@ import numpy as np
 from ._native import archive_kernel
 from .errors import InputError
 from .graph import LabeledGraph
-from .io import _blocks, _ids_fault, _stripped_lines
+from .io import _blocks, _ids_fault, _lines
 
 logger = logging.getLogger(__name__)
 
@@ -76,7 +84,8 @@ def _iter_stance_rows(path) -> Iterator[tuple[str, str, str, tuple[str, ...]]]:
     strip, intern = str.strip, sys.intern
     seen_ids: set[str] = set()
     dropped = 0
-    for lineno, line in _stripped_lines(path):
+    blocks = (_lines(path, first, block) for first, block in _blocks(path))
+    for lineno, line in chain.from_iterable(blocks):
         try:
             obj, end = scan(line, 0)
         except (StopIteration, ValueError, RecursionError):
@@ -207,29 +216,6 @@ def _tally(records) -> tuple[list[str], np.ndarray, np.ndarray, int]:
     return list(index), counts.reshape(-1, 3), ends, self_retweets
 
 
-def _archive_tally(path) -> tuple[list[str], np.ndarray, np.ndarray, int] | None:
-    """What ``_tally(_iter_stance_rows(path))`` returns, tallied by the C
-    kernel (see `_native.archive_kernel`) from the blocks `io._blocks` reads,
-    when every line of the archive is blank or a plain record (see
-    ``_archive.c``); such lines are ones the row loop reads without an error
-    or a warning. None for any other archive, for a path that is not a
-    regular file (a pipe cannot be read twice) and when the kernel cannot be
-    had: the row loop then reads the archive from its start, and raises and
-    warns as it does for every archive."""
-    try:
-        if not stat.S_ISREG(os.stat(path).st_mode):
-            return None
-    except (OSError, ValueError):  # ValueError: a NUL in the path
-        return None
-    tally = archive_kernel()
-    if tally is None:
-        return None
-    try:
-        return tally(block for _, block in _blocks(path))
-    except InputError:  # an unreadable file, which the row loop reports
-        return None
-
-
 def _opinions(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Score (favor - against) / (favor + against + neutral) per user, and
     its opinion: favor above +0.2, against below -0.2, neutral otherwise
@@ -264,15 +250,33 @@ def build_retweet_network(records: Iterable[StanceRecord]) -> LabeledGraph:
     return _network(*_tally(records))
 
 
+def read_retweet_network(path) -> LabeledGraph:
+    """``build_retweet_network(read_stance_records(path))``, with no list of
+    the records. A regular file whose every line is blank or a plain record
+    (see ``_archive.c``), lines the row loop reads without an error or a
+    warning, is tallied by `_native.archive_kernel`. Any other archive, a
+    pipe (it cannot be read twice) and every archive when the kernel cannot
+    be had stream through the row loop, which raises and warns for them."""
+    try:
+        kernel = archive_kernel() if stat.S_ISREG(os.stat(path).st_mode) else None
+    except (OSError, ValueError):  # ValueError: a NUL in the path
+        kernel = None
+    tally = None
+    if kernel is not None:
+        with contextlib.suppress(InputError):  # unreadable: the row loop reports it
+            tally = kernel(block for _, block in _blocks(path))
+    return _network(*(tally or _tally(_iter_stance_rows(path))), path=path)
+
+
 def _network(
-    users: list[str], counts: np.ndarray, ends: np.ndarray, self_retweets: int
+    users: list[str], counts: np.ndarray, ends: np.ndarray, self_retweets: int, path=None
 ) -> LabeledGraph:
-    """The retweet graph of a tally (see `_tally`), warning once for its
-    self-retweet events."""
+    """The retweet graph of a tally (see `_tally`) of the archive at
+    ``path``, if known, warning once for its self-retweet events."""
     if self_retweets:
         logger.warning("dropped %d self-retweet event(s)", self_retweets)
     if not len(ends):
-        raise InputError("no retweet edges in record set")
+        raise InputError("no retweet edges in record set", path=path)
 
     _, opinion = _opinions(counts)
     # one unit row per event: the layout sums them into exact counts

@@ -1,5 +1,5 @@
-"""Fixtures shared by the test modules: the cache the C kernels are built
-into, and forgetting the kernels a test loaded."""
+"""Fixtures shared by the test modules: the cache the C kernels' library is
+built into, and forgetting the library a test loaded."""
 
 from __future__ import annotations
 
@@ -9,14 +9,14 @@ from polarimeter import _native
 
 
 def forget_kernels():
-    """Clear both cached kernels, so the next call builds or loads again."""
-    _native.louvain_kernel.cache_clear()
-    _native.archive_kernel.cache_clear()
+    """Clear the cached library, so the next kernel call builds or loads it
+    again."""
+    _native._kernels.cache_clear()
 
 
 @pytest.fixture(scope="module")
 def kernel_cache(tmp_path_factory):
-    """A cache directory the kernels are built into, in use for this module."""
+    """A cache directory the library is built into, in use for this module."""
     cache = tmp_path_factory.mktemp("cache")
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("XDG_CACHE_HOME", str(cache))
@@ -27,6 +27,6 @@ def kernel_cache(tmp_path_factory):
 
 @pytest.fixture
 def forget_kernel_after():
-    """Forget the kernels this test loads (or fails to) when it ends."""
+    """Forget the library this test loads (or fails to) when it ends."""
     yield
     forget_kernels()

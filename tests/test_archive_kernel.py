@@ -1,9 +1,10 @@
 """The compiled stance-archive tally (``_archive.c``) against the row loop.
 
-On any archive, ``_archive_tally`` gives exactly the four results of
+On any archive, the kernel gives exactly the four results of
 ``_tally(_iter_stance_rows(path))``, or None; on an archive of blank lines
-and plain records it gives them; and build-network writes, prints and warns
-the same with the kernel and without it."""
+and plain records it gives them; a path that is not a regular file never
+reaches it; and build-network writes, prints and warns the same with the
+kernel and without it."""
 
 from __future__ import annotations
 
@@ -12,7 +13,9 @@ import io
 import json
 import logging
 import os
+import re
 import tempfile
+import threading
 from importlib.util import module_from_spec, spec_from_file_location
 from pathlib import Path
 
@@ -24,7 +27,8 @@ from hypothesis import strategies as st
 from polarimeter import InputError, _native, stance
 from polarimeter import io as pio
 from polarimeter.cli import main
-from polarimeter.stance import _archive_tally, _iter_stance_rows, _tally
+from polarimeter.stance import _iter_stance_rows, _tally, read_retweet_network
+from oracles import edge_triples
 from test_golden import write_archive
 from test_io import _Messages
 
@@ -140,6 +144,12 @@ def encode(draw, lines):
     return text.encode("utf-8", "surrogateescape")
 
 
+def kernel_tally(path):
+    """The kernel's tally of the archive at ``path``, fed the blocks that
+    `io._blocks` reads, or None when it refuses a line."""
+    return _native.archive_kernel()(block for _, block in pio._blocks(path))
+
+
 def row_loop_tally(path):
     """``_tally`` of the rows the row loop reads, or None when it raises."""
     logger = logging.getLogger("polarimeter")
@@ -193,7 +203,7 @@ def assert_kernel_is_the_row_loop_or_refuses(data, plain):
         path = os.path.join(tmp, "archive.jsonl")
         with open(path, "wb") as fh:
             fh.write(data)
-        got = _archive_tally(path)
+        got = kernel_tally(path)
         want = row_loop_tally(path)
         with_kernel = build_network(path, os.path.join(tmp, "kernel"))
         without_kernel = build_network(path, os.path.join(tmp, "python"), kernel=False)
@@ -254,12 +264,19 @@ ARCHIVES = {
 
 
 @pytest.mark.parametrize("name", sorted(ARCHIVES))
-def test_archives_of_plain_records_take_the_kernel(tmp_path, name):
+def test_archives_of_plain_records_take_the_kernel(tmp_path, monkeypatch, name):
     path = tmp_path / "archive.jsonl"
     ARCHIVES[name](path)
-    got = _archive_tally(path)
+    got = kernel_tally(path)
     assert got is not None
     assert_same_tally(got, row_loop_tally(path))
+    # and the entry point has the kernel tally them
+    kernel, tallies = _native.archive_kernel(), []
+    monkeypatch.setattr(stance, "archive_kernel",
+                        lambda: lambda blocks: tallies.append(kernel(blocks)) or tallies[-1])
+    read_retweet_network(path)
+    assert len(tallies) == 1
+    assert_same_tally(tallies[0], got)
 
 
 def test_archives_reaching_past_a_block_take_the_kernel(tmp_path, monkeypatch):
@@ -268,17 +285,33 @@ def test_archives_reaching_past_a_block_take_the_kernel(tmp_path, monkeypatch):
     path = tmp_path / "archive.jsonl"
     write_archive(path, records=300)
     monkeypatch.setattr(pio, "_BLOCK_BYTES", 40)
-    got = _archive_tally(path)
+    got = kernel_tally(path)
     assert got is not None
     assert_same_tally(got, row_loop_tally(path))
 
 
-def test_a_path_that_is_not_a_regular_file_goes_to_the_row_loop(tmp_path):
+def test_a_path_that_is_not_a_regular_file_goes_to_the_row_loop(tmp_path, monkeypatch):
+    # the kernel is not asked for: a pipe cannot be read twice
+    monkeypatch.setattr(stance, "archive_kernel", lambda: pytest.fail("kernel asked for"))
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
-    assert _archive_tally(fifo) is None  # not opened: a pipe cannot be read twice
-    assert _archive_tally(tmp_path) is None
-    assert _archive_tally(tmp_path / "absent.jsonl") is None
+
+    def write():
+        with open(fifo, "w") as fh:
+            fh.write(record() + "\n")
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        graph = read_retweet_network(fifo)
+    finally:
+        if writer.is_alive():  # the reader never opened the pipe
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join()
+    assert edge_triples(graph) == (("a", "b", 1.0),)
+    for path in (tmp_path, tmp_path / "absent.jsonl"):
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}: "):
+            read_retweet_network(path)
 
 
 def test_a_kernel_out_of_memory_is_a_memory_error():

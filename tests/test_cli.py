@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from polarimeter import stance
 from polarimeter.cli import main
+from oracles import naive_graph_files
 
 
 @pytest.fixture
@@ -426,6 +433,157 @@ def test_byte_order_mark_on_an_archive_is_invalid_json(capsys, tmp_path):
         f"error: {archive}:1: invalid JSON: Unexpected UTF-8 BOM "
         "(decode using utf-8-sig)\n"
     )
+
+
+NO_EDGES = {
+    "empty": "",
+    "no retweeters": '{"tweet_id": "1", "author": "a", "stance": "favor", "retweeters": []}\n',
+    "self-retweets": '{"tweet_id": "1", "author": "a", "stance": "favor", "retweeters": ["a"]}\n'
+                     '{"tweet_id": "2", "author": "b", "stance": "against", "retweeters": ["b"]}\n',
+}
+
+
+@pytest.mark.parametrize("kernel", [True, False])
+@pytest.mark.parametrize("archive_text", sorted(NO_EDGES))
+def test_build_network_without_edges_exits_one_naming_the_archive(
+    capsys, tmp_path, monkeypatch, archive_text, kernel
+):
+    archive = tmp_path / "tweets.jsonl"
+    archive.write_text(NO_EDGES[archive_text])
+    if not kernel:
+        monkeypatch.setattr(stance, "archive_kernel", lambda: None)
+    code, out, err = run(capsys, "build-network", "--records", str(archive),
+                         "--out", str(tmp_path / "net"))
+    assert (code, out) == (1, "")
+    assert err == f"error: {archive}: no retweet edges in record set\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tweets.jsonl"]
+
+
+# The files of the exit-code property are rows of good cells (or records of
+# good values) with at most two faults drawn among them: an odd cell or
+# value, a row of another width, an odd line, a space as the separator, or
+# a byte-order mark. "\udcff" is written as the byte 0xff, and
+# "\udced\udca0\udc80" as the UTF-8 form of a lone surrogate; neither is UTF-8.
+IDS = ["a", "b", "c"]
+ODD_IDS = [" b", "", "#a", "a\x00", "\ufeffa", "é", "\udcff", "\udced\udca0\udc80"]
+WEIGHTS = ["1", "2.5", "0.5"]
+ODD_WEIGHTS = ["0", "-1", "nan", "inf", "1e400", "1e-320", "1e150", "1e149", "9" * 5000,
+               "0x1", ""]
+OPINIONS = ["0", "1"]
+ODD_OPINIONS = ["2", "3", "-1", "1.5", "x", "", "99999999999999999999", "9" * 5000]
+ODD_LINES = ["", " ", "# note", "#", "\x00", "a", "\ufeff"]
+JSON_IDS = ['"a"', '"b"', '"c"']
+ODD_JSON = ['" b "', '""', '"#a"', '"a\\u0000"', '"\\ud800"', '"\\udcff"', '"\udcff"',
+            '"a\tb"', "null", "7", "9" * 5000, "1e400", "-1e999", '"ab"', "[1]", '["a", 2]',
+            '"meh"', '["favor"]', "[" * 3000 + "]" * 3000]
+ODD_RECORD_LINES = ["", " ", "{", "null", "[]", "\x00", '{"tweet_id": "t0"}', "{}"]
+
+
+def with_faults(draw, rows, odd_cells, odd_lines):
+    """``rows``, lists of cells, with at most two drawn faults: a cell
+    replaced by one of ``odd_cells``, a cell dropped or repeated, or one of
+    ``odd_lines`` (a str) inserted."""
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2]))):
+        cells = [row for row in rows if type(row) is list and row]
+        fault = draw(st.integers(0, 3)) if cells else 3
+        if fault == 3:
+            rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(odd_lines)))
+            continue
+        row = draw(st.sampled_from(cells))
+        at = draw(st.integers(0, len(row) - 1))
+        if fault == 0:
+            row[at] = draw(st.sampled_from(odd_cells[min(at, len(odd_cells) - 1)]))
+        elif fault == 1:
+            del row[at]
+        else:
+            row.append(row[at])
+    return rows
+
+
+def joined(rows, join):
+    """The lines of ``rows``: each list of cells joined by ``join``, each
+    str as it is."""
+    return [row if type(row) is str else join(row) for row in rows]
+
+
+@st.composite
+def graph_files(draw):
+    """The edge and label files of a three-node graph, with faults."""
+    labels = [[node, draw(st.sampled_from(OPINIONS))]
+              for node in draw(st.permutations(IDS))[: draw(st.sampled_from([3, 3, 3, 2, 0]))]]
+    edges = [[*draw(st.permutations(IDS))[:2], *draw(st.sampled_from([[], *([w] for w in WEIGHTS)]))]
+             for _ in range(draw(st.sampled_from([1, 2, 3, 4, 0])))]
+    sep = draw(st.sampled_from(["\t", "\t", "\t", ",", ",", " "]))
+    edges = with_faults(draw, edges, [ODD_IDS, ODD_IDS, ODD_WEIGHTS], ODD_LINES)
+    labels = with_faults(draw, labels, [ODD_IDS, ODD_OPINIONS], ODD_LINES)
+    return text_of(draw, joined(edges, sep.join)), text_of(draw, joined(labels, sep.join))
+
+
+RECORD_KEYS = ["tweet_id", "author", "stance", "retweeters", "extra", "author"]
+
+
+@st.composite
+def archive_file(draw):
+    """The text of an archive: records of drawn JSON values, with faults."""
+    records = [[f'"t{i}"', draw(st.sampled_from(JSON_IDS)),
+                draw(st.sampled_from(['"favor"', '"against"', '"neutral"'])),
+                "[" + ", ".join(draw(st.lists(st.sampled_from(JSON_IDS), max_size=3))) + "]"]
+               for i in range(draw(st.integers(0, 4)))]
+    records = with_faults(draw, records, [ODD_JSON], ODD_RECORD_LINES)
+    return text_of(draw, joined(records, lambda values: "{" + ", ".join(
+        f'"{key}": {value}' for key, value in zip(RECORD_KEYS, values)) + "}"))
+
+
+def text_of(draw, lines):
+    """The bytes of ``lines`` with a drawn line ending, rarely led by a
+    byte-order mark."""
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    bom = draw(st.sampled_from(["", "", "", "", "\ufeff"]))
+    return (bom + "".join(line + ending for line in lines)).encode("utf-8", "surrogateescape")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    graph_files().map(lambda files: ("analyze", *files)),
+    archive_file().map(lambda archive: ("build-network", archive)),
+))
+@example(("build-network", b""))
+@example(("build-network", b'{"tweet_id": "1", "author": "a", "stance": "favor", '
+                           b'"retweeters": ["a"]}\n'))
+@example(("analyze", b"a\tb\n", b""))
+@example(("analyze", b"a\ta\n", b"a\t0\n"))
+def test_every_input_exits_zero_or_one_naming_the_file_at_fault(case):
+    command, *contents = case
+    with tempfile.TemporaryDirectory() as tmp:
+        names = ["edges.tsv", "labels.tsv"] if command == "analyze" else ["tweets.jsonl"]
+        paths = [os.path.join(tmp, name) for name in names]
+        for path, data in zip(paths, contents):
+            with open(path, "wb") as fh:
+                fh.write(data)
+        if command == "analyze":
+            argv = ["analyze", "--graph", paths[0], "--labels", paths[1], "--runs", "1"]
+        else:
+            argv = ["build-network", "--records", paths[0], "--out", os.path.join(tmp, "net")]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        if command == "analyze":
+            _, fault, _ = naive_graph_files(*paths)
+    assert code in (0, 1), err.getvalue()
+    if code == 1:
+        message = err.getvalue().splitlines()[-1]
+        assert out.getvalue() == ""
+        if command == "analyze":
+            assert fault is not None, message
+            _, path, line = fault
+            assert message.startswith(f"error: {path}:" + ("" if line is None else f"{line}:"))
+        else:
+            assert message.startswith(f"error: {paths[0]}:")
+    elif command == "analyze":
+        assert fault is None
+        # NaN and Infinity are the constants json.loads would take
+        report = json.loads(out.getvalue(), parse_constant=lambda c: pytest.fail(f"report holds {c}"))
+        assert report["runs"] == 1
 
 
 @pytest.mark.parametrize("size", ["1x1", "2x1"])

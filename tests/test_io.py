@@ -449,10 +449,9 @@ def rows_reaching_the_row_loop(monkeypatch):
     seen = {"blocks": [], "lines": 0}
     lines = pio._lines
 
-    def counted(path, first, raw_lines):
-        block = raw_lines.getvalue()
+    def counted(path, first, block):
         seen["blocks"].append((str(path), first, block))
-        for item in lines(path, first, raw_lines):
+        for item in lines(path, first, block):
             seen["lines"] += 1
             yield item
 

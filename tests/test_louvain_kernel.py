@@ -2,9 +2,10 @@
 oracle bit for bit (partitions and every pass record) under the same call,
 two threads can run it at once, and when it cannot be had or the graph is
 beyond it, one warning is logged and Python gives the same results, with the
-runs kept serial. The stance-archive kernel shares the build and the cache:
-a warm cache loads it without building, and when it cannot be had,
-build-network warns once and writes the same files."""
+runs kept serial. The stance-archive kernel is built into the same library:
+a warm cache loads it without building, when the library cannot be had
+build-network warns once and writes the same files, and a build deletes the
+older builds beyond the few most recent."""
 
 from __future__ import annotations
 
@@ -13,7 +14,9 @@ import os
 import random
 import subprocess
 import sys
+import sysconfig
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -49,6 +52,7 @@ def assert_same_partitions(graph, got, want):
 
 def test_kernel_builds_and_loads_here(kernel_cache):
     assert _native.louvain_kernel() is not None
+    assert _native.archive_kernel() is not None
     built = sorted(p.name for p in (kernel_cache / "polarimeter").iterdir())
     assert len(built) == 1 and built[0].endswith(".so"), built
 
@@ -82,7 +86,7 @@ def test_second_process_loads_the_cache_without_building(kernel_cache, tmp_path)
 
 def test_second_process_loads_the_archive_kernel_without_building(kernel_cache, tmp_path):
     assert_second_process_loads_the_cache(kernel_cache, tmp_path, "archive_kernel")
-    assert len(list((kernel_cache / "polarimeter").glob("_archive-*.so"))) == 1
+    assert len(list((kernel_cache / "polarimeter").glob("_kernels-*.so"))) == 1
 
 
 def test_importing_the_cli_builds_and_loads_no_kernel(tmp_path):
@@ -90,8 +94,7 @@ def test_importing_the_cli_builds_and_loads_no_kernel(tmp_path):
     env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path), PYTHONPATH=python_path)
     code = (
         "import polarimeter.cli; from polarimeter import _native; "
-        "assert _native.archive_kernel.cache_info().currsize == 0; "
-        "assert _native.louvain_kernel.cache_info().currsize == 0"
+        "assert _native._kernels.cache_info().currsize == 0"
     )
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
     assert list(tmp_path.iterdir()) == []
@@ -185,13 +188,14 @@ def test_unavailable_kernel_warns_once_and_gives_the_same_results(
 
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))  # an empty cache
     FAILURES[failure](monkeypatch, tmp_path)
-    _native.louvain_kernel.cache_clear()
+    _native._kernels.cache_clear()
     with caplog.at_level(logging.WARNING, logger="polarimeter"):
         got = [louvain(graph, c) for c in configs]
 
     assert _native.louvain_kernel() is None
+    assert _native.archive_kernel() is None
     assert [r.levelno for r in caplog.records] == [logging.WARNING]
-    assert "C Louvain kernel unavailable" in caplog.records[0].getMessage()
+    assert "C kernels unavailable" in caplog.records[0].getMessage()
     assert_same_partitions(graph, got, expected)
     assert not list(tmp_path.glob("polarimeter/*"))  # no library, no temp file left
 
@@ -222,17 +226,38 @@ def test_unavailable_archive_kernel_warns_once_and_writes_the_same_files(
     cache.mkdir()
     monkeypatch.setenv("XDG_CACHE_HOME", str(cache))  # an empty cache
     FAILURES[failure](monkeypatch, cache)
-    _native.archive_kernel.cache_clear()
+    _native._kernels.cache_clear()
     with caplog.at_level(logging.WARNING, logger="polarimeter"):
         got = build_network(archive, tmp_path / "python", monkeypatch, capsys)
 
     assert _native.archive_kernel() is None
+    assert _native.louvain_kernel() is None
     warnings = [r.getMessage() for r in caplog.records]
-    assert warnings[0].startswith("C archive kernel unavailable, using pure Python: ")
+    assert warnings[0].startswith("C kernels unavailable, using pure Python: ")
     assert warnings[1:] == expected_warnings == ["dropped 171 self-retweet event(s)"]
     assert got == expected
     assert expected[0] == 0
     assert not list(cache.glob("polarimeter/*"))  # no library, no temp file left
+
+
+def test_a_build_keeps_only_the_newest_builds_for_its_abi(monkeypatch, tmp_path):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(_native, "FLAGS", _native.FLAGS + ("-DPOLARIMETER_PRUNE_TEST",))
+    cache = tmp_path / "polarimeter"
+    cache.mkdir()
+    soabi = sysconfig.get_config_var("SOABI")
+    older = [cache / f"_kernels-{soabi}-{i:016x}.so" for i in range(_native.KEPT_BUILDS + 2)]
+    # another ABI, the stems of the two libraries built before, a temp file
+    others = [cache / f"_kernels-other-abi-{0:016x}.so", cache / f"_louvain-{soabi}-{0:016x}.so",
+              cache / f"_archive-{soabi}-{0:016x}.so", cache / f"_kernels-{soabi}-{0:016x}.so1.tmp"]
+    now = time.time_ns()
+    for age, path in enumerate(older + others, start=1):  # older[0] is the newest
+        path.write_bytes(b"")
+        os.utime(path, ns=(now - age * 10**12, now - age * 10**12))
+
+    target = _native._library()
+    kept = [target, *older[: _native.KEPT_BUILDS - 1], *others]
+    assert sorted(cache.iterdir()) == sorted(kept)
 
 
 def test_graph_beyond_the_kernel_runs_in_python(kernel_cache, monkeypatch, caplog):
