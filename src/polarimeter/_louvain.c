@@ -299,54 +299,10 @@ static void aggregate(const level_graph *g, const int64_t *node2com,
 
 /* ---- entry point -------------------------------------------------------- */
 
-static int alloc_graph(level_graph *g, int64_t n, int64_t nnz)
-{
-    g->indptr = malloc((size_t)(n + 1) * sizeof(int64_t));
-    g->indices = malloc((size_t)(nnz ? nnz : 1) * sizeof(int64_t));
-    g->weights = malloc((size_t)(nnz ? nnz : 1) * sizeof(double));
-    g->loops = malloc((size_t)n * sizeof(double));
-    return g->indptr && g->indices && g->weights && g->loops;
-}
-
-static void free_graph(level_graph *g)
-{
-    free(g->indptr);
-    free(g->indices);
-    free(g->weights);
-    free(g->loops);
-}
-
-/* The level loop of community.louvain on allocated scratch and buffers. */
-static int64_t run_levels(level_graph g, double m, double min_gain,
-                          mt19937 *mt, scratch *s, level_graph bufs[2],
-                          int64_t *assignment, pass_records *rec)
-{
-    const int64_t n = g.n;
-    for (int64_t i = 0; i < n; i++)
-        assignment[i] = i;
-
-    double prev_q = 0.0; /* modularity of the singleton partition */
-    degrees(&g, s->degree);
-    for (int64_t u = 0; u < n; u++)
-        prev_q -= square(s->degree[u] / (2.0 * m));
-    for (int32_t level = 0;; level++) {
-        double q = one_level(&g, m, min_gain, mt, s, level, rec);
-        int64_t n_comms = renumber(s->node2com, g.n, s->members);
-        for (int64_t i = 0; i < n; i++)
-            assignment[i] = s->node2com[assignment[i]];
-        if (q - prev_q <= min_gain || n_comms == g.n)
-            break;
-        prev_q = q;
-        level_graph *next = &bufs[level % 2];
-        aggregate(&g, s->node2com, n_comms, s, next);
-        g = *next;
-    }
-    return renumber(assignment, n, s->members);
-}
-
 /* Run Louvain to completion on the symmetric CSR graph (indptr, indices,
    weights) of n nodes and total edge weight m, with the MT19937 state
-   (state, index) of random.Random(seed).getstate().
+   (state, index) of random.Random(seed).getstate(). The level loop is that
+   of community._louvain_python.
 
    Writes each node's community (dense by first appearance) to assignment
    and returns their count k, or -1 when memory runs out. Pass records
@@ -359,46 +315,65 @@ int64_t louvain_levels(int64_t n, const int64_t *indptr, const int64_t *indices,
                        int32_t *pass_level, double *pass_q, int64_t *passes)
 {
     const int64_t nnz = indptr[n];
-    int64_t k = -1;
     mt19937 mt;
     for (int i = 0; i < MT_N; i++)
         mt.state[i] = state[i];
     mt.index = index;
     pass_records rec = {capacity, 0, pass_level, pass_q};
 
-    scratch s = {0};
-    level_graph bufs[2] = {{0}, {0}};
-    double *zero_loops = calloc((size_t)n, sizeof(double));
-    s.node2com = malloc((size_t)n * sizeof(int64_t));
-    s.order = malloc((size_t)n * sizeof(int64_t));
-    s.touched = malloc((size_t)n * sizeof(int64_t));
-    s.members = malloc((size_t)n * sizeof(int64_t));
-    s.offsets = malloc((size_t)(n + 1) * sizeof(int64_t));
-    s.degree = malloc((size_t)n * sizeof(double));
-    s.tot = malloc((size_t)n * sizeof(double));
-    s.internal = malloc((size_t)n * sizeof(double));
-    s.acc = malloc((size_t)n * sizeof(double));
-    s.mark = calloc((size_t)n, 1);
-    int ok = alloc_graph(&bufs[0], n, nnz) && alloc_graph(&bufs[1], n, nnz);
-    if (ok && zero_loops && s.node2com && s.order && s.touched && s.members
-        && s.offsets && s.degree && s.tot && s.internal && s.acc && s.mark) {
-        level_graph g = {n, (int64_t *)indptr, (int64_t *)indices,
-                         (double *)weights, zero_loops};
-        k = run_levels(g, m, min_gain, &mt, &s, bufs, assignment, &rec);
+    /* Every array of the run comes from one zeroed block, so each stays
+       8-byte aligned: first the int64 arrays (four of n entries, three of
+       n + 1, two of nnz), then the doubles (seven of n, two of nnz), then
+       the n mark bytes. zero_loops are the level-0 graph's self-loops; the
+       level buffers bufs[0] and bufs[1] take turns holding the aggregate. */
+    const int64_t words = 11 * n + 3 * (n + 1) + 4 * nnz;
+    int64_t *block = calloc((size_t)words * 8 + (size_t)n, 1), *ip = block;
+    if (!block)
+        return -1;
+    scratch s;
+    level_graph bufs[2];
+    s.node2com = ip, ip += n;
+    s.order = ip, ip += n;
+    s.touched = ip, ip += n;
+    s.members = ip, ip += n;
+    s.offsets = ip, ip += n + 1;
+    for (int b = 0; b < 2; b++) {
+        bufs[b].indptr = ip, ip += n + 1;
+        bufs[b].indices = ip, ip += nnz;
     }
+    double *zero_loops = (double *)ip, *dp = zero_loops + n;
+    s.degree = dp, dp += n;
+    s.tot = dp, dp += n;
+    s.internal = dp, dp += n;
+    s.acc = dp, dp += n;
+    for (int b = 0; b < 2; b++) {
+        bufs[b].weights = dp, dp += nnz;
+        bufs[b].loops = dp, dp += n;
+    }
+    s.mark = (unsigned char *)dp;
+
+    level_graph g = {n, (int64_t *)indptr, (int64_t *)indices,
+                     (double *)weights, zero_loops};
+    for (int64_t i = 0; i < n; i++)
+        assignment[i] = i;
+    double prev_q = 0.0; /* modularity of the singleton partition */
+    degrees(&g, s.degree);
+    for (int64_t u = 0; u < n; u++)
+        prev_q -= square(s.degree[u] / (2.0 * m));
+    for (int32_t level = 0;; level++) {
+        double q = one_level(&g, m, min_gain, &mt, &s, level, &rec);
+        int64_t n_comms = renumber(s.node2com, g.n, s.members);
+        for (int64_t i = 0; i < n; i++)
+            assignment[i] = s.node2com[assignment[i]];
+        if (q - prev_q <= min_gain || n_comms == g.n)
+            break;
+        prev_q = q;
+        level_graph *next = &bufs[level % 2];
+        aggregate(&g, s.node2com, n_comms, &s, next);
+        g = *next;
+    }
+    const int64_t k = renumber(assignment, n, s.members);
     *passes = rec.count;
-    free(zero_loops);
-    free(s.node2com);
-    free(s.order);
-    free(s.touched);
-    free(s.members);
-    free(s.offsets);
-    free(s.degree);
-    free(s.tot);
-    free(s.internal);
-    free(s.acc);
-    free(s.mark);
-    free_graph(&bufs[0]);
-    free_graph(&bufs[1]);
+    free(block);
     return k;
 }

@@ -43,12 +43,16 @@ class LouvainConfig:
 class Partition:
     """Total assignment of nodes to communities 0..k-1, every id non-empty:
     one read-only int64 array of community ids in ``graph.nodes`` order, plus
-    ``k``. A node-id mapping is resolved into it once, keys in node order."""
+    ``k``. A node-id mapping is resolved into it once, keys in node order,
+    and its ids must be exactly 0..k-1 (a ValueError otherwise)."""
 
     def __init__(self, assignment: Mapping[NodeId, int], k: int):
         ids = list(assignment)
         nodes = tuple(map(ids.__getitem__, _node_order(ids)))
-        self._hold(nodes, np.fromiter(map(assignment.__getitem__, nodes), np.int64), k)
+        communities = np.fromiter(map(assignment.__getitem__, nodes), np.int64)
+        if not np.array_equal(np.unique(communities), np.arange(k)):
+            raise ValueError(f"community ids not contiguous 0..{k - 1}")
+        self._hold(nodes, communities, k)
 
     def _hold(self, nodes, communities: np.ndarray, k: int) -> "Partition":
         """Keep ``communities`` (uncopied, now read-only) as ``nodes``' array."""
@@ -70,11 +74,6 @@ class Partition:
                 )
             raise ValueError("partition holds nodes that are not in the graph")
         return self._communities
-
-    def validate(self, graph: LabeledGraph) -> None:
-        comm = self.array(graph)
-        if comm.min() < 0 or comm.max() != self.k - 1 or not np.bincount(comm).all():
-            raise ValueError(f"community ids not contiguous 0..{self.k - 1}")
 
 
 def modularity(graph: LabeledGraph, partition: Partition) -> float:

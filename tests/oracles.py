@@ -193,6 +193,23 @@ def naive_relabel(nodes, communities, k, dom_ratio, num_opinions, seed):
     return opinions
 
 
+def expected_dominance_score(d, k, f_w):
+    """Expected polarization of a block-model graph whose communities are
+    relabeled at dominance ratio ``d`` over ``k`` opinions, where ``f_w`` is
+    the within-community share of edge weight in the scored partitions.
+
+    A community's expected cross-opinion share is
+    c = 1 - d^2 - (1 - d)^2 / (k - 1): two ends share the dominant opinion
+    with probability d^2, and one of the k - 1 others with (1 - d)^2 / (k - 1).
+    Within communities the score is 1 - 2 min(c, 0.5). An edge between two
+    communities crosses with probability at least 1 - 1/k >= 0.5, so the
+    between view scores about 0, and the blend weighs the within view by
+    ``f_w``. The model leaves out the scaling, which weighs edges between
+    minority opinions down."""
+    c = 1.0 - d * d - (1.0 - d) ** 2 / (k - 1)
+    return f_w * (1.0 - 2.0 * min(c, 0.5))
+
+
 def naive_stance_rows(path):
     """The rows, warnings and first error of a stance archive, read by the
     plain loop: ``json.loads`` per line, ``isinstance`` checks in a fixed

@@ -75,16 +75,30 @@ def test_config_holds_only_the_seed():
 
 
 def test_partition_validate():
+    """A mapping partition is checked where it is built: its ids must be
+    exactly 0..k-1, and it must cover the graph it is used on."""
     g = LabeledGraph.from_edges([("a", "b", 1.0), ("c", "d", 1.0)],
                      {"a": 0, "b": 0, "c": 0, "d": 0})
     p = Partition(assignment={"a": 0, "b": 0, "c": 1, "d": 1}, k=2)
-    p.validate(g)
     assert communities_of(g, p) == {"a": 0, "b": 0, "c": 1, "d": 1}
-    with pytest.raises(ValueError):
-        Partition(assignment={"a": 0}, k=1).validate(g)
-    for ids, k in [((0, 0, 2, 2), 2), ((0, 0, 1, 1), 3), ((-1, 0, 1, 1), 2)]:
-        with pytest.raises(ValueError, match="not contiguous"):
-            Partition(assignment=dict(zip("abcd", ids)), k=k).validate(g)
+    with pytest.raises(ValueError, match="missing from partition"):
+        Partition(assignment={"a": 0}, k=1).array(g)
+    for ids, k in [((0, 0, 2, 2), 2), ((0, 0, 1, 1), 3), ((-1, 0, 1, 1), 2),
+                   ((1, 1, 2, 2), 2), ((0, 0, 1, 1), 0)]:
+        with pytest.raises(ValueError, match=f"not contiguous 0..{k - 1}"):
+            Partition(assignment=dict(zip("abcd", ids)), k=k)
+
+
+def test_a_gap_in_community_ids_is_refused_before_it_is_scored():
+    """Ids {0, 2} at k=2 used to build, and modularity then dropped
+    community 2 from its sum: 0.0833 on the path a-b-c-d, where the same
+    split numbered 0/1 scores 0.1667."""
+    g = LabeledGraph.from_edges([("a", "b", 1.0), ("b", "c", 1.0), ("c", "d", 1.0)],
+                                {u: 0 for u in "abcd"})
+    split = Partition(assignment={"a": 0, "b": 0, "c": 1, "d": 1}, k=2)
+    assert modularity(g, split) == pytest.approx(1 / 6)
+    with pytest.raises(ValueError, match="not contiguous 0..1"):
+        Partition(assignment={"a": 0, "b": 0, "c": 2, "d": 2}, k=2)
 
 
 def test_partition_array_is_read_only():
@@ -188,8 +202,9 @@ def test_louvain_partition_is_valid_and_densely_numbered():
         nodes, edges, opinions, k = random_graph_spec(rng)
         g = LabeledGraph.from_edges(edges, opinions, num_opinions=k)
         p = louvain(g, LouvainConfig(seed=rng.randrange(1000)))
-        p.validate(g)
-        assert set(communities_of(g, p).values()) == set(range(p.k))
+        comm = p.array(g)
+        assert comm.dtype == np.int64 and len(comm) == g.node_count
+        assert np.array_equal(np.unique(comm), np.arange(p.k))
 
 
 def test_louvain_never_beats_exhaustive_search_and_matches_scorer():

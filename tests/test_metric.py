@@ -28,7 +28,11 @@ def make_graph(edges, opinions, k=None):
 
 
 def partition_of(mapping):
-    return Partition(assignment=dict(mapping), k=len(set(mapping.values())))
+    """The partition of ``mapping``'s communities, renumbered 0..k-1 in order
+    of first appearance: the score reads only which nodes share one."""
+    dense = {}
+    return Partition(assignment={u: dense.setdefault(c, len(dense)) for u, c in mapping.items()},
+                     k=len(set(mapping.values())))
 
 
 # -- weight scaling ----------------------------------------------------------
