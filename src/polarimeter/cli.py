@@ -63,7 +63,7 @@ def _build_parser() -> _Parser:
             "--seed",
             type=int,
             default=DEFAULT_SEED,
-            help="base seed; run r uses seed+r (default: %(default)s)",
+            help="base seed, >= 0; run r uses seed+r (default: %(default)s)",
         )
         p.add_argument(
             "--threads",
@@ -173,8 +173,6 @@ def _parse_sbm(text: str, seed: int) -> SbmConfig:
             f"--sbm allows at most {_SBM_MAX_BLOCKS} blocks and "
             f"{_SBM_MAX_EDGES:,} expected edges, got {text!r}"
         )
-    if seed < 0:
-        raise InputError(f"--seed {seed} with --sbm: seed must be >= 0, got {seed}")
     return SbmConfig(blocks, per_block, SBM_P_IN, SBM_P_OUT, seed=seed)
 
 
@@ -306,6 +304,8 @@ def _cmd_build_network(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        if getattr(args, "seed", 0) < 0:  # seed -s would repeat the runs of s
+            raise InputError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except SystemExit as exc:  # argparse --help / --version
         code = exc.code

@@ -25,7 +25,7 @@ from typing import Callable, ClassVar, Iterator, Mapping
 import numpy as np
 
 from ._native import MIN_GAIN, NODE_LIMIT, louvain_kernel
-from .graph import LabeledGraph, NodeId, _node_order
+from .graph import LabeledGraph, NodeId, _int_array, _node_order
 
 logger = logging.getLogger(__name__)
 
@@ -36,28 +36,38 @@ _WINDOW = 2
 
 @dataclass(frozen=True)
 class LouvainConfig:
+    """``seed`` >= 0: run r uses seed + r, and ``random.Random`` seeds -s as s."""
+
     seed: int = 42
     min_modularity_gain: ClassVar[float] = MIN_GAIN
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 class Partition:
     """Total assignment of nodes to communities 0..k-1, every id non-empty:
     one read-only int64 array of community ids in ``graph.nodes`` order, plus
-    ``k``. A node-id mapping is resolved into it once, keys in node order,
-    and its ids must be exactly 0..k-1 (a ValueError otherwise)."""
+    ``k``. A node-id mapping is resolved into it once, keys in node order;
+    its ids must be integers, as ``operator.index`` takes them, and exactly
+    0..k-1 (a ValueError otherwise)."""
 
     def __init__(self, assignment: Mapping[NodeId, int], k: int):
-        ids = list(assignment)
-        nodes = tuple(map(ids.__getitem__, _node_order(ids)))
-        communities = np.fromiter(map(assignment.__getitem__, nodes), np.int64)
+        keys = list(assignment)
+        nodes = tuple(map(keys.__getitem__, _node_order(keys)))
+        ids = list(map(assignment.__getitem__, nodes))
+        communities = _int_array(nodes, ids, np.asarray(ids), "community")
         if not np.array_equal(np.unique(communities), np.arange(k)):
             raise ValueError(f"community ids not contiguous 0..{k - 1}")
         self._hold(nodes, communities, k)
 
-    def _hold(self, nodes, communities: np.ndarray, k: int) -> "Partition":
-        """Keep ``communities`` (uncopied, now read-only) as ``nodes``' array."""
+    def _hold(self, nodes, communities: np.ndarray, k: int, passes=()) -> "Partition":
+        """Keep ``communities`` (uncopied, now read-only) as ``nodes``' array,
+        and the ``(level, q)`` pass records of the run that found it."""
         communities.setflags(write=False)
         self._nodes, self._communities, self.k = nodes, communities, int(k)
+        self._passes = passes
         return self
 
     def array(self, graph: LabeledGraph) -> np.ndarray:
@@ -99,25 +109,28 @@ def modularity(graph: LabeledGraph, partition: Partition) -> float:
 def louvain(
     graph: LabeledGraph, config: LouvainConfig, pass_hook: PassHook | None = None
 ) -> Partition:
-    """Detect communities; deterministic for a fixed (graph, config.seed).
-
-    ``pass_hook(level, pass_index, q)`` is called after every local-move pass
-    with the modularity reached, for instrumentation in tests. Isolated nodes
-    end up as singleton communities.
-
-    The work runs in the C kernel of ``_louvain.c`` when it can be built (see
-    ``_native``), and otherwise in the pure-Python level loop below; both
-    give bit-identical partitions and pass records.
+    """Detect communities; deterministic for a fixed (graph, config.seed). It
+    is the first run of ``louvain_runs(graph, config, 1)``, and it replays
+    that run's pass records into ``pass_hook(level, pass_index, q)``, the
+    passes of each level numbered from 0. Isolated nodes end up as singletons.
     """
-    kernel = _kernel_for(graph)
-    return _louvain(kernel, graph.adjacency(), graph, config.seed, pass_hook)
+    partition = next(louvain_runs(graph, config, 1))
+    if pass_hook is not None:
+        for level, records in itertools.groupby(partition._passes, key=lambda r: r[0]):
+            for pass_index, (_, q) in enumerate(records):
+                pass_hook(level, pass_index, q)
+    return partition
 
 
 def louvain_runs(
     graph: LabeledGraph, config: LouvainConfig, runs: int, threads: int = 1
 ) -> Iterator[Partition]:
     """Yield the partitions of ``runs`` Louvain runs at seeds config.seed + run
-    index, in run order.
+    index, in run order, each holding its run's ``(level, q)`` pass records.
+    The runs go through the C kernel of ``_louvain.c`` when it can be built
+    (see ``_native``), and otherwise, or with one warning per call for a
+    graph past ``NODE_LIMIT``, through the pure-Python level loop below; both
+    give bit-identical partitions and pass records.
 
     Louvain reads only the graph's structure, never its labels, so these
     partitions serve every labeling of that structure. The sequence is
@@ -131,11 +144,18 @@ def louvain_runs(
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     # the kernel and the CSR triple are made here, before any thread starts
-    kernel = _kernel_for(graph)
-    adjacency = graph.adjacency()
+    kernel = louvain_kernel()
+    if kernel is not None and graph.node_count >= NODE_LIMIT:
+        logger.warning(
+            "%d nodes is beyond the C Louvain kernel, using pure Python",
+            graph.node_count,
+        )
+        kernel = None
+    adjacency, m = graph.adjacency(), graph.total_weight
 
     def run(index: int) -> Partition:
-        return _louvain(kernel, adjacency, graph, config.seed + index)
+        dense, k, passes = (kernel or _louvain_python)(adjacency, m, config.seed + index)
+        return Partition.__new__(Partition)._hold(graph.nodes, dense, k, tuple(passes))
 
     if threads > 1 and runs > 1 and kernel is not None:
         workers = min(threads, runs, os.cpu_count() or 1)
@@ -160,30 +180,6 @@ def _in_order(pool, fn, count: int, window: int) -> Iterator:
     finally:  # a consumer that stops early leaves no queued run behind
         for future in pending:
             future.cancel()
-
-
-def _kernel_for(graph: LabeledGraph):
-    """The C kernel if it can run ``graph``, else None after one warning."""
-    kernel = louvain_kernel()
-    if kernel is not None and graph.node_count >= NODE_LIMIT:
-        logger.warning(
-            "%d nodes is beyond the C Louvain kernel, using pure Python",
-            graph.node_count,
-        )
-        return None
-    return kernel
-
-
-def _louvain(kernel, adjacency, graph, seed, pass_hook=None) -> Partition:
-    """One run at ``seed`` over ``graph``'s CSR triple ``adjacency`` on
-    ``kernel``, or on the Python oracle when it is None; the passes of each
-    level are numbered from 0 for ``pass_hook``."""
-    dense, k, passes = (kernel or _louvain_python)(adjacency, graph.total_weight, seed)
-    if pass_hook is not None:
-        for level, records in itertools.groupby(passes, key=lambda r: r[0]):
-            for pass_index, (_, q) in enumerate(records):
-                pass_hook(level, pass_index, q)
-    return Partition.__new__(Partition)._hold(graph.nodes, dense, k)
 
 
 def _louvain_python(adjacency, m, seed):

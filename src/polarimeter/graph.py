@@ -52,29 +52,33 @@ def _node_order(ids: Sequence[NodeId]) -> list[int]:
     return sorted(range(len(ids)), key=lambda i: _node_key(ids[i]))
 
 
+def _int_array(nodes, values, given: np.ndarray, what: str) -> np.ndarray:
+    """``values`` (``given`` is ``np.asarray(values)``), one per node of
+    ``nodes``, as a new int64 array. A value must be an integer, as
+    ``operator.index`` takes it (an int, a bool, a numpy integer); the first
+    that is not, or lies beyond int64, is a ValueError naming its node."""
+    if given.ndim == 1 and np.can_cast(given.dtype, np.int64):  # no per-value check
+        return given.astype(np.int64)
+    ints = []  # a non-integer value, or an int beyond int64, is among them
+    for u, o in zip(nodes, np.asarray(values, dtype=object).tolist()):
+        try:
+            o = operator.index(o)
+        except TypeError:
+            raise ValueError(f"{what} {o!r} of node {u!r} is not an integer") from None
+        if not -(2**63) <= o < 2**63:
+            raise ValueError(f"{what} {o} of node {u!r} does not fit in int64")
+        ints.append(o)
+    return np.array(ints, dtype=np.int64)
+
+
 def _opinion_array(nodes, labels, num_opinions) -> tuple[np.ndarray, int]:
-    """``labels``, one opinion per node of ``nodes``, as a new int64 array,
-    with the opinion count (the largest label plus one, at least 2, when
-    None). A label must be an integer, as ``operator.index`` takes it (an
-    int, a bool, a numpy integer); a label that is not, or that lies beyond
-    int64 or outside [0, count), is a ValueError naming the first such node
-    in ``nodes`` order."""
+    """``labels`` as `_int_array` reads them, with the opinion count (the
+    largest label plus one, at least 2, when None). A label outside [0,
+    count) is a ValueError naming the first such node in ``nodes`` order."""
     given = np.asarray(labels)
     if given.shape != (len(nodes),):
         raise ValueError(f"{given.size} labels for {len(nodes)} nodes")
-    if np.can_cast(given.dtype, np.int64):  # an integer array: no per-label check
-        labels = given.astype(np.int64)
-    else:  # a non-integer label, or an int beyond int64, is among them
-        ints = []
-        for u, o in zip(nodes, np.asarray(labels, dtype=object).tolist()):
-            try:
-                o = operator.index(o)
-            except TypeError:
-                raise ValueError(f"opinion {o!r} of node {u!r} is not an integer") from None
-            if not -(2**63) <= o < 2**63:
-                raise ValueError(f"opinion {o} of node {u!r} does not fit in int64")
-            ints.append(o)
-        labels = np.array(ints, dtype=np.int64)
+    labels = _int_array(nodes, labels, given, "opinion")
     if num_opinions is None:
         num_opinions = max(2, int(labels.max()) + 1)
     if num_opinions < 2:

@@ -329,8 +329,20 @@ def test_sweep_sbm_negative_seed_names_the_seed_flag(capsys):
     code, out, err = run(capsys, "sweep", "--sbm", "2x50", "--seed", "-1",
                          "--runs", "1")
     assert code == 1
-    assert err == "error: --seed -1 with --sbm: seed must be >= 0, got -1\n"
+    assert err == "error: --seed must be >= 0, got -1\n"
     assert out == ""
+
+
+def test_negative_seed_exits_one_naming_the_seed_flag(capsys, karate_files):
+    """random.Random(-s) seeds as Random(s), so runs at seeds -2..2 were
+    three runs counted as five; every command with --seed refuses one."""
+    edges, labels = karate_files
+    for argv in (["analyze", "--graph", edges, "--labels", labels],
+                 ["demo-karate"],
+                 ["sweep", "--graph", edges, "--labels", labels, "--num-opinions", "2"]):
+        code, out, err = run(capsys, *argv, "--seed", "-2", "--runs", "5")
+        assert (code, out, err) == (1, "", "error: --seed must be >= 0, got -2\n"), argv
+    assert run(capsys, "demo-karate", "--seed", "0", "--runs", "1")[0] == 0
 
 
 def test_sweep_bad_sbm_syntax_exits_one(capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import random
 import threading
@@ -74,6 +75,16 @@ def test_config_holds_only_the_seed():
         LouvainConfig(min_modularity_gain=1e-3)
 
 
+def test_a_negative_seed_is_refused():
+    """random.Random(-s) seeds as Random(s), so the schedule seed + r at
+    seed -2 ran seeds 2, 1, 0, 1, 2: five runs that were three."""
+    assert random.Random(-3).random() == random.Random(3).random()
+    LouvainConfig(seed=0)
+    for seed in (-1, -2):
+        with pytest.raises(ValueError, match=f"seed must be >= 0, got {seed}"):
+            LouvainConfig(seed=seed)
+
+
 def test_partition_validate():
     """A mapping partition is checked where it is built: its ids must be
     exactly 0..k-1, and it must cover the graph it is used on."""
@@ -87,6 +98,24 @@ def test_partition_validate():
                    ((1, 1, 2, 2), 2), ((0, 0, 1, 1), 0)]:
         with pytest.raises(ValueError, match=f"not contiguous 0..{k - 1}"):
             Partition(assignment=dict(zip("abcd", ids)), k=k)
+
+
+def test_community_ids_must_be_integers():
+    """np.fromiter(..., np.int64) read 0.7 as 0 and "0" as 0, so these maps
+    built: the first as [0, 1, 0, 1], which scores -0.5 on a-b-c-d."""
+    cases = [((0.7, 1.2, 0.1, 1.9), "0.7 of node 'a' is not an integer"),
+             ((0, 0, 1, 1.0), "1.0 of node 'd' is not"),
+             (("0", "0", 1, 1), "'0' of node 'a' is not"),
+             ((0, None, 1, 1), "None of node 'b' is not"),
+             ((0, 0, 1, 2**64), f"{2**64} of node 'd' does not fit in int64")]
+    for ids, message in cases:
+        with pytest.raises(ValueError, match=f"community {message}"):
+            Partition(assignment=dict(zip("abcd", ids)), k=2)
+    g = LabeledGraph.from_edges([("a", "b", 1.0), ("b", "c", 1.0), ("c", "d", 1.0)],
+                                {u: 0 for u in "abcd"})
+    for ids in [(True, True, False, False), tuple(np.array([1, 1, 0, 0]))]:
+        p = Partition(assignment=dict(zip("abcd", ids)), k=2)
+        assert p.array(g).tolist() == [1, 1, 0, 0]
 
 
 def test_a_gap_in_community_ids_is_refused_before_it_is_scored():
@@ -246,6 +275,28 @@ def test_pass_hook_reports_monotone_modularity():
         assert [i for l, i, _ in trace if l == lvl] == list(range(len(qs)))
 
 
+@pytest.mark.parametrize("path", ["kernel", "python"])
+def test_louvain_replays_the_oracle_records_of_its_one_run(monkeypatch, path):
+    """``louvain`` is the first run of ``louvain_runs``: same array, and the
+    oracle's (level, q) records numbered from 0 within each level."""
+    g = ring_of_cliques(cliques=6, size=5)
+    config = LouvainConfig(seed=17)
+    _, _, records = community._louvain_python(g.adjacency(), g.total_weight, 17)
+    expected, index = [], collections.Counter()
+    for level, q in records:
+        expected.append((level, index[level], q))
+        index[level] += 1
+    assert len(index) > 1, "the case should aggregate at least once"
+    if path == "python":
+        monkeypatch.setattr(community, "louvain_kernel", lambda: None)
+    else:
+        assert community.louvain_kernel() is not None
+    trace = []
+    p = louvain(g, config, pass_hook=lambda *record: trace.append(record))
+    assert trace == expected
+    assert np.array_equal(p.array(g), next(community.louvain_runs(g, config, 1)).array(g))
+
+
 def test_final_internal_q_matches_public_scorer():
     # Multi-level aggregation must preserve modularity bookkeeping exactly.
     g = ring_of_cliques(cliques=6, size=5)
@@ -292,23 +343,22 @@ def test_threaded_runs_submit_a_bounded_window_ahead(monkeypatch):
             submitted.append(args)
             return super().submit(fn, *args)
 
-    def run(kernel, adjacency, graph, seed, pass_hook=None):
+    def kernel(adjacency, m, seed):  # one pass record naming its seed
         if seed == 0:
             assert release.wait(timeout=10)
-        return seed
+        return np.zeros(len(adjacency[0]) - 1, dtype=np.int64), 1, [(0, float(seed))]
 
     monkeypatch.setattr(community, "ThreadPoolExecutor", CountingPool)
-    monkeypatch.setattr(community, "louvain_kernel", lambda: community._louvain_python)
+    monkeypatch.setattr(community, "louvain_kernel", lambda: kernel)
     monkeypatch.setattr(community.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(community, "_louvain", run)
     runs = community.louvain_runs(load_karate(), LouvainConfig(seed=0), 50, threads=2)
     timer = threading.Timer(0.2, release.set)
     timer.start()
     try:
-        assert next(runs) == 0
+        assert next(runs)._passes == ((0, 0.0),)
         assert workers == [2]
         assert len(submitted) <= community._WINDOW * 2
-        assert list(runs) == list(range(1, 50))
+        assert [p._passes for p in runs] == [((0, float(s)),) for s in range(1, 50)]
     finally:
         release.set()
         timer.cancel()
