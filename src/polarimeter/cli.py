@@ -293,7 +293,7 @@ def _cmd_build_network(args) -> int:
     write_labels(graph, prefix + ".labels.tsv")
     names = {str(i): name for i, name in enumerate(OPINION_NAMES)}
     with _open_out(prefix + ".names.json") as fh:
-        fh.write(_json_dumps(names) + "\n")
+        fh.write((_json_dumps(names) + "\n").encode("utf-8"))
     sys.stdout.write(
         f"wrote {prefix}.edges.tsv {prefix}.labels.tsv {prefix}.names.json "
         f"({graph.node_count} nodes, {graph.edge_count} edges)\n"

@@ -25,7 +25,7 @@ from typing import Callable, ClassVar, Iterator, Mapping
 import numpy as np
 
 from ._native import MIN_GAIN, NODE_LIMIT, louvain_kernel
-from .graph import LabeledGraph, NodeId, _int_array, _node_order
+from .graph import LabeledGraph, NodeId, _as_array, _int_array, _node_order
 
 logger = logging.getLogger(__name__)
 
@@ -57,7 +57,7 @@ class Partition:
         keys = list(assignment)
         nodes = tuple(map(keys.__getitem__, _node_order(keys)))
         ids = list(map(assignment.__getitem__, nodes))
-        communities = _int_array(nodes, ids, np.asarray(ids), "community")
+        communities = _int_array(nodes, ids, _as_array(ids), "community")
         if not np.array_equal(np.unique(communities), np.arange(k)):
             raise ValueError(f"community ids not contiguous 0..{k - 1}")
         self._hold(nodes, communities, k)

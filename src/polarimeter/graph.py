@@ -52,8 +52,18 @@ def _node_order(ids: Sequence[NodeId]) -> list[int]:
     return sorted(range(len(ids)), key=lambda i: _node_key(ids[i]))
 
 
+def _as_array(values) -> np.ndarray:
+    """``np.asarray(values)``, or, for ragged values that numpy refuses (a
+    sequence beside scalars), their 1-D object array, which `_int_array`
+    checks value by value."""
+    try:
+        return np.asarray(values)
+    except ValueError:
+        return np.asarray(values, dtype=object)
+
+
 def _int_array(nodes, values, given: np.ndarray, what: str) -> np.ndarray:
-    """``values`` (``given`` is ``np.asarray(values)``), one per node of
+    """``values`` (``given`` is ``_as_array(values)``), one per node of
     ``nodes``, as a new int64 array. A value must be an integer, as
     ``operator.index`` takes it (an int, a bool, a numpy integer); the first
     that is not, or lies beyond int64, is a ValueError naming its node."""
@@ -75,7 +85,7 @@ def _opinion_array(nodes, labels, num_opinions) -> tuple[np.ndarray, int]:
     """``labels`` as `_int_array` reads them, with the opinion count (the
     largest label plus one, at least 2, when None). A label outside [0,
     count) is a ValueError naming the first such node in ``nodes`` order."""
-    given = np.asarray(labels)
+    given = _as_array(labels)
     if given.shape != (len(nodes),):
         raise ValueError(f"{given.size} labels for {len(nodes)} nodes")
     labels = _int_array(nodes, labels, given, "opinion")

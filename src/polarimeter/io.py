@@ -18,8 +18,11 @@ import operator
 import re
 from array import array
 from importlib import resources
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence, TextIO
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
+from ._native import rows_kernel
 from .errors import InputError
 from .graph import MAX_WEIGHT, MIN_WEIGHT, LabeledGraph
 
@@ -27,7 +30,9 @@ if TYPE_CHECKING:
     from .metric import PolarizationReport
 
 logger = logging.getLogger(__name__)
-_WRITE_ROWS = 65_536  # edge rows write_edge_list turns into Python objects at once
+# graph-file rows written at once: one row-kernel call, or one Python join,
+# and one output buffer per this many rows, so a write's memory stays bounded
+_WRITE_ROWS = 65_536
 _BLOCK_BYTES = 16_384  # bytes read at once, then completed to a whole line
 # per separator, the bytes a plain field is made of: neither it nor ASCII
 # whitespace (as ``str.strip`` has it). Deleting them from a block leaves
@@ -302,12 +307,13 @@ def load_karate() -> LabeledGraph:
 
 
 @contextlib.contextmanager
-def _open_out(path) -> Iterator[TextIO]:
-    """A UTF-8 text file opened for writing with ``\\n`` newlines. A file that
-    cannot be created or written (a missing directory, no permission, a full
-    disk) is an `InputError` naming the path."""
+def _open_out(path) -> Iterator[BinaryIO]:
+    """A file opened for writing bytes, which callers give as UTF-8 with
+    ``\\n`` newlines. A file that cannot be created or written (a missing
+    directory, no permission, a full disk) is an `InputError` naming the
+    path."""
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(path, "wb") as fh:
             yield fh
     except OSError as exc:
         raise InputError(str(exc), path=path) from exc
@@ -340,11 +346,12 @@ def _ids_fault(texts: Sequence[str]) -> str | None:
     return None
 
 
-def _check_node_ids(graph: LabeledGraph) -> None:
-    """A ValueError naming the first node, in node order, whose id text (its
-    ``str``) `_ids_fault` rejects or another node's id shares, since the graph
-    files would read back as another graph. Distinct ``str`` ids have
-    distinct texts, so only a graph with other ids has its texts counted."""
+def _check_node_ids(graph: LabeledGraph) -> Sequence[str]:
+    """The id texts (each node's ``str``) in node order, which the graph
+    files hold, or a ValueError naming the first node whose text
+    `_ids_fault` rejects or another node's id shares, since the files would
+    read back as another graph. Distinct ``str`` ids have distinct texts, so
+    only a graph with other ids has its texts counted."""
     nodes = graph.nodes
     try:
         fault = _ids_fault(nodes)
@@ -355,7 +362,7 @@ def _check_node_ids(graph: LabeledGraph) -> None:
     else:
         texts, shared = nodes, set()
     if not fault:
-        return
+        return texts
     for node, text in zip(nodes, texts):
         fault = _ids_fault((text,)) or ("is another node's too" if text in shared else None)
         if fault:
@@ -365,25 +372,57 @@ def _check_node_ids(graph: LabeledGraph) -> None:
             )
 
 
-def write_edge_list(graph: LabeledGraph, path) -> None:
-    """Tab-separated ``u v w`` rows in ``edge_arrays()`` order, full precision.
-    A node id the file cannot hold is a ValueError (see `_check_node_ids`)."""
-    _check_node_ids(graph)
-    nodes, arrays = graph.nodes, graph.edge_arrays()
+def _table(texts: Iterable[str]) -> tuple[bytes, np.ndarray]:
+    """A text table of at least one text, none holding a ``\\n``: their UTF-8
+    bytes, each followed by ``\\n``, and the int64 offsets at which each
+    starts, then the end."""
+    text = ("\n".join(texts) + "\n").encode("utf-8")
+    ends = np.flatnonzero(np.frombuffer(text, np.uint8) == ord("\n")) + 1
+    return text, np.concatenate([np.zeros(1, np.int64), ends])
+
+
+def _join_rows(columns) -> bytes:
+    """The rows of ``columns``, ``(table, index)`` pairs (see `_table`):
+    row r holds text ``index[r]`` of each column's table, the texts joined
+    by tabs and the row ended by ``\\n``. The pure-Python path of the row
+    kernel, and the oracle it is tested against."""
+    cells = [
+        list(map(text.split(b"\n").__getitem__, index.tolist()))
+        for (text, _), index in columns
+    ]
+    return b"\n".join(map(b"\t".join, zip(*cells))) + b"\n"
+
+
+def _write_rows(path, columns) -> None:
+    """Write the rows of ``columns`` (see `_join_rows`) to ``path``: one call
+    of the row kernel, or of the Python join, per `_WRITE_ROWS` rows."""
+    join = rows_kernel() or _join_rows
     with _open_out(path) as fh:
-        for i in range(0, len(arrays[0]), _WRITE_ROWS):
-            # no name holds a slice's lists: they go before the next are made
-            for a, b, w in zip(*(x[i : i + _WRITE_ROWS].tolist() for x in arrays)):
-                fh.write(f"{nodes[a]}\t{nodes[b]}\t{w!r}\n")
+        for i in range(0, len(columns[0][1]), _WRITE_ROWS):
+            fh.write(join([(table, index[i : i + _WRITE_ROWS]) for table, index in columns]))
+
+
+def write_edge_list(graph: LabeledGraph, path) -> None:
+    """Tab-separated ``u v w`` rows in ``edge_arrays()`` order, each weight
+    as its ``repr``. A node id the file cannot hold is a ValueError (see
+    `_check_node_ids`); each id is written as the text checked there."""
+    ids = _table(_check_node_ids(graph))
+    iu, iv, w = graph.edge_arrays()
+    weights, inverse = np.unique(w, return_inverse=True)
+    _write_rows(path, [(ids, iu), (ids, iv), (_table(map(repr, weights.tolist())), inverse)])
 
 
 def write_labels(graph: LabeledGraph, path) -> None:
     """Tab-separated ``u opinion`` rows in node order. A node id the file
-    cannot hold is a ValueError (see `_check_node_ids`)."""
-    _check_node_ids(graph)
-    with _open_out(path) as fh:
-        for u, o in zip(graph.nodes, graph.opinion_array().tolist()):
-            fh.write(f"{u}\t{o}\n")
+    cannot hold is a ValueError (see `_check_node_ids`); each id is written
+    as the text checked there."""
+    ids = _table(_check_node_ids(graph))
+    # a table of the labels present, not of every opinion below the count
+    labels, inverse = np.unique(graph.opinion_array(), return_inverse=True)
+    _write_rows(
+        path,
+        [(ids, np.arange(graph.node_count)), (_table(map(str, labels.tolist())), inverse)],
+    )
 
 
 def _json_dumps(value, indent: int = 0) -> str:
@@ -432,7 +471,7 @@ def save_report(report: "PolarizationReport", path) -> None:
     Same report, same bytes."""
     text = report_csv(report) if str(path).endswith(".csv") else report_json(report)
     with _open_out(path) as fh:
-        fh.write(text)
+        fh.write(text.encode("utf-8"))
 
 
 def sweep_csv(cells) -> str:
@@ -448,4 +487,4 @@ def sweep_csv(cells) -> str:
 
 def write_sweep_csv(cells, path) -> None:
     with _open_out(path) as fh:
-        fh.write(sweep_csv(cells))
+        fh.write(sweep_csv(cells).encode("utf-8"))

@@ -118,6 +118,12 @@ def test_community_ids_must_be_integers():
         assert p.array(g).tolist() == [1, 1, 0, 0]
 
 
+def test_a_sequence_beside_integer_community_ids_is_named_by_its_node():
+    """numpy refuses [[0], 1] as ragged, and its message named no node."""
+    with pytest.raises(ValueError, match=r"^community \[0\] of node 'a' is not an integer$"):
+        Partition(assignment={"a": [0], "b": 1}, k=2)
+
+
 def test_a_gap_in_community_ids_is_refused_before_it_is_scored():
     """Ids {0, 2} at k=2 used to build, and modularity then dropped
     community 2 from its sum: 0.0833 on the path a-b-c-d, where the same

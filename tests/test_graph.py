@@ -258,6 +258,12 @@ def test_from_edges_rejects_a_non_integer_label_naming_the_node(label):
         LabeledGraph.from_edges([("a", "b", 1.0)], {"a": 0, "b": label})
 
 
+def test_a_sequence_beside_integer_labels_is_named_by_its_node():
+    """numpy refuses [[0], 1] as ragged, and its message named no node."""
+    with pytest.raises(ValueError, match=r"^opinion \[0\] of node 'a' is not an integer$"):
+        LabeledGraph.from_edges([("a", "b", 1.0)], {"a": [0], "b": 1})
+
+
 def test_integer_labels_of_any_integer_type_are_accepted():
     for labels in ([0, True], [np.int32(0), np.uint64(1)], np.array([0, 1], np.uint8)):
         g = LabeledGraph(["a", "b"], [0, 1], [1.0], labels)

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import edge_triples, naive_graph_files
+from polarimeter import _native
 from polarimeter import io as pio
 from polarimeter import (
     InputError,
@@ -34,7 +35,7 @@ from polarimeter import (
     write_edge_list,
     write_labels,
 )
-from polarimeter.graph import MIN_WEIGHT
+from polarimeter.graph import MAX_WEIGHT, MIN_WEIGHT
 from polarimeter.synthetic import SweepCell
 
 
@@ -197,41 +198,109 @@ ROUND_TRIP_IDS = st.text(
 ).filter(lambda s: s == s.strip() and not s.startswith("#"))
 
 
+# ids of every kind a graph file holds: str ids, non-ASCII and astral ones
+# among them, int ids, and both in one graph (no int's text a str id's)
+WRITTEN_IDS = st.one_of(
+    st.lists(
+        st.one_of(ROUND_TRIP_IDS, st.sampled_from(["é", "日本", "\U0001f600", "a\U00010348"])),
+        min_size=2, max_size=10, unique=True,
+    ),
+    st.lists(st.integers(-(10**20), 10**20), min_size=2, max_size=10, unique=True),
+    st.lists(st.one_of(st.integers(-3, 30), ROUND_TRIP_IDS),
+             min_size=2, max_size=10, unique_by=str),
+)
+# weights at both bounds, repeated, and ones whose repr has an exponent
+WRITTEN_WEIGHTS = st.one_of(
+    st.sampled_from([MIN_WEIGHT, 1e-05, 1e16, 0.1, 1.0, 2.0]), st.floats(MIN_WEIGHT, 1e100)
+)
+
+
 @st.composite
 def written_graphs(draw):
     """``(ids, rows, labels)``: edge rows over indices into distinct ids,
-    with random weights, and one label per id below the id count."""
-    ids = draw(st.lists(ROUND_TRIP_IDS, min_size=2, max_size=10, unique=True))
+    with random weights, one of them perhaps `MAX_WEIGHT` (which the other
+    rows, at most 1e100 each, leave the total at), and one label per id
+    below the id count."""
+    ids = draw(WRITTEN_IDS)
     n = len(ids)
     rows = draw(st.lists(
         st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
-                  st.floats(MIN_WEIGHT, 1e100)).filter(lambda r: r[0] != r[1]),
+                  WRITTEN_WEIGHTS).filter(lambda r: r[0] != r[1]),
         min_size=1, max_size=20,
     ))
+    if draw(st.booleans()):
+        rows[0] = (*rows[0][:2], MAX_WEIGHT)
     labels = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
     return ids, rows, labels
 
 
-@settings(max_examples=100, deadline=None)
+def written_files(graph, directory, kernel, rows=3):
+    """The bytes of the edge and label files of ``graph``, written ``rows``
+    rows at a time (so that rows cross chunk boundaries) with the row
+    ``kernel`` (None: the Python join)."""
+    paths = os.path.join(directory, "e.tsv"), os.path.join(directory, "l.tsv")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pio, "_WRITE_ROWS", rows)
+        mp.setattr(pio, "rows_kernel", lambda: kernel)
+        write_edge_list(graph, paths[0])
+        write_labels(graph, paths[1])
+    return [open(path, "rb").read() for path in paths]
+
+
+@settings(max_examples=150, deadline=None)
 @given(written_graphs())
 @example((["a,b", "c\rd", "日本", "x #"], [(0, 1, 1.25), (1, 2, 0.3), (0, 2, 2.0)],
           [0, 1, 2, 3]))
+@example((["\U0001f600", 7, "é"], [(0, 1, MAX_WEIGHT), (1, 2, 1e-05), (0, 2, 1e16)],
+          [2, 2, 0]))
 def test_write_then_load_round_trips(graph):
+    """The row kernel and the Python join write the same bytes, and
+    `load_graph` reads them back as the graph with each id as its ``str``."""
     ids, rows, labels = graph
     g = LabeledGraph.from_edges(
         [(ids[a], ids[b], w) for a, b, w in rows], dict(zip(ids, labels))
     )
+    texts = [str(u) for u in ids]
+    want = LabeledGraph.from_edges(
+        [(texts[a], texts[b], w) for a, b, w in rows], dict(zip(texts, labels))
+    )
+    kernel = _native.rows_kernel()
+    assert kernel is not None
     with tempfile.TemporaryDirectory() as tmp:
-        epath, lpath = os.path.join(tmp, "e.tsv"), os.path.join(tmp, "l.tsv")
-        write_edge_list(g, epath)
-        write_labels(g, lpath)
-        g2 = load_graph(epath, lpath)
-    assert g2.nodes == g.nodes
-    for got, want in zip(g2.edge_arrays(), g.edge_arrays()):
-        assert got.dtype == want.dtype and (got == want).all()  # weights by ==
-    assert (g2.opinion_array() == g.opinion_array()).all()
-    assert g2.num_opinions == g.num_opinions
+        files = written_files(g, tmp, kernel)
+        assert written_files(g, tmp, kernel, pio._WRITE_ROWS) == files
+        assert written_files(g, tmp, None) == files
+        g2 = load_graph(os.path.join(tmp, "e.tsv"), os.path.join(tmp, "l.tsv"))
+    assert g2.nodes == want.nodes
+    for got, expected in zip(g2.edge_arrays(), want.edge_arrays()):
+        assert got.dtype == expected.dtype and (got == expected).all()  # weights by ==
+    assert (g2.opinion_array() == want.opinion_array()).all()
+    assert g2.num_opinions == want.num_opinions
 
+
+@pytest.mark.parametrize("kernel", ["C", "Python"])
+def test_labels_are_written_from_the_labels_present(tmp_path, kernel):
+    """A table of every opinion below the count would hold 10**15 texts."""
+    g = LabeledGraph(["a", "b"], [0, 1], [1.0], [0, 10**15])
+    files = written_files(g, tmp_path, _native.rows_kernel() if kernel == "C" else None)
+    assert files == [b"a\tb\t1.0\n", b"a\t0\nb\t1000000000000000\n"]
+
+
+class FormatsAsTwoFields(str):
+    """An id whose ``str`` the writers check, but whose ``format`` differs."""
+
+    def __format__(self, spec):
+        return "x\ty"
+
+
+@pytest.mark.parametrize("kernel", ["C", "Python"])
+def test_writers_write_the_id_text_they_checked(tmp_path, kernel):
+    """The rows once held ``f"{u}"``, which wrote this graph's edge row as
+    ``x<tab>y<tab>b<tab>1.0``: four fields."""
+    a = FormatsAsTwoFields("a")
+    g = LabeledGraph.from_edges([(a, "b", 1.0)], {a: 0, "b": 1})
+    files = written_files(g, tmp_path, _native.rows_kernel() if kernel == "C" else None)
+    assert files == [b"a\tb\t1.0\n", b"a\t0\nb\t1\n"]
 
 
 def test_int_ids_load_back_as_their_str_form(tmp_path):

@@ -53,6 +53,7 @@ def assert_same_partitions(graph, got, want):
 def test_kernel_builds_and_loads_here(kernel_cache):
     assert _native.louvain_kernel() is not None
     assert _native.archive_kernel() is not None
+    assert _native.rows_kernel() is not None
     built = sorted(p.name for p in (kernel_cache / "polarimeter").iterdir())
     assert len(built) == 1 and built[0].endswith(".so"), built
 
@@ -194,6 +195,7 @@ def test_unavailable_kernel_warns_once_and_gives_the_same_results(
 
     assert _native.louvain_kernel() is None
     assert _native.archive_kernel() is None
+    assert _native.rows_kernel() is None
     assert [r.levelno for r in caplog.records] == [logging.WARNING]
     assert "C kernels unavailable" in caplog.records[0].getMessage()
     assert_same_partitions(graph, got, expected)
@@ -232,6 +234,7 @@ def test_unavailable_archive_kernel_warns_once_and_writes_the_same_files(
 
     assert _native.archive_kernel() is None
     assert _native.louvain_kernel() is None
+    assert _native.rows_kernel() is None
     warnings = [r.getMessage() for r in caplog.records]
     assert warnings[0].startswith("C kernels unavailable, using pure Python: ")
     assert warnings[1:] == expected_warnings == ["dropped 171 self-retweet event(s)"]
