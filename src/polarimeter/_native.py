@@ -135,7 +135,7 @@ def archive_kernel():
 def rows_kernel():
     """A function writing graph-file rows from text tables in C, or None
     when the library cannot be had. It returns the bytes that
-    ``io._join_rows`` returns for the same columns (see ``_rows.c``)."""
+    ``io._join_rows`` returns for the same columns' split tables (``_rows.c``)."""
     return _kernels()[2]
 
 

@@ -25,7 +25,7 @@ from typing import Callable, ClassVar, Iterator, Mapping
 import numpy as np
 
 from ._native import MIN_GAIN, NODE_LIMIT, louvain_kernel
-from .graph import LabeledGraph, NodeId, _as_array, _int_array, _node_order
+from .graph import LabeledGraph, NodeId, _int_array
 
 logger = logging.getLogger(__name__)
 
@@ -48,16 +48,14 @@ class LouvainConfig:
 
 class Partition:
     """Total assignment of nodes to communities 0..k-1, every id non-empty:
-    one read-only int64 array of community ids in ``graph.nodes`` order, plus
-    ``k``. A node-id mapping is resolved into it once, keys in node order;
-    its ids must be integers, as ``operator.index`` takes them, and exactly
-    0..k-1 (a ValueError otherwise)."""
+    one read-only int64 array of community ids, plus ``k``. A node-id
+    mapping keeps its key order; its ids must be integers, as
+    ``operator.index`` takes them, and exactly 0..k-1 (a ValueError
+    otherwise)."""
 
     def __init__(self, assignment: Mapping[NodeId, int], k: int):
-        keys = list(assignment)
-        nodes = tuple(map(keys.__getitem__, _node_order(keys)))
-        ids = list(map(assignment.__getitem__, nodes))
-        communities = _int_array(nodes, ids, _as_array(ids), "community")
+        nodes = tuple(assignment)
+        communities = _int_array(nodes, list(assignment.values()), "community")
         if not np.array_equal(np.unique(communities), np.arange(k)):
             raise ValueError(f"community ids not contiguous 0..{k - 1}")
         self._hold(nodes, communities, k)
@@ -66,24 +64,26 @@ class Partition:
         """Keep ``communities`` (uncopied, now read-only) as ``nodes``' array,
         and the ``(level, q)`` pass records of the run that found it."""
         communities.setflags(write=False)
-        self._nodes, self._communities, self.k = nodes, communities, int(k)
-        self._passes = passes
+        # one attribute, so no reader sees a node tuple beside another's array
+        self._aligned, self.k, self._passes = (nodes, communities), int(k), passes
         return self
 
     def array(self, graph: LabeledGraph) -> np.ndarray:
-        """The stored array; a ValueError unless the nodes are ``graph.nodes``."""
-        if self._nodes is not graph.nodes and self._nodes != graph.nodes:
-            known = set(self._nodes)
-            for u in graph.nodes:
-                if u not in known:
-                    raise ValueError(f"node {u!r} missing from partition")
-            if len(known) == len(graph.nodes):  # equal ids that sort apart
-                raise ValueError(
-                    "partition holds the graph's nodes in another order, "
-                    "because its ids are of other types"
-                )
+        """The array in ``graph.nodes`` order, each graph node matched to an
+        equal partition node once and the result kept; a ValueError unless
+        every graph node, and no other, has a match."""
+        nodes, communities = self._aligned
+        if nodes is graph.nodes or nodes == graph.nodes:
+            return communities
+        index = dict(zip(nodes, range(len(nodes))))
+        try:
+            positions = list(map(index.__getitem__, graph.nodes))
+        except KeyError as exc:
+            raise ValueError(f"node {exc.args[0]!r} missing from partition") from None
+        if len(index) != len(graph.nodes):
             raise ValueError("partition holds nodes that are not in the graph")
-        return self._communities
+        self._hold(graph.nodes, communities[positions], self.k, self._passes)
+        return self._aligned[1]
 
 
 def modularity(graph: LabeledGraph, partition: Partition) -> float:

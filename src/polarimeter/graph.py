@@ -52,23 +52,19 @@ def _node_order(ids: Sequence[NodeId]) -> list[int]:
     return sorted(range(len(ids)), key=lambda i: _node_key(ids[i]))
 
 
-def _as_array(values) -> np.ndarray:
-    """``np.asarray(values)``, or, for ragged values that numpy refuses (a
-    sequence beside scalars), their 1-D object array, which `_int_array`
-    checks value by value."""
+def _int_array(nodes, values, what: str) -> np.ndarray:
+    """``values``, one per node of ``nodes``, as a new int64 array. A value
+    must be an integer, as ``operator.index`` takes it (an int, a bool, a
+    numpy integer); the first that is not, or lies beyond int64, is a
+    ValueError naming its node, and so is a count other than one per node."""
+    if len(values) != len(nodes):
+        raise ValueError(f"{len(values)} labels for {len(nodes)} nodes")
     try:
-        return np.asarray(values)
-    except ValueError:
-        return np.asarray(values, dtype=object)
-
-
-def _int_array(nodes, values, given: np.ndarray, what: str) -> np.ndarray:
-    """``values`` (``given`` is ``_as_array(values)``), one per node of
-    ``nodes``, as a new int64 array. A value must be an integer, as
-    ``operator.index`` takes it (an int, a bool, a numpy integer); the first
-    that is not, or lies beyond int64, is a ValueError naming its node."""
-    if given.ndim == 1 and np.can_cast(given.dtype, np.int64):  # no per-value check
-        return given.astype(np.int64)
+        given = np.asarray(values)
+        if given.ndim == 1 and np.can_cast(given.dtype, np.int64):  # no per-value check
+            return given.astype(np.int64)
+    except ValueError:  # ragged (a sequence beside scalars): checked below
+        pass
     ints = []  # a non-integer value, or an int beyond int64, is among them
     for u, o in zip(nodes, np.asarray(values, dtype=object).tolist()):
         try:
@@ -85,10 +81,7 @@ def _opinion_array(nodes, labels, num_opinions) -> tuple[np.ndarray, int]:
     """``labels`` as `_int_array` reads them, with the opinion count (the
     largest label plus one, at least 2, when None). A label outside [0,
     count) is a ValueError naming the first such node in ``nodes`` order."""
-    given = _as_array(labels)
-    if given.shape != (len(nodes),):
-        raise ValueError(f"{given.size} labels for {len(nodes)} nodes")
-    labels = _int_array(nodes, labels, given, "opinion")
+    labels = _int_array(nodes, labels, "opinion")
     if num_opinions is None:
         num_opinions = max(2, int(labels.max()) + 1)
     if num_opinions < 2:
@@ -193,7 +186,10 @@ class LabeledGraph:
                 if (i := index.get(node)) is None:
                     raise ValueError(f"node {node!r} has no opinion label")
                 ends.append(i)
-            weights.append(float(w))
+            try:
+                weights.append(float(w))
+            except (TypeError, ValueError):
+                raise ValueError(f"weight {w!r} on edge ({u!r}, {v!r}) is not a number") from None
         return cls(list(opinions), ends, weights, list(opinions.values()), num_opinions)
 
     # -- basic accessors ---------------------------------------------------

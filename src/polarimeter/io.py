@@ -382,21 +382,24 @@ def _table(texts: Iterable[str]) -> tuple[bytes, np.ndarray]:
 
 
 def _join_rows(columns) -> bytes:
-    """The rows of ``columns``, ``(table, index)`` pairs (see `_table`):
-    row r holds text ``index[r]`` of each column's table, the texts joined
-    by tabs and the row ended by ``\\n``. The pure-Python path of the row
-    kernel, and the oracle it is tested against."""
-    cells = [
-        list(map(text.split(b"\n").__getitem__, index.tolist()))
-        for (text, _), index in columns
-    ]
+    """The rows of ``columns``, ``(texts, index)`` pairs: row r holds
+    ``texts[index[r]]`` of each column, the texts joined by tabs and the row
+    ended by ``\\n``. The pure-Python path of the row kernel, which takes
+    each table as `_table` lays it out, and the oracle it is tested against."""
+    cells = [list(map(texts.__getitem__, index.tolist())) for texts, index in columns]
     return b"\n".join(map(b"\t".join, zip(*cells))) + b"\n"
 
 
 def _write_rows(path, columns) -> None:
-    """Write the rows of ``columns`` (see `_join_rows`) to ``path``: one call
-    of the row kernel, or of the Python join, per `_WRITE_ROWS` rows."""
-    join = rows_kernel() or _join_rows
+    """Write the rows of ``columns``, ``(table, index)`` pairs (see `_table`),
+    to ``path``: one call of the row kernel, or of `_join_rows` on the tables
+    split once each, per `_WRITE_ROWS` rows."""
+    join = rows_kernel()
+    if join is None:
+        tables = {id(table): table for table, _ in columns}
+        texts = {key: text.split(b"\n") for key, (text, _) in tables.items()}
+        columns = [(texts[id(table)], index) for table, index in columns]
+        join = _join_rows
     with _open_out(path) as fh:
         for i in range(0, len(columns[0][1]), _WRITE_ROWS):
             fh.write(join([(table, index[i : i + _WRITE_ROWS]) for table, index in columns]))

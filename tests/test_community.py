@@ -139,7 +139,8 @@ def test_a_gap_in_community_ids_is_refused_before_it_is_scored():
 def test_partition_array_is_read_only():
     g = two_cliques(3)
     for p in (louvain(g, LouvainConfig(seed=1)),
-              Partition(assignment={u: 0 for u in g.nodes}, k=1)):
+              Partition(assignment={u: 0 for u in g.nodes}, k=1),
+              Partition(assignment={u: 0 for u in reversed(g.nodes)}, k=1)):
         with pytest.raises(ValueError):
             p.array(g)[0] = 1
 
@@ -163,18 +164,21 @@ def test_partition_array_follows_graph_node_order():
                      {"a": 0, "b": 0, "c": 0, "d": 0})
     p = Partition(assignment={"d": 0, "c": 0, "b": 1, "a": 1}, k=2)
     assert p.array(g).tolist() == [1, 1, 0, 0]
+    # keys equal to the graph's int nodes, of other types, in either order;
+    # numpy ints once sorted by string form, after the ints, and were refused
     ints = LabeledGraph.from_edges([(2, 10, 1.0)], {2: 0, 10: 1})
-    for graph, assignment, message in [
-        (g, {"a": 0, "b": 0, "d": 0}, "node 'c' missing from partition"),
-        (g, {"a": 0, "b": 0, "c": 0, "d": 0, "e": 0},
+    for assignment in ({np.int64(2): 0, np.int64(10): 1}, {2.0: 0, 10.0: 1},
+                       {np.int64(10): 1, 2.0: 0}):
+        p = Partition(assignment=assignment, k=2)
+        assert p.array(ints).tolist() == [0, 1]
+        assert modularity(ints, p) == -0.5
+    for assignment, message in [
+        ({"a": 0, "b": 0, "d": 0}, "node 'c' missing from partition"),
+        ({"a": 0, "b": 0, "c": 0, "d": 0, "e": 0},
          "partition holds nodes that are not in the graph"),
-        # equal keys, but numpy ints sort by string form after the ints
-        (ints, {np.int64(2): 0, np.int64(10): 0},
-         "partition holds the graph's nodes in another order, "
-         "because its ids are of other types"),
     ]:
         with pytest.raises(ValueError, match=message):
-            Partition(assignment=assignment, k=1).array(graph)
+            Partition(assignment=assignment, k=1).array(g)
 
 
 def test_modularity_two_disjoint_triangles_is_half():

@@ -259,9 +259,23 @@ def test_from_edges_rejects_a_non_integer_label_naming_the_node(label):
 
 
 def test_a_sequence_beside_integer_labels_is_named_by_its_node():
-    """numpy refuses [[0], 1] as ragged, and its message named no node."""
-    with pytest.raises(ValueError, match=r"^opinion \[0\] of node 'a' is not an integer$"):
-        LabeledGraph.from_edges([("a", "b", 1.0)], {"a": [0], "b": 1})
+    """numpy refuses [[0], 1] as ragged, and its message named no node. One
+    sequence per node, [[0], [1]], was read as a (2, 1) array, and the count
+    check on its shape said "2 labels for 2 nodes"."""
+    for build in (
+        lambda: LabeledGraph.from_edges([("a", "b", 1.0)], {"a": [0], "b": 1}),
+        lambda: LabeledGraph.from_edges([("a", "b", 1.0)], {"a": [0], "b": [1]}),
+        lambda: LabeledGraph(["a", "b"], [0, 1], [1.0], np.array([[0], [1]])),
+    ):
+        with pytest.raises(ValueError, match=r"^opinion \[0\] of node 'a' is not an integer$"):
+            build()
+
+
+@pytest.mark.parametrize("weight", ["x", None])
+def test_from_edges_names_an_edge_whose_weight_is_not_a_number(weight):
+    """``float()`` raised its own message, which named no edge."""
+    with pytest.raises(ValueError, match=f"^weight {weight!r} on edge \\('a', 'b'\\) is not a number$"):
+        LabeledGraph.from_edges([("a", "b", weight)], {"a": 0, "b": 1})
 
 
 def test_integer_labels_of_any_integer_type_are_accepted():

@@ -5,13 +5,15 @@ beyond it, one warning is logged and Python gives the same results, with the
 runs kept serial. The stance-archive kernel is built into the same library:
 a warm cache loads it without building, when the library cannot be had
 build-network warns once and writes the same files, and a build deletes the
-older builds beyond the few most recent."""
+older builds beyond the few most recent. The library's sources compile
+with every common warning made an error."""
 
 from __future__ import annotations
 
 import logging
 import os
 import random
+import shutil
 import subprocess
 import sys
 import sysconfig
@@ -56,6 +58,18 @@ def test_kernel_builds_and_loads_here(kernel_cache):
     assert _native.rows_kernel() is not None
     built = sorted(p.name for p in (kernel_cache / "polarimeter").iterdir())
     assert len(built) == 1 and built[0].endswith(".so"), built
+
+
+def test_kernel_sources_compile_without_warnings(tmp_path):
+    compiler = next(filter(None, map(shutil.which, _native.COMPILERS)), None)
+    if compiler is None:
+        pytest.skip("no C compiler")
+    build = subprocess.run(
+        [compiler, *_native.FLAGS, "-Wall", "-Wextra", "-Werror",
+         "-o", str(tmp_path / "kernels.so"), *map(str, _native.SOURCES), "-lm"],
+        capture_output=True, text=True,
+    )
+    assert build.returncode == 0, build.stderr[-4000:]
 
 
 def assert_second_process_loads_the_cache(kernel_cache, tmp_path, kernel):

@@ -72,6 +72,29 @@ def test_scores_stay_in_the_unit_interval(inputs):
     assert min(p_w, p_b) - 1e-12 <= p <= max(p_w, p_b) + 1e-12
 
 
+@settings(max_examples=200, deadline=None)
+@given(scored_inputs())
+def test_polarization_depends_on_the_partition_only_through_the_cap(inputs):
+    """Each view scores s·p = s - 2·min(c, s/2) from its scaled mass s and
+    cross-opinion mass c, so the blend is P = 1 - 2C/S + (2/S)·[max(0,
+    c_w - s_w/2) + max(0, c_b - s_b/2)] with C and S the graph's totals.
+    Where neither view's cross share reaches 0.5, P = 1 - 2C/S, minus the
+    E-I index of the scaled weights, whatever the partition."""
+    rows, opinions, k, partition = inputs
+    g = LabeledGraph.from_edges(rows, opinions, num_opinions=k)
+    scaled = scale_weights(g, census(g))
+    b_same, c_b, w_same, c_w = accumulate(g, scaled, partition).tolist()
+    s_w, s_b = w_same + c_w, b_same + c_b
+    capped = max(0.0, c_w - s_w / 2) + max(0.0, c_b - s_b / 2)
+    p = score_partition(g, scaled, partition)[2]
+    assert abs(p - (1 - 2 * (c_w + c_b) / (s_w + s_b) + 2 / (s_w + s_b) * capped)) <= 1e-12
+    if all(c < s / 2 for c, s in ((c_w, s_w), (c_b, s_b)) if s):
+        eu, ev, _ = g.edge_arrays()
+        labels = g.opinion_array()
+        cross = scaled[labels[eu] != labels[ev]].sum()
+        assert abs(p - (1 - 2 * cross / scaled.sum())) <= 1e-12
+
+
 @settings(max_examples=100, deadline=None)
 @given(scored_inputs(), st.randoms(use_true_random=False))
 def test_scores_ignore_edge_row_order(inputs, rng):
