@@ -24,8 +24,8 @@
    copied into the kernel's own byte arena, so a block can go once it is
    fed.
 
-   Build (one library with _louvain.c and _rows.c, as _native.py builds it):
-   cc -O2 -ffp-contract=off -shared -fPIC -o LIB _louvain.c _archive.c _rows.c -lm
+   Build (one library with _louvain.c, as _native.py builds it):
+   cc -O2 -ffp-contract=off -shared -fPIC -o LIB _louvain.c _archive.c -lm
 */
 
 #include <stdint.h>

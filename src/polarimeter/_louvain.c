@@ -10,8 +10,8 @@
      draws;
    - the best community is the highest score, ties going to the lowest id.
 
-   Build (one library with _archive.c and _rows.c, as _native.py builds it):
-   cc -O2 -ffp-contract=off -shared -fPIC -o LIB _louvain.c _archive.c _rows.c -lm
+   Build (one library with _archive.c, as _native.py builds it):
+   cc -O2 -ffp-contract=off -shared -fPIC -o LIB _louvain.c _archive.c -lm
 */
 
 #include <math.h>

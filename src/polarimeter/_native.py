@@ -1,6 +1,5 @@
-"""Build and load the C kernels on first use: Louvain (``_louvain.c``), the
-stance-archive tally (``_archive.c``) and the graph-file rows (``_rows.c``),
-compiled into one library.
+"""Build and load the C kernels on first use: Louvain (``_louvain.c``) and
+the stance-archive tally (``_archive.c``), compiled into one library.
 
 The library is compiled once into ``$XDG_CACHE_HOME/polarimeter/`` (default
 ``~/.cache/polarimeter/``), under a name keyed by the sources' hash, the
@@ -30,9 +29,7 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
-SOURCES = tuple(
-    Path(__file__).with_name(name) for name in ("_louvain.c", "_archive.c", "_rows.c")
-)
+SOURCES = tuple(Path(__file__).with_name(name) for name in ("_louvain.c", "_archive.c"))
 COMPILERS = ("gcc", "cc")
 # no fast-math and no FMA contraction: every float operation rounds as it
 # does in CPython, which keeps partitions bit-identical to the Python path
@@ -53,10 +50,9 @@ MIN_GAIN = 1e-7
 
 @functools.cache
 def _kernels():
-    """The three kernel functions, Louvain's, the archive tally's and the
-    row writer's, from the one library, or (None, None, None) after one
-    warning when it cannot be built or loaded. Cached for the life of the
-    process."""
+    """The two kernel functions, Louvain's and the archive tally's, from the
+    one library, or (None, None) after one warning when it cannot be built
+    or loaded. Cached for the life of the process."""
     import ctypes
 
     try:
@@ -65,7 +61,7 @@ def _kernels():
         library = ctypes.CDLL(str(_library()))
     except (OSError, RuntimeError) as exc:
         logger.warning("C kernels unavailable, using pure Python: %s", exc)
-        return None, None, None
+        return None, None
     i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
     f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     library.louvain_levels.argtypes = [
@@ -99,21 +95,9 @@ def _kernels():
         i64,  # ends (out)
     ]
     library.archive_result.restype = None
-    pointers = ctypes.POINTER(ctypes.c_void_p)  # one per column
-    library.write_rows.argtypes = [
-        ctypes.c_int64,  # rows
-        ctypes.c_int64,  # columns
-        pointers,  # table texts
-        pointers,  # table starts
-        pointers,  # indices
-        np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS"),  # rows (out)
-        ctypes.c_int64,  # capacity
-    ]
-    library.write_rows.restype = ctypes.c_int64
     return (
         functools.partial(_run, library.louvain_levels),
         functools.partial(_tally_blocks, library),
-        functools.partial(_fill_rows, library.write_rows),
     )
 
 
@@ -130,13 +114,6 @@ def archive_kernel():
     returns for the archive's rows, or None at the first line that is not a
     plain record (see ``_archive.c``)."""
     return _kernels()[1]
-
-
-def rows_kernel():
-    """A function writing graph-file rows from text tables in C, or None
-    when the library cannot be had. It returns the bytes that
-    ``io._join_rows`` returns for the same columns' split tables (``_rows.c``)."""
-    return _kernels()[2]
 
 
 def _run(function, adjacency, m, seed):
@@ -196,35 +173,6 @@ def _tally_blocks(library, blocks):
     users = ids.tobytes().decode("ascii").split("\n")
     users.pop()  # the empty text after the last "\n"
     return users, counts, ends, self_retweets
-
-
-def _fill_rows(function, columns):
-    """The rows of ``columns``, ``((text, starts), index)`` pairs, as one
-    uint8 array, from one call of the ctypes ``function``."""
-    import ctypes
-
-    tables = [np.frombuffer(text, np.uint8) for (text, _), _ in columns]
-    starts = [np.ascontiguousarray(s, dtype=np.int64) for (_, s), _ in columns]
-    indices = [np.ascontiguousarray(index, dtype=np.int64) for _, index in columns]
-    rows = len(indices[0])
-    # every cell the kernel reads lies inside its table
-    for table, s, index in zip(tables, starts, indices):
-        if len(index) != rows or (rows and not 0 <= index.min() <= index.max() < len(s) - 1):
-            raise ValueError("a column's indices lie outside its table or its rows")
-        if not 0 <= s.min() <= s.max() <= len(table):
-            raise ValueError("a table's starts lie outside its text")
-    size = sum(int((s[index + 1] - s[index]).sum()) for s, index in zip(starts, indices))
-    out = np.empty(size, dtype=np.uint8)
-
-    def pointers(arrays):
-        return (ctypes.c_void_p * len(arrays))(*(a.ctypes.data for a in arrays))
-
-    written = function(
-        rows, len(indices), pointers(tables), pointers(starts), pointers(indices), out, size
-    )
-    if written != size:
-        raise RuntimeError(f"C row kernel wrote {written} bytes, expected {size}")
-    return out
 
 
 def _library() -> Path:

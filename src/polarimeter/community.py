@@ -56,7 +56,9 @@ class Partition:
     def __init__(self, assignment: Mapping[NodeId, int], k: int):
         nodes = tuple(assignment)
         communities = _int_array(nodes, list(assignment.values()), "community")
-        if not np.array_equal(np.unique(communities), np.arange(k)):
+        present = np.unique(communities)
+        # the count first, so no array is sized by a k beyond the nodes
+        if len(present) != k or not np.array_equal(present, np.arange(k)):
             raise ValueError(f"community ids not contiguous 0..{k - 1}")
         self._hold(nodes, communities, k)
 

@@ -29,6 +29,8 @@ NodeId = Hashable
 # Louvain and the score stay normal floats (no overflow, no underflow).
 MIN_WEIGHT = 1e-150
 MAX_WEIGHT = 1e150
+# values ``float`` reads that are no weight: text, and truth values
+_NOT_WEIGHTS = (str, bytes, bytearray, bool, np.bool_)
 
 
 def _node_key(node: NodeId):
@@ -178,7 +180,9 @@ class LabeledGraph:
         """The graph of ``(u, v, weight)`` node-id rows with an opinion per
         node id. The nodes are the labeled ids: an edge end without a label
         is a ValueError naming the first in row order, and a label-only id
-        is an isolated node."""
+        is an isolated node. A weight is a real number (an int, a float, a
+        numpy real); text and bools, which ``float`` would read, are a
+        ValueError naming the edge."""
         index = dict(zip(opinions, range(len(opinions))))
         ends, weights = array("q"), array("d")
         for u, v, w in edges:
@@ -187,6 +191,8 @@ class LabeledGraph:
                     raise ValueError(f"node {node!r} has no opinion label")
                 ends.append(i)
             try:
+                if isinstance(w, _NOT_WEIGHTS):
+                    raise TypeError
                 weights.append(float(w))
             except (TypeError, ValueError):
                 raise ValueError(f"weight {w!r} on edge ({u!r}, {v!r}) is not a number") from None

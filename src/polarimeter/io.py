@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, Sequen
 
 import numpy as np
 
-from ._native import rows_kernel
 from .errors import InputError
 from .graph import MAX_WEIGHT, MIN_WEIGHT, LabeledGraph
 
@@ -30,9 +29,10 @@ if TYPE_CHECKING:
     from .metric import PolarizationReport
 
 logger = logging.getLogger(__name__)
-# graph-file rows written at once: one row-kernel call, or one Python join,
-# and one output buffer per this many rows, so a write's memory stays bounded
-_WRITE_ROWS = 65_536
+# graph-file rows written at once: one gather and one output buffer per this
+# many rows, so a write's memory stays bounded: the gather's index arrays
+# take 16 bytes per byte written
+_WRITE_ROWS = 4_096
 _BLOCK_BYTES = 16_384  # bytes read at once, then completed to a whole line
 # per separator, the bytes a plain field is made of: neither it nor ASCII
 # whitespace (as ``str.strip`` has it). Deleting them from a block leaves
@@ -381,28 +381,28 @@ def _table(texts: Iterable[str]) -> tuple[bytes, np.ndarray]:
     return text, np.concatenate([np.zeros(1, np.int64), ends])
 
 
-def _join_rows(columns) -> bytes:
-    """The rows of ``columns``, ``(texts, index)`` pairs: row r holds
-    ``texts[index[r]]`` of each column, the texts joined by tabs and the row
-    ended by ``\\n``. The pure-Python path of the row kernel, which takes
-    each table as `_table` lays it out, and the oracle it is tested against."""
-    cells = [list(map(texts.__getitem__, index.tolist())) for texts, index in columns]
-    return b"\n".join(map(b"\t".join, zip(*cells))) + b"\n"
-
-
 def _write_rows(path, columns) -> None:
     """Write the rows of ``columns``, ``(table, index)`` pairs (see `_table`),
-    to ``path``: one call of the row kernel, or of `_join_rows` on the tables
-    split once each, per `_WRITE_ROWS` rows."""
-    join = rows_kernel()
-    if join is None:
-        tables = {id(table): table for table, _ in columns}
-        texts = {key: text.split(b"\n") for key, (text, _) in tables.items()}
-        columns = [(texts[id(table)], index) for table, index in columns]
-        join = _join_rows
+    to ``path``: row r holds the ``index[r]``-th text of each column's table,
+    the texts joined by tabs and the row ended by ``\\n``. The distinct tables
+    are joined once; then each `_WRITE_ROWS` rows are one gather of every
+    cell's bytes with the ``\\n`` after them, which is made a tab in all
+    columns but the last."""
+    tables = {id(table): table for table, _ in columns}  # a table may serve two columns
+    text = np.frombuffer(b"".join(t for t, _ in tables.values()), np.uint8)
+    shift = dict(zip(tables, np.cumsum([0, *(len(t) for t, _ in tables.values())]).tolist()))
+    starts = [table[1] + shift[id(table)] for table, _ in columns]
     with _open_out(path) as fh:
         for i in range(0, len(columns[0][1]), _WRITE_ROWS):
-            fh.write(join([(table, index[i : i + _WRITE_ROWS]) for table, index in columns]))
+            cells = [(s, index[i : i + _WRITE_ROWS]) for s, (_, index) in zip(starts, columns)]
+            first = np.column_stack([s[k] for s, k in cells]).ravel()
+            size = np.column_stack([s[k + 1] for s, k in cells]).ravel() - first
+            end = np.cumsum(size)
+            at = np.repeat(first - end + size, size)
+            at += np.arange(len(at))
+            out = text[at]
+            out[end.reshape(-1, len(columns))[:, :-1] - 1] = ord("\t")
+            fh.write(out)
 
 
 def write_edge_list(graph: LabeledGraph, path) -> None:

@@ -17,7 +17,7 @@ from typing import Iterable
 import numpy as np
 
 from .community import LouvainConfig, Partition, louvain_runs
-from .graph import LabeledGraph, census
+from .graph import LabeledGraph
 
 
 def scale_weights(graph: LabeledGraph, counts: np.ndarray) -> np.ndarray:
@@ -159,11 +159,18 @@ def _score_runs(
     graph: LabeledGraph, partitions: Iterable[Partition], seed: int
 ) -> PolarizationReport:
     """Score each partition against the graph's labels, in order, into a
-    report whose run count is the number of partitions."""
-    scaled = scale_weights(graph, census(graph))
+    report whose run count is the number of partitions. The score reads the
+    labels only through their counts and their equality, so it is taken on
+    the labels present, numbered densely: a label far beyond the node count
+    sizes no array."""
+    present, dense, counts = np.unique(
+        graph.opinion_array(), return_inverse=True, return_counts=True
+    )
+    view = graph._with_labels(dense, len(present))
+    scaled = scale_weights(view, counts)
     scores, communities = [], []
     for partition in partitions:
-        scores.append(score_partition(graph, scaled, partition))
+        scores.append(score_partition(view, scaled, partition))
         communities.append(partition.k)
     return PolarizationReport(
         p_within_runs=tuple(s[0] for s in scores),

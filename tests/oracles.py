@@ -293,6 +293,14 @@ def edge_triples(g):
     return tuple((g.nodes[a], g.nodes[b], x) for a, b, x in zip(iu, iv, w))
 
 
+def join_rows(columns):
+    """The bytes of graph-file rows: row r holds ``texts[index[r]]`` of each
+    ``(texts, index)`` column, texts being bytes, joined by tabs and ended by
+    ``\\n``. The writers' oracle."""
+    cells = [[texts[i] for i in index] for texts, index in columns]
+    return b"".join(b"\t".join(row) + b"\n" for row in zip(*cells))
+
+
 def communities_of(g, p):
     """The community of each node of graph ``g`` under partition ``p``, as a
     node-id dict in ``g.nodes`` order."""

@@ -100,6 +100,12 @@ def test_partition_validate():
             Partition(assignment=dict(zip("abcd", ids)), k=k)
 
 
+def test_a_k_beyond_the_nodes_is_refused_before_any_array_of_k():
+    """``np.arange(10**15)`` asked for 7.11 PiB, a MemoryError."""
+    with pytest.raises(ValueError, match=f"not contiguous 0..{10**15 - 1}"):
+        Partition(assignment={"a": 0, "b": 1}, k=10**15)
+
+
 def test_community_ids_must_be_integers():
     """np.fromiter(..., np.int64) read 0.7 as 0 and "0" as 0, so these maps
     built: the first as [0, 1, 0, 1], which scores -0.5 on a-b-c-d."""

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -276,6 +277,20 @@ def test_from_edges_names_an_edge_whose_weight_is_not_a_number(weight):
     """``float()`` raised its own message, which named no edge."""
     with pytest.raises(ValueError, match=f"^weight {weight!r} on edge \\('a', 'b'\\) is not a number$"):
         LabeledGraph.from_edges([("a", "b", weight)], {"a": 0, "b": 1})
+
+
+@pytest.mark.parametrize("weight", ["1.5", b"1.5", True, False, np.True_], ids=repr)
+def test_from_edges_refuses_text_and_bool_weights(weight):
+    """``float()`` read these as 1.5 and as 1.0 or 0.0, where a label of the
+    same kinds is refused."""
+    with pytest.raises(ValueError, match=f"^weight {re.escape(repr(weight))} on edge "):
+        LabeledGraph.from_edges([("a", "b", weight)], {"a": 0, "b": 1})
+
+
+@pytest.mark.parametrize("weight", [2, 1.5, np.float32(1.5), np.int64(2), np.uint8(2)])
+def test_from_edges_takes_int_float_and_numpy_real_weights(weight):
+    g = LabeledGraph.from_edges([("a", "b", weight)], {"a": 0, "b": 1})
+    assert edge_triples(g) == (("a", "b", float(weight)),)
 
 
 def test_integer_labels_of_any_integer_type_are_accepted():

@@ -8,14 +8,14 @@ import os
 import random
 import re
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import edge_triples, naive_graph_files
-from polarimeter import _native
+from oracles import edge_triples, join_rows, naive_graph_files
 from polarimeter import io as pio
 from polarimeter import (
     InputError,
@@ -234,17 +234,27 @@ def written_graphs(draw):
     return ids, rows, labels
 
 
-def written_files(graph, directory, kernel, rows=3):
+def written_files(graph, directory, rows=3):
     """The bytes of the edge and label files of ``graph``, written ``rows``
-    rows at a time (so that rows cross chunk boundaries) with the row
-    ``kernel`` (None: the Python join)."""
+    rows at a time (so that rows cross chunk boundaries)."""
     paths = os.path.join(directory, "e.tsv"), os.path.join(directory, "l.tsv")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pio, "_WRITE_ROWS", rows)
-        mp.setattr(pio, "rows_kernel", lambda: kernel)
         write_edge_list(graph, paths[0])
         write_labels(graph, paths[1])
     return [open(path, "rb").read() for path in paths]
+
+
+def oracle_files(graph):
+    """The bytes of the edge and label files of ``graph`` by the writers'
+    oracle: each id as its ``str``, each weight as its ``repr``."""
+    ids = [str(u).encode("utf-8") for u in graph.nodes]
+    iu, iv, w = (a.tolist() for a in graph.edge_arrays())
+    weights = [repr(x).encode() for x in w]
+    labels = [str(x).encode() for x in graph.opinion_array().tolist()]
+    every = range(len(ids))
+    return [join_rows([(ids, iu), (ids, iv), (weights, range(len(w)))]),
+            join_rows([(ids, every), (labels, every)])]
 
 
 @settings(max_examples=150, deadline=None)
@@ -254,8 +264,9 @@ def written_files(graph, directory, kernel, rows=3):
 @example((["\U0001f600", 7, "é"], [(0, 1, MAX_WEIGHT), (1, 2, 1e-05), (0, 2, 1e16)],
           [2, 2, 0]))
 def test_write_then_load_round_trips(graph):
-    """The row kernel and the Python join write the same bytes, and
-    `load_graph` reads them back as the graph with each id as its ``str``."""
+    """The writers write the oracle's bytes, a few rows at a time and at
+    the default, and `load_graph` reads them back as the graph with each id
+    as its ``str``."""
     ids, rows, labels = graph
     g = LabeledGraph.from_edges(
         [(ids[a], ids[b], w) for a, b, w in rows], dict(zip(ids, labels))
@@ -264,12 +275,9 @@ def test_write_then_load_round_trips(graph):
     want = LabeledGraph.from_edges(
         [(texts[a], texts[b], w) for a, b, w in rows], dict(zip(texts, labels))
     )
-    kernel = _native.rows_kernel()
-    assert kernel is not None
     with tempfile.TemporaryDirectory() as tmp:
-        files = written_files(g, tmp, kernel)
-        assert written_files(g, tmp, kernel, pio._WRITE_ROWS) == files
-        assert written_files(g, tmp, None) == files
+        files = written_files(g, tmp)
+        assert written_files(g, tmp, pio._WRITE_ROWS) == files == oracle_files(g)
         g2 = load_graph(os.path.join(tmp, "e.tsv"), os.path.join(tmp, "l.tsv"))
     assert g2.nodes == want.nodes
     for got, expected in zip(g2.edge_arrays(), want.edge_arrays()):
@@ -278,11 +286,10 @@ def test_write_then_load_round_trips(graph):
     assert g2.num_opinions == want.num_opinions
 
 
-@pytest.mark.parametrize("kernel", ["C", "Python"])
-def test_labels_are_written_from_the_labels_present(tmp_path, kernel):
+def test_labels_are_written_from_the_labels_present(tmp_path):
     """A table of every opinion below the count would hold 10**15 texts."""
     g = LabeledGraph(["a", "b"], [0, 1], [1.0], [0, 10**15])
-    files = written_files(g, tmp_path, _native.rows_kernel() if kernel == "C" else None)
+    files = written_files(g, tmp_path)
     assert files == [b"a\tb\t1.0\n", b"a\t0\nb\t1000000000000000\n"]
 
 
@@ -293,13 +300,12 @@ class FormatsAsTwoFields(str):
         return "x\ty"
 
 
-@pytest.mark.parametrize("kernel", ["C", "Python"])
-def test_writers_write_the_id_text_they_checked(tmp_path, kernel):
+def test_writers_write_the_id_text_they_checked(tmp_path):
     """The rows once held ``f"{u}"``, which wrote this graph's edge row as
     ``x<tab>y<tab>b<tab>1.0``: four fields."""
     a = FormatsAsTwoFields("a")
     g = LabeledGraph.from_edges([(a, "b", 1.0)], {a: 0, "b": 1})
-    files = written_files(g, tmp_path, _native.rows_kernel() if kernel == "C" else None)
+    files = written_files(g, tmp_path)
     assert files == [b"a\tb\t1.0\n", b"a\t0\nb\t1\n"]
 
 
@@ -394,6 +400,30 @@ def test_edge_list_written_in_slices_has_the_rows_of_graph_edges(tmp_path, monke
     write_edge_list(g, tmp_path / "e.tsv")
     expected = "".join(f"{u}\t{v}\t{w!r}\n" for u, v, w in edge_triples(g))
     assert (tmp_path / "e.tsv").read_bytes() == expected.encode("utf-8")
+
+
+# traced bytes the two writers may take on the 20x250 block model: measured
+# at 1.9 MB with 4,096 rows a gather (as with a few rows a gather), 3.3 MB
+# with 8,192 and 5.8 MB with 16,384
+WRITE_PEAK = 2_500_000
+
+
+def test_writers_memory_is_bounded_by_the_chunk(tmp_path):
+    """The gather's index arrays take 16 bytes per byte written, so the
+    chunk size sets the writers' peak; a larger one showed as the peak RSS
+    of every benchmark run whose fixtures the harness writes itself."""
+    from test_archive_kernel import perfbench_fixtures  # which imports this module
+
+    graph, planted = generate_sbm(perfbench_fixtures().sbm_config(1001, 20, 250))
+    g = relabel(graph, planted, SyntheticLabelConfig(0.8, 2, 1001))
+    tracemalloc.start()
+    try:
+        write_edge_list(g, tmp_path / "e.tsv")
+        write_labels(g, tmp_path / "l.tsv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < WRITE_PEAK, peak
 
 
 # Graph-file rows for the block reader. Numeric ids let a misread column

@@ -5,8 +5,9 @@ beyond it, one warning is logged and Python gives the same results, with the
 runs kept serial. The stance-archive kernel is built into the same library:
 a warm cache loads it without building, when the library cannot be had
 build-network warns once and writes the same files, and a build deletes the
-older builds beyond the few most recent. The library's sources compile
-with every common warning made an error."""
+older builds beyond the few most recent. The library's sources are every
+C file of the package, and they compile with every common warning made an
+error."""
 
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import sys
 import sysconfig
 import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,9 +57,15 @@ def assert_same_partitions(graph, got, want):
 def test_kernel_builds_and_loads_here(kernel_cache):
     assert _native.louvain_kernel() is not None
     assert _native.archive_kernel() is not None
-    assert _native.rows_kernel() is not None
     built = sorted(p.name for p in (kernel_cache / "polarimeter").iterdir())
     assert len(built) == 1 and built[0].endswith(".so"), built
+
+
+def test_kernel_sources_are_every_c_file_of_the_package():
+    """So the build, the strict-warnings build and the sanitizer test cover
+    every C file, and none is left unbuilt."""
+    package = os.path.dirname(_native.__file__)
+    assert sorted(_native.SOURCES) == sorted(Path(package).glob("*.c"))
 
 
 def test_kernel_sources_compile_without_warnings(tmp_path):
@@ -209,7 +217,6 @@ def test_unavailable_kernel_warns_once_and_gives_the_same_results(
 
     assert _native.louvain_kernel() is None
     assert _native.archive_kernel() is None
-    assert _native.rows_kernel() is None
     assert [r.levelno for r in caplog.records] == [logging.WARNING]
     assert "C kernels unavailable" in caplog.records[0].getMessage()
     assert_same_partitions(graph, got, expected)
@@ -248,7 +255,6 @@ def test_unavailable_archive_kernel_warns_once_and_writes_the_same_files(
 
     assert _native.archive_kernel() is None
     assert _native.louvain_kernel() is None
-    assert _native.rows_kernel() is None
     warnings = [r.getMessage() for r in caplog.records]
     assert warnings[0].startswith("C kernels unavailable, using pure Python: ")
     assert warnings[1:] == expected_warnings == ["dropped 171 self-retweet event(s)"]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import statistics
 from concurrent.futures import Future
@@ -33,6 +34,17 @@ def partition_of(mapping):
     dense = {}
     return Partition(assignment={u: dense.setdefault(c, len(dense)) for u, c in mapping.items()},
                      k=len(set(mapping.values())))
+
+
+def test_a_label_far_beyond_the_nodes_is_scored_as_the_labels_present():
+    """`census` of this graph asks for 10**15 + 1 counts, 7.11 PiB: the
+    score reads only the labels present, so the report is that of labels
+    {0, 1} but for its count of opinions."""
+    rows = [("a", "b", 1.0), ("b", "c", 2.0), ("c", "a", 0.5)]
+    huge = analyze(make_graph(rows, {"a": 0, "b": 10**15, "c": 0}), LouvainConfig(seed=3), 4)
+    small = analyze(make_graph(rows, {"a": 0, "b": 1, "c": 0}), LouvainConfig(seed=3), 4)
+    assert huge.num_opinions == 10**15 + 1
+    assert dataclasses.replace(huge, num_opinions=small.num_opinions) == small
 
 
 # -- weight scaling ----------------------------------------------------------

@@ -1,13 +1,10 @@
-"""The three C kernels under AddressSanitizer and UndefinedBehaviorSanitizer.
+"""The C kernels under AddressSanitizer and UndefinedBehaviorSanitizer.
 
 The one library is built with the sanitizers into a temporary cache, and a
 child Python process loads it with libasan preloaded. The child runs the
 Louvain kernel against the Python oracle on karate and on a small block
 model, reads a plain archive through the archive kernel and one that the
-kernel refuses near its end, writes the graph files of karate, the 20x250
-block model and a graph of multi-byte ids with the row kernel and with the
-Python join, which must give the same bytes, and has the Louvain kernel run
-out of memory:
+kernel refuses near its end, and has the Louvain kernel run out of memory:
 its allocator refuses any one allocation over 2 MB, which a run on the
 20x250 block model needs (its block is 3.3 MB) and no array the child
 makes before it does. That run must raise the kernel's MemoryError, and a
@@ -39,14 +36,12 @@ SANITIZE = ("-fsanitize=address,undefined", "-fno-omit-frame-pointer",
 REFUSED = '{"tweet_id": "refused", "author": "\\u0061", "stance": "favor", "retweeters": ["b"]}'
 
 CHILD = """
-import os
 import sys
 
 import numpy as np
 
-from polarimeter import (LabeledGraph, LouvainConfig, SbmConfig, _native, analyze,
-                         build_retweet_network, community, generate_sbm, io, load_karate, louvain,
-                         read_stance_records)
+from polarimeter import (LouvainConfig, SbmConfig, _native, analyze, build_retweet_network,
+                         community, generate_sbm, io, load_karate, louvain, read_stance_records)
 from polarimeter.stance import read_retweet_network
 
 plain, refused, *flags = sys.argv[1:]
@@ -79,30 +74,6 @@ for path, taken in ((plain, True), (refused, False)):
     assert layout(read_retweet_network(path)) == layout(want), path
 
 big = generate_sbm(SbmConfig(20, 250, 0.05, 0.001, seed=7))[0]
-ids = ["\u00e9", "\u65e5\u672c", "\U0001f600", "a\U00010348", "b"]
-multibyte = LabeledGraph.from_edges(
-    [(u, v, 0.5 + i) for i, (u, v) in enumerate(zip(ids, ids[1:] + ids[:1]))],
-    dict(zip(ids, [0, 1, 2, 1, 0])),
-)
-
-
-def written(graph, path):
-    io.write_edge_list(graph, path + ".edges.tsv")
-    io.write_labels(graph, path + ".labels.tsv")
-    return [open(path + end, "rb").read() for end in (".edges.tsv", ".labels.tsv")]
-
-
-assert _native.rows_kernel() is not None
-rows = io._WRITE_ROWS
-for name, graph in (("karate", load_karate()), ("sbm", big), ("multibyte", multibyte)):
-    path = os.path.join(os.path.dirname(plain), name)
-    with_kernel = written(graph, path)
-    # the Python join at fewer rows a call: bytes.join takes 80 bytes a row
-    # for its buffers, which is over the cap at the default
-    io.rows_kernel, io._WRITE_ROWS = lambda: None, 4_096
-    assert written(graph, path) == with_kernel, name
-    io.rows_kernel, io._WRITE_ROWS = _native.rows_kernel, rows
-
 try:
     louvain(big, LouvainConfig(seed=1))
 except MemoryError as exc:
