@@ -2,14 +2,15 @@
 the stance-archive tally (``_archive.c``), compiled into one library.
 
 The library is compiled once into ``$XDG_CACHE_HOME/polarimeter/`` (default
-``~/.cache/polarimeter/``), under a name keyed by the sources' hash, the
-Python ABI and the compiler flags, and loaded with ctypes. A build writes to
-a temporary name and then renames it into place, so processes that build at
-the same time never load a partial file; it then deletes the builds for the
-same ABI beyond the `KEPT_BUILDS` most recent. When the library cannot be
-had (no ``gcc``/``cc`` on PATH, a failed build, an unwritable cache, an
-unknown ``random`` state layout), one warning is logged, every kernel is
-None and callers use the pure-Python paths, which give identical results.
+``~/.cache/polarimeter/``), under a name keyed by the CRC-32 and Adler-32
+checksums of the sources, the Python ABI and the compiler flags, and loaded
+with ctypes. A build writes to a temporary name and then renames it into
+place, so processes that build at the same time never load a partial file;
+it then deletes the builds for the same ABI beyond the `KEPT_BUILDS` most
+recent. When the library cannot be had (no ``gcc``/``cc`` on PATH, a failed
+build, an unwritable cache, an unknown ``random`` state layout), one warning
+is logged, every kernel is None and callers use the pure-Python paths, which
+give identical results.
 Importing this module builds and loads nothing.
 """
 
@@ -178,13 +179,14 @@ def _tally_blocks(library, blocks):
 def _library() -> Path:
     """Path of the library built from `SOURCES`, compiling it first if the
     cache lacks it."""
-    import hashlib
     import sysconfig
+    import zlib  # numpy has imported it; hashlib would load OpenSSL's libcrypto
 
     soabi = sysconfig.get_config_var("SOABI") or "unknown"
-    key = hashlib.sha256(
-        b"\0".join([*(s.read_bytes() for s in SOURCES), soabi.encode(), " ".join(FLAGS).encode()])
-    ).hexdigest()[:16]
+    data = b"\0".join(
+        [*(s.read_bytes() for s in SOURCES), soabi.encode(), " ".join(FLAGS).encode()]
+    )
+    key = f"{zlib.crc32(data):08x}{zlib.adler32(data):08x}"
     cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache")
     prefix = f"_kernels-{soabi}-"
     target = cache / "polarimeter" / f"{prefix}{key}.so"

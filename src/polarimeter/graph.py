@@ -4,7 +4,9 @@ The graph is immutable after construction and safe to share across analysis
 workers. Node identifiers are kept as read from input (strings for file
 loads, ints for generated graphs); internally nodes are numbered by a
 canonical sort, so the same logical graph always produces the same in-memory
-layout regardless of input row order.
+layout regardless of input row order. Repeated ids are found in that sort
+when every id is a plain int or every id a plain str (equal ids are then
+neighbours), and through a set otherwise.
 
 Edges are stored in one layout, built at construction over those node
 indices: the read-only edge arrays ``(iu, iv, weight)``, one entry per edge.
@@ -17,6 +19,7 @@ each row's neighbours in ascending index order.
 from __future__ import annotations
 
 import copy
+import itertools
 import operator
 from array import array
 from typing import Hashable, Iterable, Mapping, Sequence
@@ -42,15 +45,19 @@ def _node_key(node: NodeId):
     return (1, str(node), type(node).__name__)
 
 
-def _node_order(ids: Sequence[NodeId]) -> list[int]:
-    """Positions of the distinct ``ids`` in node order, the order of
-    ``sorted(ids, key=_node_key)``. When every id is a plain int, or every id
-    a plain str, plain comparisons give that order without building a key
-    per id."""
-    key = ids.__getitem__
+def _plain(ids: Sequence[NodeId]) -> bool:
+    """Whether every id is a plain int, or every id a plain str: then plain
+    comparisons give node order, and equal ids are neighbours in it."""
     kinds = set(map(type, ids))
-    if kinds <= {int} or kinds <= {str}:
-        return sorted(range(len(ids)), key=key)
+    return kinds <= {int} or kinds <= {str}
+
+
+def _node_order(ids: Sequence[NodeId]) -> list[int]:
+    """Positions of the ``ids`` in node order, the order of
+    ``sorted(ids, key=_node_key)``. For `_plain` ids, plain comparisons give
+    that order without building a key per id."""
+    if _plain(ids):
+        return sorted(range(len(ids)), key=ids.__getitem__)
     return sorted(range(len(ids)), key=lambda i: _node_key(ids[i]))
 
 
@@ -117,7 +124,14 @@ class LabeledGraph:
         ``weights`` one weight per row, and ``labels`` one opinion per id.
         The ids are put in node order here."""
         n = len(ids)
-        if len(set(ids)) != n:
+        order = _node_order(ids)
+        self.nodes = nodes = tuple(map(ids.__getitem__, order))
+        order = np.array(order, dtype=np.int64)  # and the list of ints is freed
+        if _plain(ids):
+            repeated = any(map(operator.eq, nodes, itertools.islice(nodes, 1, None)))
+        else:  # 1, 1.0 and True are equal, but need not be neighbours
+            repeated = len(set(ids)) != n
+        if repeated:
             raise ValueError("node ids are not distinct")
         ends = np.asarray(ends)
         weights = np.asarray(weights, dtype=np.float64)
@@ -148,20 +162,24 @@ class LabeledGraph:
             )
         labels, self.num_opinions = _opinion_array(ids, labels, num_opinions)
 
-        order = _node_order(ids)
-        self.nodes = tuple(map(ids.__getitem__, order))
-        if any(i != j for i, j in enumerate(order)):  # move indices to node positions
-            rank = np.empty(n, dtype=np.int64)
-            rank[order] = np.arange(n)
-            ends, labels = rank[ends], labels[order]
-        self._labels = labels
+        # each temporary is freed once used, which bounds the layout's peak
+        rank = np.empty(n, dtype=np.int64)  # node position of each index
+        rank[order] = np.arange(n)
+        self._labels = labels.take(order)
+        del order, labels
         # rows merge on their (low, high) index pair: bincount adds each
         # pair's weights in input order, and np.unique sorts the pairs into
         # edge_arrays() order, so the sum below is that view's sum
-        low, high = np.sort(ends.reshape(-1, 2), axis=1).T
-        upper, inverse = np.unique(low * n + high, return_inverse=True)
+        pairs = rank.take(ends).reshape(-1, 2)
+        del rank, ends
+        pairs.sort(axis=1)
+        key = pairs[:, 0] * n
+        key += pairs[:, 1]
+        del pairs
+        upper, inverse = np.unique(key, return_inverse=True)
+        del key
         w = np.bincount(inverse, weights=weights)
-        del ends, low, high, inverse  # freed before the edge arrays are made
+        del inverse
         self.total_weight = total = float(w.sum())
         if not total <= MAX_WEIGHT:
             raise ValueError(f"total edge weight {total} exceeds {MAX_WEIGHT}")

@@ -43,21 +43,27 @@ _FIELD_BYTES = {
 }
 
 
-def _blocks(path) -> Iterator[tuple[int, bytes]]:
-    """``(line number of its first line, block)`` for the blocks of whole
-    lines a file is read in, of about `_BLOCK_BYTES` each. Every block ends
-    at a ``\\n`` but the last, when the file does not. An unreadable file is
-    an `InputError` naming the path."""
+def _blocks(path) -> Iterator[bytes]:
+    """The blocks of whole lines a file is read in, of about `_BLOCK_BYTES`
+    each. Every block ends at a ``\\n`` but the last, when the file does
+    not. An unreadable file is an `InputError` naming the path."""
     try:
         with open(path, "rb") as fh:
-            lineno = 1
             while block := fh.read(_BLOCK_BYTES):
                 if not block.endswith(b"\n"):
                     block += fh.readline()
-                yield lineno, block
-                lineno += block.count(b"\n")
+                yield block
     except OSError as exc:
         raise InputError(str(exc), path=path) from exc
+
+
+def _numbered(blocks: Iterable[bytes]) -> Iterator[tuple[int, bytes]]:
+    """``(line number of its first line, block)`` for each of a file's
+    ``blocks`` of whole lines, for the readers that report lines."""
+    lineno = 1
+    for block in blocks:
+        yield lineno, block
+        lineno += block.count(b"\n")
 
 
 def _lines(path, first: int, block: bytes) -> Iterator[tuple[int, str]]:
@@ -121,7 +127,7 @@ def _split_rows(
     it is offered with the one its first line would set. A UTF-8 byte-order
     mark that starts the file is dropped: it is no part of the first id."""
     sep = None
-    for first, block in _blocks(path):
+    for first, block in _numbered(_blocks(path)):
         if first == 1:
             block = block.removeprefix(codecs.BOM_UTF8)
         guess = sep or _separator(block[: block.find(b"\n")].decode("latin-1"))

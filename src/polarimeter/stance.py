@@ -31,7 +31,7 @@ import numpy as np
 from ._native import archive_kernel
 from .errors import InputError
 from .graph import LabeledGraph
-from .io import _blocks, _ids_fault, _lines
+from .io import _blocks, _ids_fault, _lines, _numbered
 
 logger = logging.getLogger(__name__)
 
@@ -84,7 +84,7 @@ def _iter_stance_rows(path) -> Iterator[tuple[str, str, str, tuple[str, ...]]]:
     strip, intern = str.strip, sys.intern
     seen_ids: set[str] = set()
     dropped = 0
-    blocks = (_lines(path, first, block) for first, block in _blocks(path))
+    blocks = (_lines(path, first, block) for first, block in _numbered(_blocks(path)))
     for lineno, line in chain.from_iterable(blocks):
         try:
             obj, end = scan(line, 0)
@@ -264,7 +264,7 @@ def read_retweet_network(path) -> LabeledGraph:
     tally = None
     if kernel is not None:
         with contextlib.suppress(InputError):  # unreadable: the row loop reports it
-            tally = kernel(block for _, block in _blocks(path))
+            tally = kernel(_blocks(path))
     return _network(*(tally or _tally(_iter_stance_rows(path))), path=path)
 
 

@@ -147,7 +147,7 @@ def encode(draw, lines):
 def kernel_tally(path):
     """The kernel's tally of the archive at ``path``, fed the blocks that
     `io._blocks` reads, or None when it refuses a line."""
-    return _native.archive_kernel()(block for _, block in pio._blocks(path))
+    return _native.archive_kernel()(pio._blocks(path))
 
 
 def row_loop_tally(path):

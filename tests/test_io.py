@@ -573,7 +573,7 @@ def test_written_graph_files_reach_no_row_loop(tmp_path, monkeypatch):
     rows[1000] = rows[1000].replace(b"\t", b" \t", 1)
     epath.write_bytes(b"\n".join(rows))
     padded = next(
-        (first, block) for first, block in pio._blocks(epath)
+        (first, block) for first, block in pio._numbered(pio._blocks(epath))
         if first <= 1001 < first + block.count(b"\n")
     )
     g3 = load_graph(epath, lpath)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import logging
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -58,7 +59,10 @@ def test_kernel_builds_and_loads_here(kernel_cache):
     assert _native.louvain_kernel() is not None
     assert _native.archive_kernel() is not None
     built = sorted(p.name for p in (kernel_cache / "polarimeter").iterdir())
-    assert len(built) == 1 and built[0].endswith(".so"), built
+    soabi = sysconfig.get_config_var("SOABI")
+    # the key is 16 lowercase hex digits, which the prune's glob counts
+    assert len(built) == 1, built
+    assert re.fullmatch(rf"_kernels-{re.escape(soabi)}-[0-9a-f]{{16}}\.so", built[0]), built
 
 
 def test_kernel_sources_are_every_c_file_of_the_package():
@@ -82,7 +86,8 @@ def test_kernel_sources_compile_without_warnings(tmp_path):
 
 def assert_second_process_loads_the_cache(kernel_cache, tmp_path, kernel):
     """A fresh process finds the library of ``_native.<kernel>``, built
-    here, in the cache, and loads it without building anything."""
+    here, in the cache, and loads it without building anything, and without
+    importing hashlib, which would load OpenSSL's libcrypto."""
     assert getattr(_native, kernel)() is not None
     cached = sorted((kernel_cache / "polarimeter").iterdir())
     built_at = [p.stat().st_mtime_ns for p in cached]
@@ -93,10 +98,11 @@ def assert_second_process_loads_the_cache(kernel_cache, tmp_path, kernel):
         PATH=str(tmp_path),  # no compiler: only the cached library can load
         PYTHONPATH=python_path,
     )
-    # and a cached kernel loads without the build's imports
+    # and a cached kernel loads without the build's imports or hashlib's
     code = (
         f"import sys; from polarimeter._native import {kernel} as k; "
-        "assert k() is not None; assert 'subprocess' not in sys.modules"
+        "assert k() is not None; assert 'subprocess' not in sys.modules; "
+        "assert not {'hashlib', '_hashlib'} & sys.modules.keys(), 'hashlib imported'"
     )
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
     assert sorted((kernel_cache / "polarimeter").iterdir()) == cached

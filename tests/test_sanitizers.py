@@ -68,7 +68,7 @@ def layout(graph):
 
 
 for path, taken in ((plain, True), (refused, False)):
-    tally = _native.archive_kernel()(block for _, block in io._blocks(path))
+    tally = _native.archive_kernel()(io._blocks(path))
     assert (tally is not None) == taken, path
     want = build_retweet_network(read_stance_records(path))
     assert layout(read_retweet_network(path)) == layout(want), path
