@@ -4,9 +4,8 @@ The graph is immutable after construction and safe to share across analysis
 workers. Node identifiers are kept as read from input (strings for file
 loads, ints for generated graphs); internally nodes are numbered by a
 canonical sort, so the same logical graph always produces the same in-memory
-layout regardless of input row order. Repeated ids are found in that sort
-when every id is a plain int or every id a plain str (equal ids are then
-neighbours), and through a set otherwise.
+layout regardless of input row order. Repeated ids are found through a set
+of the ids, before any other check and before the layout is built.
 
 Edges are stored in one layout, built at construction over those node
 indices: the read-only edge arrays ``(iu, iv, weight)``, one entry per edge.
@@ -19,7 +18,6 @@ each row's neighbours in ascending index order.
 from __future__ import annotations
 
 import copy
-import itertools
 import operator
 from array import array
 from typing import Hashable, Iterable, Mapping, Sequence
@@ -45,19 +43,15 @@ def _node_key(node: NodeId):
     return (1, str(node), type(node).__name__)
 
 
-def _plain(ids: Sequence[NodeId]) -> bool:
-    """Whether every id is a plain int, or every id a plain str: then plain
-    comparisons give node order, and equal ids are neighbours in it."""
-    kinds = set(map(type, ids))
-    return kinds <= {int} or kinds <= {str}
-
-
 def _node_order(ids: Sequence[NodeId]) -> list[int]:
-    """Positions of the ``ids`` in node order, the order of
-    ``sorted(ids, key=_node_key)``. For `_plain` ids, plain comparisons give
-    that order without building a key per id."""
-    if _plain(ids):
-        return sorted(range(len(ids)), key=ids.__getitem__)
+    """Positions of the distinct ``ids`` in node order, the order of
+    ``sorted(ids, key=_node_key)``. When every id is a plain int, or every id
+    a plain str, plain comparisons give that order without building a key
+    per id."""
+    key = ids.__getitem__
+    kinds = set(map(type, ids))
+    if kinds <= {int} or kinds <= {str}:
+        return sorted(range(len(ids)), key=key)
     return sorted(range(len(ids)), key=lambda i: _node_key(ids[i]))
 
 
@@ -124,14 +118,7 @@ class LabeledGraph:
         ``weights`` one weight per row, and ``labels`` one opinion per id.
         The ids are put in node order here."""
         n = len(ids)
-        order = _node_order(ids)
-        self.nodes = nodes = tuple(map(ids.__getitem__, order))
-        order = np.array(order, dtype=np.int64)  # and the list of ints is freed
-        if _plain(ids):
-            repeated = any(map(operator.eq, nodes, itertools.islice(nodes, 1, None)))
-        else:  # 1, 1.0 and True are equal, but need not be neighbours
-            repeated = len(set(ids)) != n
-        if repeated:
+        if len(set(ids)) != n:
             raise ValueError("node ids are not distinct")
         ends = np.asarray(ends)
         weights = np.asarray(weights, dtype=np.float64)
@@ -162,6 +149,9 @@ class LabeledGraph:
             )
         labels, self.num_opinions = _opinion_array(ids, labels, num_opinions)
 
+        order = _node_order(ids)
+        self.nodes = tuple(map(ids.__getitem__, order))
+        order = np.array(order, dtype=np.int64)  # and the list of ints is freed
         # each temporary is freed once used, which bounds the layout's peak
         rank = np.empty(n, dtype=np.int64)  # node position of each index
         rank[order] = np.arange(n)
