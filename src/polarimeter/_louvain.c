@@ -55,19 +55,25 @@ static uint32_t genrand_uint32(mt19937 *mt)
     return y;
 }
 
-/* Random._randbelow(n) for 2 <= n < 2**31: rejection sampling on
-   getrandbits(k), k = n.bit_length(), which for k <= 32 is the top k bits
-   of one 32-bit draw. */
+/* Random._randbelow(n) for any int64 n >= 2: rejection sampling on
+   getrandbits(k), k = n.bit_length(). For k <= 32 that is the top k bits
+   of one 32-bit draw; above, as in CPython, one whole draw is the low word
+   and the top k - 32 bits of the next draw are the high word. */
 static int64_t randbelow(mt19937 *mt, int64_t n)
 {
     int k = 0;
     for (int64_t x = n; x; x >>= 1)
         k++;
-    uint32_t r;
-    do
-        r = genrand_uint32(mt) >> (32 - k);
-    while (r >= (uint64_t)n);
-    return r;
+    uint64_t r;
+    do {
+        if (k <= 32) {
+            r = genrand_uint32(mt) >> (32 - k);
+        } else {
+            r = genrand_uint32(mt);
+            r |= (uint64_t)(genrand_uint32(mt) >> (64 - k)) << 32;
+        }
+    } while (r >= (uint64_t)n);
+    return (int64_t)r;
 }
 
 /* Random.shuffle over 0..n-1. */

@@ -10,7 +10,8 @@ it then deletes the builds for the same ABI beyond the `KEPT_BUILDS` most
 recent. When the library cannot be had (no ``gcc``/``cc`` on PATH, a failed
 build, an unwritable cache, an unknown ``random`` state layout), one warning
 is logged, every kernel is None and callers use the pure-Python paths, which
-give identical results.
+give identical results. When the library loads, the Louvain kernel runs
+every graph: its draws equal ``random.shuffle``'s for any int64 node count.
 Importing this module builds and loads nothing.
 """
 
@@ -35,9 +36,6 @@ COMPILERS = ("gcc", "cc")
 # no fast-math and no FMA contraction: every float operation rounds as it
 # does in CPython, which keeps partitions bit-identical to the Python path
 FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-# the kernel takes each of random.shuffle's draws from one 32-bit MT19937
-# output, which covers graphs of fewer nodes than this
-NODE_LIMIT = 2**31
 # the most recent builds for one ABI that a new build leaves in the cache:
 # two versions timed side by side, and mutants built beside them, each load
 # their own library, and none may delete another's, which would recompile

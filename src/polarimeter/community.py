@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import collections
 import itertools
-import logging
 import os
 import random
 from concurrent.futures import ThreadPoolExecutor
@@ -24,10 +23,8 @@ from typing import Callable, ClassVar, Iterator, Mapping
 
 import numpy as np
 
-from ._native import MIN_GAIN, NODE_LIMIT, louvain_kernel
+from ._native import MIN_GAIN, louvain_kernel
 from .graph import LabeledGraph, NodeId, _int_array
-
-logger = logging.getLogger(__name__)
 
 PassHook = Callable[[int, int, float], None]
 # runs submitted per worker thread ahead of the run yielded next
@@ -130,9 +127,9 @@ def louvain_runs(
     """Yield the partitions of ``runs`` Louvain runs at seeds config.seed + run
     index, in run order, each holding its run's ``(level, q)`` pass records.
     The runs go through the C kernel of ``_louvain.c`` when it can be built
-    (see ``_native``), and otherwise, or with one warning per call for a
-    graph past ``NODE_LIMIT``, through the pure-Python level loop below; both
-    give bit-identical partitions and pass records.
+    (see ``_native``), for a graph of any size, and otherwise through the
+    pure-Python level loop below; both give bit-identical partitions and
+    pass records.
 
     Louvain reads only the graph's structure, never its labels, so these
     partitions serve every labeling of that structure. The sequence is
@@ -147,12 +144,6 @@ def louvain_runs(
         raise ValueError(f"runs must be >= 1, got {runs}")
     # the kernel and the CSR triple are made here, before any thread starts
     kernel = louvain_kernel()
-    if kernel is not None and graph.node_count >= NODE_LIMIT:
-        logger.warning(
-            "%d nodes is beyond the C Louvain kernel, using pure Python",
-            graph.node_count,
-        )
-        kernel = None
     adjacency, m = graph.adjacency(), graph.total_weight
 
     def run(index: int) -> Partition:

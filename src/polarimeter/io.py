@@ -17,7 +17,7 @@ import math
 import operator
 import re
 from array import array
-from importlib import resources
+from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -302,11 +302,8 @@ def _load_labels(label_file) -> dict[str, int]:
 
 def load_karate() -> LabeledGraph:
     """The bundled Zachary karate club graph with the two faction labels."""
-    data = resources.files("polarimeter.data")
-    with resources.as_file(data / "karate_edges.tsv") as edge_path, resources.as_file(
-        data / "karate_factions.tsv"
-    ) as label_path:
-        return load_graph(edge_path, label_path)
+    data = Path(__file__).with_name("data")
+    return load_graph(data / "karate_edges.tsv", data / "karate_factions.tsv")
 
 
 # -- writers ----------------------------------------------------------------

@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive: plain dicts, plain loops, no numpy,
 and no imports from the package under test. If a test disagrees with one of
-these, the burden of proof is on the fast path.
+these, the burden of proof is on the fast path. The one exception is the
+label-permutation null, which is a baseline, not an oracle: it scores
+shuffled labelings through the package's own scorer.
 """
 
 from __future__ import annotations
@@ -208,6 +210,35 @@ def expected_dominance_score(d, k, f_w):
     minority opinions down."""
     c = 1.0 - d * d - (1.0 - d) ** 2 / (k - 1)
     return f_w * (1.0 - 2.0 * min(c, 0.5))
+
+
+def permuted_labelings(graph, permutations, seed):
+    """``permutations`` copies of ``graph`` whose labels are shuffled over its
+    nodes, one after another, by ``random.Random(seed)``. Each keeps the
+    graph's structure and census."""
+    import numpy as np
+
+    rng = random.Random(seed)
+    labels = graph.opinion_array().tolist()
+    for _ in range(permutations):
+        rng.shuffle(labels)
+        yield graph._with_labels(np.array(labels, dtype=np.int64), graph.num_opinions)
+
+
+def label_permutation_null(graph, partitions, permutations, seed):
+    """The chance level of ``graph``'s score: the mean P over ``partitions``
+    of each of the ``permuted_labelings``, scored through `scale_weights`
+    and `score_partition` as ``analyze`` scores the graph itself. Louvain
+    never reads labels, so the same partitions serve every permutation."""
+    from polarimeter.graph import census
+    from polarimeter.metric import scale_weights, score_partition
+
+    counts, means = census(graph), []
+    for view in permuted_labelings(graph, permutations, seed):
+        scaled = scale_weights(view, counts)
+        scores = [score_partition(view, scaled, p)[2] for p in partitions]
+        means.append(math.fsum(scores) / len(scores))
+    return means
 
 
 def naive_stance_rows(path):

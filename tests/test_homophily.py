@@ -1,6 +1,7 @@
 """The paper's retweet-network experiment without its dataset: a planted-
 homophily archive (see ``homophily.py``) run through ``build-network`` and
-``analyze`` on files, in process, as a user would run them."""
+``analyze`` on files, in process, as a user would run them. And its
+multi-opinion claim on a graph whose opinions mix in its edges."""
 
 from __future__ import annotations
 
@@ -8,8 +9,9 @@ import contextlib
 import io
 import json
 
+from polarimeter import LouvainConfig, analyze
 from polarimeter.cli import main
-from homophily import write_homophily_archive
+from homophily import edge_homophily_graph, write_homophily_archive
 
 HOMOPHILY = (0.0, 0.3, 0.5, 0.7, 0.9, 1.0)
 # Over archive seeds 0-14 at --runs 10, P at h = 0.9 lay in [0.836, 0.860]
@@ -40,3 +42,30 @@ def test_polarization_rises_with_planted_homophily(tmp_path):
     assert scores[0]["max"] == 0.0, scores[0]
     assert scores[-1]["min"] == 1.0, scores[-1]
     assert means[HOMOPHILY.index(0.9)] >= MIN_P_AT_09, means
+
+
+EDGE_HOMOPHILY = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
+# Over graph and Louvain seeds 0-14 at --runs 3, the k = 2 row lay within
+# 0.0231 of h (at seed 0; every other seed within 0.015).
+MAX_K2_DISTANCE_FROM_H = 0.04
+
+
+def test_polarization_rises_with_edge_homophily_over_k_opinions():
+    """2,000 nodes on k uniform sides and 8,000 edge draws, each kept within
+    its source's side with probability h (see ``edge_homophily_graph``).
+    Over seeds 0-14, mean P did not fall as h rose for any k; every run
+    scored exactly 1 at h = 1; for k = 5 and 10 every run scored exactly 0
+    at h = 0 and 0.2, where the cross share (1 - h)(1 - 1/k) >= 0.64 is
+    capped; and the k = 2 row, whose uncapped P is 1 - 2C/S = h, lay within
+    0.0231 of h. Seed 0 reads 0, 0.177, 0.390, 0.588, 0.798, 1 at k = 2."""
+    for k in (2, 5, 10):
+        reports = [analyze(edge_homophily_graph(k, h, seed=0), LouvainConfig(seed=0), runs=3)
+                   for h in EDGE_HOMOPHILY]
+        means = [r.polarization_mean for r in reports]
+        assert all(a <= b for a, b in zip(means, means[1:])), (k, means)
+        assert reports[-1].polarization_min == 1.0, (k, means)
+        if k >= 3:
+            assert reports[0].polarization_max == 0.0, (k, means)
+        else:
+            distance = max(abs(p - h) for p, h in zip(means, EDGE_HOMOPHILY))
+            assert distance <= MAX_K2_DISTANCE_FROM_H, means

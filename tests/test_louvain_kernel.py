@@ -1,13 +1,13 @@
 """The C Louvain kernel: it builds and loads here, it matches the pure-Python
 oracle bit for bit (partitions and every pass record) under the same call,
-two threads can run it at once, and when it cannot be had or the graph is
-beyond it, one warning is logged and Python gives the same results, with the
-runs kept serial. The stance-archive kernel is built into the same library:
-a warm cache loads it without building, when the library cannot be had
-build-network warns once and writes the same files, and a build deletes the
-older builds beyond the few most recent. The library's sources are every
-C file of the package, and they compile with every common warning made an
-error."""
+its random draws equal CPython's for any int64 bound, two threads can run it
+at once, and when it cannot be had, one warning is logged and Python gives
+the same results, with the runs kept serial. The stance-archive kernel is
+built into the same library: a warm cache loads it without building, when
+the library cannot be had build-network warns once and writes the same
+files, and a build deletes the older builds beyond the few most recent.
+The library's sources are every C file of the package, and they compile
+with every common warning made an error."""
 
 from __future__ import annotations
 
@@ -187,6 +187,69 @@ def test_kernel_matches_the_python_oracle(kernel_cache, case):
         assert_kernel_matches_python(graph, seed)
 
 
+# bounds on either side of one 32-bit word's reach, and up to the largest int64
+DRAW_BOUNDS = (2, 3, 2**31 - 1, 2**31, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1,
+               2**40 + 3, 2**62 + 5, 2**63 - 1)
+DRAWS_PER_BOUND = 200
+# a program around the kernel's own source: it reads an MT19937 state, then
+# "n count" pairs, and prints count draws of randbelow(n) for each, one stream
+DRAW_HARNESS = r"""
+#include <inttypes.h>
+#include <stdio.h>
+#include "_louvain.c"
+
+int main(void)
+{
+    mt19937 mt;
+    int64_t n, count;
+    for (int i = 0; i < MT_N; i++)
+        if (scanf("%" SCNu32, &mt.state[i]) != 1)
+            return 2;
+    if (scanf("%" SCNd64, &mt.index) != 1)
+        return 2;
+    while (scanf("%" SCNd64 " %" SCNd64, &n, &count) == 2)
+        while (count-- > 0)
+            printf("%" PRId64 "\n", randbelow(&mt, n));
+    return 0;
+}
+"""
+UBSAN = ("-fsanitize=undefined", "-fno-sanitize-recover=all")
+
+
+def test_kernel_draws_equal_cpythons_for_any_int64_bound(tmp_path):
+    """The kernel's ``randbelow``, seeded from ``random.Random(seed)``, makes
+    the draws of ``random.Random(seed)._randbelow`` in one stream over every
+    bound in ``DRAW_BOUNDS``, so a shuffle of any int64 node count matches
+    Python's. The harness is built with UBSan where the compiler takes it,
+    so a 32-bit word shifted by 32 bits or more aborts the run."""
+    compiler = next(filter(None, map(shutil.which, _native.COMPILERS)), None)
+    if compiler is None:
+        pytest.skip("no C compiler")
+    source, program = tmp_path / "draws.c", tmp_path / "draws"
+    source.write_text(DRAW_HARNESS)
+
+    def build(*flags):
+        return subprocess.run(
+            [compiler, "-O2", *flags, "-I", os.path.dirname(_native.__file__),
+             "-o", str(program), str(source), "-lm"],
+            capture_output=True, text=True,
+        )
+
+    if build(*UBSAN).returncode != 0:
+        plain = build()
+        assert plain.returncode == 0, plain.stderr[-4000:]
+    requests = "".join(f"{n} {DRAWS_PER_BOUND}\n" for n in DRAW_BOUNDS)
+    for seed in (0, 1, 2026):
+        _, state, _ = random.Random(seed).getstate()
+        words = " ".join(map(str, state)) + "\n"
+        child = subprocess.run([str(program)], input=words + requests,
+                               capture_output=True, text=True, timeout=60)
+        assert child.returncode == 0, child.stderr[-4000:]
+        rng = random.Random(seed)
+        want = [rng._randbelow(n) for n in DRAW_BOUNDS for _ in range(DRAWS_PER_BOUND)]
+        assert list(map(int, child.stdout.split())) == want, seed
+
+
 def test_records_beyond_the_first_buffer_are_kept(kernel_cache, monkeypatch):
     assert _native.louvain_kernel() is not None
     monkeypatch.setattr(_native, "PASS_RECORDS", 1)
@@ -287,35 +350,6 @@ def test_a_build_keeps_only_the_newest_builds_for_its_abi(monkeypatch, tmp_path)
     target = _native._library()
     kept = [target, *older[: _native.KEPT_BUILDS - 1], *others]
     assert sorted(cache.iterdir()) == sorted(kept)
-
-
-def test_graph_beyond_the_kernel_runs_in_python(kernel_cache, monkeypatch, caplog):
-    graph = load_karate()
-    assert _native.louvain_kernel() is not None
-    expected = louvain(graph, LouvainConfig(seed=1))
-    monkeypatch.setattr(community, "NODE_LIMIT", graph.node_count)
-    with caplog.at_level(logging.WARNING, logger="polarimeter"):
-        got = louvain(graph, LouvainConfig(seed=1))
-    assert [r.levelno for r in caplog.records] == [logging.WARNING]
-    assert_same_partitions(graph, [got], [expected])
-
-
-def test_runs_beyond_the_kernel_stay_serial_and_warn_once(
-    kernel_cache, monkeypatch, caplog
-):
-    graph = load_karate()
-    assert _native.louvain_kernel() is not None
-    monkeypatch.setattr(community, "NODE_LIMIT", graph.node_count)
-    monkeypatch.setattr(community, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(community.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(RecordingPool, "created", [])
-    serial = list(community.louvain_runs(graph, LouvainConfig(seed=1), 4))
-    caplog.clear()
-    with caplog.at_level(logging.WARNING, logger="polarimeter"):
-        got = list(community.louvain_runs(graph, LouvainConfig(seed=1), 4, threads=2))
-    assert RecordingPool.created == []
-    assert [r.levelno for r in caplog.records] == [logging.WARNING]
-    assert_same_partitions(graph, got, serial)
 
 
 def test_runs_on_two_threads_equal_the_serial_runs(kernel_cache, monkeypatch):
