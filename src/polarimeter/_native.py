@@ -1,5 +1,6 @@
-"""Build and load the C kernels on first use: Louvain (``_louvain.c``) and
-the stance-archive tally (``_archive.c``), compiled into one library.
+"""Build and load the C kernels on first use: Louvain (``_louvain.c``), the
+stance-archive tally (``_archive.c``) and the block-model draw
+(``_sbm.c``), compiled into one library.
 
 The library is compiled once into ``$XDG_CACHE_HOME/polarimeter/`` (default
 ``~/.cache/polarimeter/``), under a name keyed by the CRC-32 and Adler-32
@@ -9,10 +10,11 @@ place, so processes that build at the same time never load a partial file;
 it then deletes the builds for the same ABI beyond the `KEPT_BUILDS` most
 recent. When the library cannot be had (no ``gcc``/``cc`` on PATH, a failed
 build, an unwritable cache, an unknown ``random`` state layout), one warning
-is logged, every kernel is None and callers use the pure-Python paths, which
+is logged, every kernel is None and callers use their Python paths, which
 give identical results. When the library loads, the Louvain kernel runs
 every graph: its draws equal ``random.shuffle``'s for any int64 node count.
-Importing this module builds and loads nothing.
+The block-model kernel draws numpy's PCG64 stream without importing
+``numpy.random``. Importing this module builds and loads nothing.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import logging
+import math
 import os
 import random
 from pathlib import Path
@@ -31,7 +34,9 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
-SOURCES = tuple(Path(__file__).with_name(name) for name in ("_louvain.c", "_archive.c"))
+SOURCES = tuple(
+    Path(__file__).with_name(name) for name in ("_louvain.c", "_archive.c", "_sbm.c")
+)
 COMPILERS = ("gcc", "cc")
 # no fast-math and no FMA contraction: every float operation rounds as it
 # does in CPython, which keeps partitions bit-identical to the Python path
@@ -49,9 +54,10 @@ MIN_GAIN = 1e-7
 
 @functools.cache
 def _kernels():
-    """The two kernel functions, Louvain's and the archive tally's, from the
-    one library, or (None, None) after one warning when it cannot be built
-    or loaded. Cached for the life of the process."""
+    """The three kernel functions, Louvain's, the archive tally's and the
+    block-model draw's, from the one library, or (None, None, None) after one
+    warning when it cannot be built or loaded. Cached for the life of the
+    process."""
     import ctypes
 
     try:
@@ -60,7 +66,7 @@ def _kernels():
         library = ctypes.CDLL(str(_library()))
     except (OSError, RuntimeError) as exc:
         logger.warning("C kernels unavailable, using pure Python: %s", exc)
-        return None, None
+        return None, None, None
     i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
     f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     library.louvain_levels.argtypes = [
@@ -94,9 +100,21 @@ def _kernels():
         i64,  # ends (out)
     ]
     library.archive_result.restype = None
+    library.sbm_draw.argtypes = [
+        ctypes.c_int64,  # blocks
+        ctypes.c_int64,  # nodes per block
+        ctypes.c_double,  # p_in
+        ctypes.c_double,  # p_out
+        np.ctypeslib.ndpointer(np.uint32, flags="C_CONTIGUOUS"),  # seed words
+        ctypes.c_int64,  # seed word count
+        ctypes.c_int64,  # edge capacity
+        i64,  # ends (out)
+    ]
+    library.sbm_draw.restype = ctypes.c_int64
     return (
         functools.partial(_run, library.louvain_levels),
         functools.partial(_tally_blocks, library),
+        functools.partial(_draw_blocks, library.sbm_draw),
     )
 
 
@@ -113,6 +131,14 @@ def archive_kernel():
     returns for the archive's rows, or None at the first line that is not a
     plain record (see ``_archive.c``)."""
     return _kernels()[1]
+
+
+def sbm_kernel():
+    """A function drawing a whole block model in C, or None when the library
+    cannot be had. Called with ``(blocks, nodes_per_block, p_in, p_out,
+    seed)``, it returns the interleaved ``(u, v)`` ends that
+    ``synthetic._sbm_ends`` returns for them."""
+    return _kernels()[2]
 
 
 def _run(function, adjacency, m, seed):
@@ -172,6 +198,30 @@ def _tally_blocks(library, blocks):
     users = ids.tobytes().decode("ascii").split("\n")
     users.pop()  # the empty text after the last "\n"
     return users, counts, ends, self_retweets
+
+
+def _edge_capacity(expected: float) -> int:
+    """Room for a block-model draw expecting ``expected`` edges: four
+    standard deviations of its binomial count over, so that a rerun is
+    rare."""
+    return int(expected + 4 * math.sqrt(expected)) + 1
+
+
+def _draw_blocks(function, blocks, size, p_in, p_out, seed):
+    """One block-model draw on a ctypes ``function`` with declared argtypes."""
+    # the seed's little-endian 32-bit words, at least one, as SeedSequence reads it
+    words = np.frombuffer(
+        seed.to_bytes(4 * max(1, -(-seed.bit_length() // 32)), "little"), dtype="<u4"
+    ).astype(np.uint32)
+    within = blocks * (size * (size - 1) // 2)
+    cross = blocks * (blocks - 1) // 2 * size * size
+    capacity = _edge_capacity(within * p_in + cross * p_out)
+    while True:
+        ends = np.empty(2 * capacity, dtype=np.int64)
+        count = function(blocks, size, p_in, p_out, words, len(words), capacity, ends)
+        if count <= capacity:
+            return ends[: 2 * count]
+        capacity = count  # the same seed draws the same edges
 
 
 def _library() -> Path:

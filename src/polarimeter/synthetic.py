@@ -5,16 +5,24 @@ opinion covers a controlled share of the members (the dominance ratio), the
 rest draw uniformly from the remaining opinions. A stochastic block model
 generator provides a desk-scale surrogate network with planted communities,
 and the sweep harness grids dominance ratio against opinion count.
+
+The block model is drawn from numpy's PCG64 stream as
+``np.random.default_rng(seed)`` seeds it, one uniform per candidate pair.
+The C kernel (``_sbm.c``) draws it in one call, in memory that grows with
+the edges drawn; when the kernel library cannot be had, the numpy loop in
+`_sbm_ends` draws the same edges, in memory that grows with the pairs.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._native import sbm_kernel
 from .community import LouvainConfig, Partition, louvain_runs
 from .graph import LabeledGraph
 from .metric import _score_runs
@@ -52,8 +60,13 @@ class SbmConfig:
             raise ValueError(
                 f"need 0 <= p_out < p_in <= 1, got p_in={self.p_in}, p_out={self.p_out}"
             )
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        try:
+            seed = operator.index(self.seed)
+        except TypeError:
+            raise ValueError(f"seed must be an integer, got {self.seed!r}") from None
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        object.__setattr__(self, "seed", seed)
 
 
 def _round_half_up(x: float) -> int:
@@ -94,8 +107,29 @@ def generate_sbm(config: SbmConfig) -> tuple[LabeledGraph, Partition]:
 
     Every within-block pair draws an edge with p_in, every cross-block pair
     with p_out, all weights 1. Labels are initialized to opinion 0; callers
-    relabel afterwards.
+    relabel afterwards. The C kernel draws the edges when the library loads,
+    and `_sbm_ends` otherwise; both draw the same edges in the same order.
     """
+    size = config.nodes_per_block
+    draw = sbm_kernel()
+    if draw is None:
+        ends = _sbm_ends(config)
+    else:
+        ends = draw(config.blocks, size, config.p_in, config.p_out, config.seed)
+    total = config.blocks * size
+    labels = np.zeros(total, dtype=np.int64)
+    # every weight is 1: one float seen once per edge, which the layout's
+    # peak does not hold as an array of its own
+    weights = np.broadcast_to(1.0, len(ends) // 2)
+    graph = LabeledGraph(range(total), ends, weights, labels, 2)
+    blocks = np.arange(total) // size
+    return graph, Partition.__new__(Partition)._hold(graph.nodes, blocks, config.blocks)
+
+
+def _sbm_ends(config: SbmConfig) -> np.ndarray:
+    """The block model's edges as interleaved ``(u, v)`` ends, drawn with
+    numpy: each block's pairs in ``np.triu_indices`` order, then each block
+    pair a < b in row-major ``(u, v)`` order, one uniform per pair."""
     rng = np.random.default_rng(config.seed)
     size = config.nodes_per_block
     pairs = []  # (u, v) index rows of the drawn edges
@@ -112,13 +146,7 @@ def generate_sbm(config: SbmConfig) -> tuple[LabeledGraph, Partition]:
                 u, v = np.divmod(hits, size)
                 pairs.append(np.stack([u + a * size, v + b * size], axis=1))
 
-    ends = np.concatenate(pairs).ravel()
-    del pairs  # the blocks' rows go before the layout allocates
-    total = config.blocks * size
-    labels = np.zeros(total, dtype=np.int64)
-    graph = LabeledGraph(range(total), ends, np.ones(len(ends) // 2), labels, 2)
-    blocks = np.arange(total) // size
-    return graph, Partition.__new__(Partition)._hold(graph.nodes, blocks, config.blocks)
+    return np.concatenate(pairs).ravel()
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,11 @@
 oracle bit for bit (partitions and every pass record) under the same call,
 its random draws equal CPython's for any int64 bound, two threads can run it
 at once, and when it cannot be had, one warning is logged and Python gives
-the same results, with the runs kept serial. The stance-archive kernel is
-built into the same library: a warm cache loads it without building, when
-the library cannot be had build-network warns once and writes the same
-files, and a build deletes the older builds beyond the few most recent.
+the same results, block models included, with the runs kept serial. The
+stance-archive kernel is built into the same library: a warm cache loads it
+without building, when the library cannot be had build-network warns once
+and writes the same files, and a build deletes the older builds beyond the
+few most recent.
 The library's sources are every C file of the package, and they compile
 with every common warning made an error."""
 
@@ -37,7 +38,7 @@ from polarimeter import (
 )
 from polarimeter import _native, build_retweet_network, community, read_stance_records
 from polarimeter.cli import main
-from oracles import random_graph_spec
+from oracles import edge_triples, random_graph_spec
 from test_archive_kernel import perfbench_fixtures
 from test_golden import write_archive
 from test_metric import RecordingPool
@@ -275,20 +276,26 @@ def test_unavailable_kernel_warns_once_and_gives_the_same_results(
 ):
     graph = load_karate()
     configs = [LouvainConfig(seed=s) for s in range(5)]
+    sbm = SbmConfig(5, 30, 0.3, 0.02, seed=2**64 + 3)
     assert _native.louvain_kernel() is not None
     expected = [louvain(graph, c) for c in configs]
+    expected_sbm, expected_planted = generate_sbm(sbm)
 
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))  # an empty cache
     FAILURES[failure](monkeypatch, tmp_path)
     _native._kernels.cache_clear()
     with caplog.at_level(logging.WARNING, logger="polarimeter"):
         got = [louvain(graph, c) for c in configs]
+        got_sbm, got_planted = generate_sbm(sbm)
 
     assert _native.louvain_kernel() is None
     assert _native.archive_kernel() is None
+    assert _native.sbm_kernel() is None
     assert [r.levelno for r in caplog.records] == [logging.WARNING]
     assert "C kernels unavailable" in caplog.records[0].getMessage()
     assert_same_partitions(graph, got, expected)
+    assert edge_triples(got_sbm) == edge_triples(expected_sbm)
+    assert_same_partitions(got_sbm, [got_planted], [expected_planted])
     assert not list(tmp_path.glob("polarimeter/*"))  # no library, no temp file left
 
 

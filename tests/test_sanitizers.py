@@ -3,7 +3,9 @@
 The one library is built with the sanitizers into a temporary cache, and a
 child Python process loads it with libasan preloaded. The child runs the
 Louvain kernel against the Python oracle on karate and on a small block
-model, reads a plain archive through the archive kernel and one that the
+model, draws block models through the block-model kernel against the numpy
+loop, once with a first buffer of one edge, so that a write past it aborts
+the child, reads a plain archive through the archive kernel and one that the
 kernel refuses near its end, and has the Louvain kernel run out of memory:
 its allocator refuses any one allocation over 2 MB, which a run on the
 20x250 block model needs (its block is 3.3 MB) and no array the child
@@ -41,7 +43,8 @@ import sys
 import numpy as np
 
 from polarimeter import (LouvainConfig, SbmConfig, _native, analyze, build_retweet_network,
-                         community, generate_sbm, io, load_karate, louvain, read_stance_records)
+                         community, generate_sbm, io, load_karate, louvain, read_stance_records,
+                         synthetic)
 from polarimeter.stance import read_retweet_network
 
 plain, refused, *flags = sys.argv[1:]
@@ -61,6 +64,23 @@ for seed in range(5):
 small = generate_sbm(SbmConfig(4, 50, 0.2, 0.01, seed=3))[0]
 for seed in range(3):
     check_kernel(small, seed)
+
+
+def check_sbm(config):
+    got = _native.sbm_kernel()(config.blocks, config.nodes_per_block, config.p_in,
+                               config.p_out, config.seed)
+    assert np.array_equal(got, synthetic._sbm_ends(config)), config
+
+
+SBM_CASES = (SbmConfig(4, 50, 0.2, 0.01, seed=3), SbmConfig(3, 20, 1.0, 0.0, seed=2**200 + 5),
+             SbmConfig(30, 1, 0.6, 0.5, seed=2**32))
+for config in SBM_CASES:
+    check_sbm(config)
+edge_capacity = _native._edge_capacity
+_native._edge_capacity = lambda expected: 1  # every draw overflows its first buffer
+for config in SBM_CASES:
+    check_sbm(config)
+_native._edge_capacity = edge_capacity
 
 
 def layout(graph):

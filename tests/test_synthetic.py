@@ -6,6 +6,7 @@ import random
 import statistics
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -78,6 +79,21 @@ def test_sbm_config_validation():
         SbmConfig(blocks=2, nodes_per_block=5, p_in=1.5, p_out=0.0)
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         SbmConfig(blocks=2, nodes_per_block=5, p_in=0.5, p_out=0.0, seed=-1)
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, "3", None])
+def test_sbm_config_refuses_a_seed_that_is_no_integer(seed):
+    with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):
+        SbmConfig(blocks=2, nodes_per_block=5, p_in=0.5, p_out=0.0, seed=seed)
+
+
+@pytest.mark.parametrize("seed, plain", [(np.int64(5), 5), (np.uint64(2**64 - 1), 2**64 - 1),
+                                         (True, 1), (False, 0)])
+def test_numpy_integer_and_bool_seeds_keep_their_draws(seed, plain):
+    config = SbmConfig(blocks=3, nodes_per_block=20, p_in=0.3, p_out=0.02, seed=seed)
+    assert type(config.seed) is int and config.seed == plain
+    want = SbmConfig(blocks=3, nodes_per_block=20, p_in=0.3, p_out=0.02, seed=plain)
+    assert edge_triples(generate_sbm(config)[0]) == edge_triples(generate_sbm(want)[0])
 
 
 def test_relabel_full_dominance_gives_uniform_communities():
