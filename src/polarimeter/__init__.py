@@ -26,7 +26,6 @@ from .io import (
 )
 from .metric import (
     PolarizationReport,
-    accumulate,
     analyze,
     polarization_component,
     scale_weights,
@@ -63,7 +62,6 @@ __all__ = [
     "StanceRecord",
     "SweepCell",
     "SyntheticLabelConfig",
-    "accumulate",
     "analyze",
     "build_retweet_network",
     "census",

@@ -31,17 +31,18 @@ def scale_weights(graph: LabeledGraph, counts: np.ndarray) -> np.ndarray:
     return 0.5 * (fractions[opinion[eu]] + fractions[opinion[ev]]) * ew
 
 
-def accumulate(
-    graph: LabeledGraph, scaled: np.ndarray, partition: Partition
-) -> np.ndarray:
-    """Scaled edge mass in four bins, indexed 2 * same_community + cross_opinion:
-    [between/same-opinion, between/cross-opinion, within/same-opinion,
-    within/cross-opinion]. Each edge lands in exactly one bin."""
+def _same_community(graph: LabeledGraph, partition: Partition) -> np.ndarray:
+    """The partition's half of each edge's mass bin: 2 where its ends share a
+    community, else 0, as int8 aligned with ``graph.edge_arrays()``."""
     comm = partition.array(graph)
     eu, ev, _ = graph.edge_arrays()
-    opinion = graph.opinion_array()
-    bins = 2 * (comm[eu] == comm[ev]) + (opinion[eu] != opinion[ev])
-    return np.bincount(bins, weights=scaled, minlength=4)
+    return (comm[eu] == comm[ev]).astype(np.int8) * 2
+
+
+def _masses(same: np.ndarray, cross: np.ndarray, scaled: np.ndarray) -> np.ndarray:
+    """[between/same-opinion, between/cross-opinion, within/same-opinion,
+    within/cross-opinion] scaled mass, each edge added in order to bin ``same + cross``."""
+    return np.bincount(same + cross, weights=scaled, minlength=4)
 
 
 def polarization_component(same: float, cross: float) -> float:
@@ -64,11 +65,16 @@ def score_partition(
 ) -> tuple[float, float, float]:
     """(p_within, p_between, polarization) for one fixed partition; the
     polarization is the mass-weighted average of the two components."""
-    b_same, b_cross, w_same, w_cross = accumulate(graph, scaled, partition).tolist()
+    eu, ev, _ = graph.edge_arrays()
+    cross = graph.opinion_array()[eu] != graph.opinion_array()[ev]
+    return _blend(_masses(_same_community(graph, partition), cross, scaled))
+
+
+def _blend(masses: np.ndarray) -> tuple[float, float, float]:
+    b_same, b_cross, w_same, w_cross = masses.tolist()
     p_w = polarization_component(w_same, w_cross)
     p_b = polarization_component(b_same, b_cross)
-    s_w = w_same + w_cross
-    s_b = b_same + b_cross
+    s_w, s_b = w_same + w_cross, b_same + b_cross
     if s_w + s_b == 0.0:
         raise ValueError("no scaled edge mass to score")
     return p_w, p_b, (s_w * p_w + s_b * p_b) / (s_w + s_b)
@@ -152,26 +158,26 @@ def analyze(
     over the seed schedule. Results are identical for any ``threads`` value;
     workers only parallelize the Louvain runs, and scoring happens here.
     """
-    return _score_runs(graph, louvain_runs(graph, config, runs, threads), config.seed)
+    partitions = louvain_runs(graph, config, runs, threads)
+    return _score_runs(graph, ((_same_community(graph, p), p.k) for p in partitions), config.seed)
 
 
 def _score_runs(
-    graph: LabeledGraph, partitions: Iterable[Partition], seed: int
+    graph: LabeledGraph, runs: Iterable[tuple[np.ndarray, int]], seed: int
 ) -> PolarizationReport:
-    """Score each partition against the graph's labels, in order, into a
-    report whose run count is the number of partitions. The score reads the
-    labels only through their counts and their equality, so it is taken on
-    the labels present, numbered densely: a label far beyond the node count
-    sizes no array."""
-    present, dense, counts = np.unique(
-        graph.opinion_array(), return_inverse=True, return_counts=True
-    )
-    view = graph._with_labels(dense, len(present))
-    scaled = scale_weights(view, counts)
+    """Score the graph's labels against each run's `_same_community` mask and
+    community count ``k``, in order, making the labeling's half of the score
+    once. The score reads the labels only through their counts and their
+    equality, so it is taken on the labels present, numbered densely: a
+    label far beyond the node count sizes no array."""
+    _, dense, counts = np.unique(graph.opinion_array(), return_inverse=True, return_counts=True)
+    scaled = scale_weights(graph._with_labels(dense, len(counts)), counts)
+    eu, ev, _ = graph.edge_arrays()
+    cross = dense[eu] != dense[ev]
     scores, communities = [], []
-    for partition in partitions:
-        scores.append(score_partition(view, scaled, partition))
-        communities.append(partition.k)
+    for same, k in runs:
+        scores.append(_blend(_masses(same, cross, scaled)))
+        communities.append(k)
     return PolarizationReport(
         p_within_runs=tuple(s[0] for s in scores),
         p_between_runs=tuple(s[1] for s in scores),

@@ -25,7 +25,7 @@ import numpy as np
 from ._native import sbm_kernel
 from .community import LouvainConfig, Partition, louvain_runs
 from .graph import LabeledGraph
-from .metric import _score_runs
+from .metric import _same_community, _score_runs
 
 
 @dataclass(frozen=True)
@@ -170,13 +170,13 @@ def sweep(
     """Mean polarization per (num_opinions, dom_ratio) grid cell.
 
     Cells are ordered row-major: num_opinions outer, dom_ratio inner. The
-    ``runs`` Louvain partitions at seeds seed + run index are computed once,
-    since relabeling keeps the structure Louvain reads. Each cell relabels
-    the graph over ``partition`` (the seed's run when not given; e.g. the
-    planted partition of an SBM) with a per-cell seed drawn from the master
-    seed, then scores that labeling against every one of the partitions. A
-    cell therefore equals ``analyze`` at ``seed`` on its relabeled graph,
-    and ``threads`` only parallelizes the Louvain runs.
+    ``runs`` Louvain runs at seeds seed + run index are made once, since
+    relabeling keeps the structure Louvain reads, and each run's community
+    mask once, as the run arrives. Each cell relabels the graph over
+    ``partition`` (the seed's run when not given; e.g. the planted partition
+    of an SBM) with a per-cell seed drawn from the master seed, then scores
+    that labeling against every mask. A cell therefore equals ``analyze`` at
+    ``seed`` on its relabeled graph; ``threads`` only parallelizes Louvain.
     """
     if not dom_ratios or not num_opinions_list:
         raise ValueError("sweep grid is empty")
@@ -188,14 +188,15 @@ def sweep(
         for num_op in num_opinions_list
         for ratio in dom_ratios
     ]
-    partitions = list(louvain_runs(graph, LouvainConfig(seed=seed), runs, threads))
-    if partition is None:
-        partition = partitions[0]
+    masks = []  # each run's half of every score, made as the run arrives
+    for run in louvain_runs(graph, LouvainConfig(seed=seed), runs, threads):
+        partition = partition or run
+        masks.append((_same_community(graph, run), run.k))
 
     cells = []
     for label_config in label_configs:
         labeled = relabel(graph, partition, label_config)
-        report = _score_runs(labeled, partitions, seed)
+        report = _score_runs(labeled, masks, seed)
         cells.append(
             SweepCell(
                 num_opinions=label_config.num_opinions,

@@ -227,18 +227,14 @@ def permuted_labelings(graph, permutations, seed):
 
 def label_permutation_null(graph, partitions, permutations, seed):
     """The chance level of ``graph``'s score: the mean P over ``partitions``
-    of each of the ``permuted_labelings``, scored through `scale_weights`
-    and `score_partition` as ``analyze`` scores the graph itself. Louvain
-    never reads labels, so the same partitions serve every permutation."""
-    from polarimeter.graph import census
-    from polarimeter.metric import scale_weights, score_partition
+    of each of the ``permuted_labelings``, scored through `_score_runs` as
+    ``analyze`` scores the graph itself. Louvain never reads labels, so each
+    partition's community mask is made once and serves every permutation."""
+    from polarimeter.metric import _same_community, _score_runs
 
-    counts, means = census(graph), []
-    for view in permuted_labelings(graph, permutations, seed):
-        scaled = scale_weights(view, counts)
-        scores = [score_partition(view, scaled, p)[2] for p in partitions]
-        means.append(math.fsum(scores) / len(scores))
-    return means
+    runs = [(_same_community(graph, p), p.k) for p in partitions]
+    return [_score_runs(view, runs, seed).polarization_mean
+            for view in permuted_labelings(graph, permutations, seed)]
 
 
 def naive_stance_rows(path):

@@ -14,7 +14,6 @@ from polarimeter import (
     LabeledGraph,
     LouvainConfig,
     Partition,
-    accumulate,
     analyze,
     census,
     load_karate,
@@ -23,6 +22,7 @@ from polarimeter import (
     score_partition,
 )
 from polarimeter.community import louvain_runs
+from polarimeter.metric import _masses, _same_community
 from oracles import (
     edge_triples,
     label_permutation_null,
@@ -94,23 +94,31 @@ def test_scaled_weights_never_exceed_raw():
 # -- accumulation ------------------------------------------------------------
 #
 # The paper's within and between frequency matrices (F_W, F_B) enter the score
-# only through their same-opinion and cross-opinion mass, so ``accumulate``
+# only through their same-opinion and cross-opinion mass, so ``_masses``
 # keeps just those four numbers: [between/same, between/cross, within/same,
 # within/cross].
 
 BETWEEN_SAME, BETWEEN_CROSS, WITHIN_SAME, WITHIN_CROSS = range(4)
 
 
+def masses(graph, scaled, partition):
+    """The four masses of ``graph``'s labels on ``partition``, through the
+    primitive as `score_partition` reaches it."""
+    eu, ev, _ = graph.edge_arrays()
+    labels = graph.opinion_array()
+    return _masses(_same_community(graph, partition), labels[eu] != labels[ev], scaled)
+
+
 def test_same_community_edge_lands_in_within_matrix():
     g = make_graph([(0, 1, 1.0)], {0: 0, 1: 0})
-    masses = accumulate(g, scale_weights(g, census(g)), partition_of({0: 0, 1: 0}))
-    assert masses.tolist() == pytest.approx([0.0, 0.0, 1.0, 0.0])
+    got = masses(g, scale_weights(g, census(g)), partition_of({0: 0, 1: 0}))
+    assert got.tolist() == pytest.approx([0.0, 0.0, 1.0, 0.0])
 
 
 def test_cross_community_cross_opinion_edge_is_counted_once():
     g = make_graph([(0, 1, 1.0)], {0: 0, 1: 1})
-    masses = accumulate(g, scale_weights(g, census(g)), partition_of({0: 0, 1: 1}))
-    assert masses.tolist() == pytest.approx([0.0, 0.5, 0.0, 0.0])
+    got = masses(g, scale_weights(g, census(g)), partition_of({0: 0, 1: 1}))
+    assert got.tolist() == pytest.approx([0.0, 0.5, 0.0, 0.0])
 
 
 def test_four_path_hand_accumulation():
@@ -121,17 +129,17 @@ def test_four_path_hand_accumulation():
     )
     uniform = make_graph(edge_triples(g), {"a": 0, "b": 0, "c": 0, "d": 0})
     ones = scale_weights(uniform, census(uniform))
-    masses = accumulate(g, ones, partition_of({"a": 0, "b": 0, "c": 1, "d": 1}))
-    assert masses[WITHIN_SAME] == pytest.approx(2.0)
-    assert masses[WITHIN_CROSS] == 0.0
-    assert masses[BETWEEN_SAME] == 0.0
-    assert masses[BETWEEN_CROSS] == pytest.approx(1.0)
+    got = masses(g, ones, partition_of({"a": 0, "b": 0, "c": 1, "d": 1}))
+    assert got[WITHIN_SAME] == pytest.approx(2.0)
+    assert got[WITHIN_CROSS] == 0.0
+    assert got[BETWEEN_SAME] == 0.0
+    assert got[BETWEEN_CROSS] == pytest.approx(1.0)
 
 
-def test_accumulate_requires_partition_coverage():
+def test_score_partition_requires_partition_coverage():
     g = make_graph([(0, 1, 1.0)], {0: 0, 1: 0})
     with pytest.raises(ValueError, match="partition"):
-        accumulate(g, scale_weights(g, census(g)), Partition(assignment={0: 0}, k=1))
+        score_partition(g, scale_weights(g, census(g)), Partition(assignment={0: 0}, k=1))
 
 
 # -- component and combination ----------------------------------------------
@@ -408,8 +416,8 @@ def test_karate_scores_far_above_its_label_permutation_null():
     counts, uncapped = census(graph), 0
     for view, null_p in zip(permuted_labelings(graph, 200, seed=0), null):
         scaled = scale_weights(view, counts)
-        masses = [accumulate(view, scaled, q).tolist() for q in partitions]
-        if all(c < (same + c) / 2 for b_same, c_b, w_same, c_w in masses
+        got = [masses(view, scaled, q).tolist() for q in partitions]
+        if all(c < (same + c) / 2 for b_same, c_b, w_same, c_w in got
                for same, c in ((b_same, c_b), (w_same, c_w)) if same + c):
             eu, ev, _ = view.edge_arrays()
             labels = view.opinion_array()

@@ -10,7 +10,6 @@ from polarimeter import (
     LabeledGraph,
     LouvainConfig,
     Partition,
-    accumulate,
     analyze,
     census,
     report_json,
@@ -18,6 +17,7 @@ from polarimeter import (
     score_partition,
 )
 from polarimeter.graph import MAX_WEIGHT, MIN_WEIGHT
+from test_metric import masses as four_masses
 
 
 @st.composite
@@ -57,7 +57,7 @@ def test_four_masses_sum_to_scaled_total(inputs):
     rows, opinions, k, partition = inputs
     g = LabeledGraph.from_edges(rows, opinions, num_opinions=k)
     scaled = scale_weights(g, census(g))
-    masses = accumulate(g, scaled, partition)
+    masses = four_masses(g, scaled, partition)
     assert masses.shape == (4,)
     assert (masses >= 0).all()
     assert masses.sum() == pytest.approx(scaled.sum(), rel=1e-12)
@@ -83,7 +83,7 @@ def test_polarization_depends_on_the_partition_only_through_the_cap(inputs):
     rows, opinions, k, partition = inputs
     g = LabeledGraph.from_edges(rows, opinions, num_opinions=k)
     scaled = scale_weights(g, census(g))
-    b_same, c_b, w_same, c_w = accumulate(g, scaled, partition).tolist()
+    b_same, c_b, w_same, c_w = four_masses(g, scaled, partition).tolist()
     s_w, s_b = w_same + c_w, b_same + c_b
     capped = max(0.0, c_w - s_w / 2) + max(0.0, c_b - s_b / 2)
     p = score_partition(g, scaled, partition)[2]

@@ -11,9 +11,12 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polarimeter import SbmConfig, _native, generate_sbm, synthetic
 
@@ -49,6 +52,35 @@ CASES = [
 )
 def test_kernel_draws_the_numpy_loop(kernel_cache, config):
     assert_kernel_draws_the_numpy_loop(config)
+
+
+# edge probabilities at the ends of [0, 1], dyadic and not, and any float
+P_IN = st.sampled_from([1.0, 0.5, 0.1, 1 / 3]) | st.floats(0.0, 1.0, exclude_min=True)
+
+
+@st.composite
+def block_models(draw):
+    p_in = draw(P_IN)
+    p_out = draw(st.sampled_from([0.0, p_in / 3]) | st.floats(0.0, p_in, exclude_max=True))
+    return SbmConfig(draw(st.integers(1, 8)), draw(st.integers(1, 30)), p_in, p_out,
+                     seed=draw(st.integers(0, 2**200)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_models())
+@example(SbmConfig(8, 30, 1.0, 0.0, seed=2**200))
+@example(SbmConfig(1, 1, 1.0, 0.0, seed=0))  # one node: no pair to draw
+def test_kernel_draws_the_numpy_loop_on_drawn_block_models(kernel_cache, config):
+    """Every drawn shape, probability and seed; a draw without edges is
+    refused alike by both paths of `generate_sbm`."""
+    assert_kernel_draws_the_numpy_loop(config)
+    if synthetic._sbm_ends(config).size == 0:
+        with pytest.raises(ValueError) as kernel:
+            generate_sbm(config)
+        with mock.patch.object(synthetic, "sbm_kernel", lambda: None), \
+                pytest.raises(ValueError) as fallback:
+            generate_sbm(config)
+        assert str(kernel.value) == str(fallback.value)
 
 
 @pytest.mark.parametrize("blocks, p_out", [(1, 0.001), (2, 0.001), (40, 0.0)])

@@ -298,20 +298,45 @@ def test_sweep_without_partition_detects_communities():
 def test_sweep_cell_equals_analyze_on_its_relabeled_graph():
     # Louvain never reads labels, so a cell scored against the sweep's shared
     # partitions equals a full analyze of the relabeled graph at the seed.
+    # At k=10 and d=1.0 each of the few communities holds one opinion, so
+    # most opinions are absent and the score renumbers the labels present.
     g, planted = sweep_fixture()
     seed, runs = 9, 3
     for given in (planted, None):
-        cells = sweep(g, dom_ratios=[0.5, 1.0], num_opinions_list=[2, 3],
+        cells = sweep(g, dom_ratios=[0.5, 1.0], num_opinions_list=[2, 3, 10],
                       runs=runs, seed=seed, partition=given, threads=2)
         partition = given or louvain(g, LouvainConfig(seed=seed))
         master = random.Random(seed)
         for cell in cells:
             config = SyntheticLabelConfig(cell.dom_ratio, cell.num_opinions,
                                           seed=master.randrange(2**62))
-            report = analyze(relabel(g, partition, config),
-                             LouvainConfig(seed=seed), runs=runs)
+            labeled = relabel(g, partition, config)
+            if (cell.num_opinions, cell.dom_ratio) == (10, 1.0):
+                assert len(set(labeled.opinion_array().tolist())) <= partition.k < 8
+            report = analyze(labeled, LouvainConfig(seed=seed), runs=runs)
             assert cell.mean_p == report.polarization_mean
             assert cell.std_p == report.polarization_std
+
+
+def test_sweep_makes_each_partitions_mask_once(monkeypatch):
+    """Each Louvain run's community mask is made once, as it arrives, and
+    each cell's relabeling reads its partition once: runs + cells reads of a
+    partition's array, where scoring every cell against every run made
+    cells x (runs + 1)."""
+    g, planted = sweep_fixture()
+    reads = []
+    array = Partition.array
+
+    def counted(self, graph):
+        reads.append(self)
+        return array(self, graph)
+
+    monkeypatch.setattr(Partition, "array", counted)
+    for given in (planted, None):
+        reads.clear()
+        sweep(g, dom_ratios=[0.5, 1.0], num_opinions_list=[2, 3], runs=3, seed=5,
+              partition=given)
+        assert len(reads) <= 3 + 4, len(reads)
 
 
 def test_sweep_rejects_empty_grid():
